@@ -3,9 +3,10 @@
 
     python3 perfbench/make_goldens.py [WORKLOAD ...]
 
-Run from the repository root on an otherwise idle machine: the measured cost
-of each candidate request decides its cost class, and ``run.py`` draws one
-request per class.  Every golden is cross-checked against a route that does
+Run from the repository root, preferably on an idle machine: the measured
+cost of each candidate request, scaled to reference host speed
+(hostspeed.py), decides its cost class, and ``run.py`` draws one request
+per class.  Every golden is cross-checked against a route that does
 not go through the code under test where one exists:
 
 * singer: each factorization multiplies back to q^n - 1 and each of its
@@ -34,6 +35,7 @@ from math import prod
 
 import sympy
 
+import hostspeed
 import run
 import spec
 
@@ -44,12 +46,14 @@ GF2_N_MAX = 90
 BIGQ_POOL = 1200
 BIGQ_CLASSES = 60
 BIGQ_BUDGET = 500_000
-# One class of equal-cost requests, drawn VERIFY_DRAWS times per pass: with
-# multi-second requests, only many samples of one cost, in short passes,
-# keep the medians steady from seed to seed.
-VERIFY_M = range(22, 28)
+# One class of equal-cost requests, drawn VERIFY_DRAWS times per pass: only
+# many samples of one cost keep the medians steady from seed to seed.  From
+# m-max 23 on, DeltaPoly.apply takes most of a request's time (below 20 it
+# takes under half), and below 28 a request stays short enough, about 1.5 s
+# on an idle host, for the host-speed calibration around it to track it.
+VERIFY_M = range(23, 28)
 VERIFY_N = range(40, 121, 10)
-VERIFY_DRAWS = 2
+VERIFY_DRAWS = 3
 # Tables cost about m * n^2.9; each size class holds (m, n) pairs of equal
 # m * n^2.9, one per m.
 TABLE_CLASSES = {"small": ((8, 10, 12, 14, 16), 12, 1000),
@@ -61,9 +65,13 @@ CLASS_TOLERANCE = 0.05
 
 
 def observe(cli, argv) -> dict:
-    """Exit code, output digest, size and cost of one request."""
+    """Exit code, output digest, size and cost of one request; the cost
+    (``latency_s``) is scaled to reference host speed."""
+    before = hostspeed.calibrate()
     res = run.run_request(cli, {"argv": argv, "exit": None, "bytes": -1,
                                  "sha256": ""})
+    res["latency_s"] = hostspeed.scaled(res["latency_s"], before,
+                                        hostspeed.calibrate())
     if res["error"]:
         raise SystemExit(f"{argv}: {res['error']}")
     return res

@@ -14,12 +14,14 @@ costs about the same.  Every request is an in-process call to
 counts bytes, and every output is compared with its golden.  Passes over the
 list repeat while another is expected to end within --seconds.
 
-With --trace 0 the run reports the end-to-end metrics.  With --trace 1 the
-passes alternate untraced and traced, and the run reports per-layer metrics
-of the traced passes plus the tracing overhead (traced minus untraced pass
-time).  The last line of stdout is a JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``; a result file with the machine,
-the versions, the seed and the request list goes to perfbench/results/.
+With --trace 0 the run reports the end-to-end metrics, with times scaled to
+a reference host speed measured between requests (hostspeed.py).  With
+--trace 1 the passes alternate untraced and traced, and the run reports
+per-layer metrics of the traced passes plus the tracing overhead (traced
+minus untraced pass time).  The last line of stdout is a JSON object with
+the keys ``correct``, ``attempted``, ``failed`` and ``metrics``; a result
+file with the machine, the versions, the seed and the request list goes to
+perfbench/results/.
 """
 
 from __future__ import annotations
@@ -45,17 +47,22 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(HERE))
 
+import hostspeed  # noqa: E402
 import spec  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_STARTS = 7
+SETUP_STARTS = 9
 SETUP_SNIPPET = (
-    "import time\n"
+    "import sys, time\n"
+    f"sys.path.append({str(HERE)!r})\n"
+    "from hostspeed import calibrate\n"
+    "before = calibrate()\n"
     "start = time.perf_counter()\n"
     "import tablepaths.cli\n"
     "tablepaths.cli.build_parser()\n"
-    "print(time.perf_counter() - start)\n"
+    "elapsed = time.perf_counter() - start\n"
+    "print(elapsed, before, calibrate())\n"
 )
 
 
@@ -110,20 +117,21 @@ def machine() -> dict:
     }
 
 
-def measure_setup(starts: int = SETUP_STARTS) -> list[float]:
-    """Seconds for fresh interpreters to import the CLI and build its parser.
+def measure_setup() -> list[float]:
+    """Seconds for fresh interpreters to import the CLI and build its parser,
+    scaled to reference host speed (see hostspeed.py).
 
     One untimed start comes first, so bytecode compilation of a fresh
     checkout is not counted.
     """
     times = []
-    for i in range(starts + 1):
+    for i in range(SETUP_STARTS + 1):
         done = subprocess.run([sys.executable, "-c", SETUP_SNIPPET], cwd=ROOT,
                               capture_output=True, text=True, timeout=120)
         if done.returncode != 0:
             raise BenchError(f"setup start failed: {done.stderr.strip()}")
         if i:
-            times.append(float(done.stdout))
+            times.append(hostspeed.scaled(*map(float, done.stdout.split())))
     return times
 
 
@@ -229,7 +237,9 @@ def run_passes(cli, requests: list[dict], seconds: float, trace: bool):
     (judged by the median pass so far), but there is always one pass, and
     two with ``trace``: every second pass is traced, starting with the
     second.  A pass's wall time is the sum of its request latencies, so the
-    harness's own work between requests is left out.
+    harness's own work between requests is left out.  The host speed is
+    calibrated between requests, and each request's latency is also kept
+    scaled to reference speed (``scaled_s``).
     """
     passes = []
     start = time.perf_counter()
@@ -244,9 +254,16 @@ def run_passes(cli, requests: list[dict], seconds: float, trace: bool):
         if tracer is not None:
             tracer.install()
         pass_start = time.perf_counter()
+        results = []
         try:
-            results = [run_request(cli, entry, tracer, (len(passes), i))
-                       for i, entry in enumerate(requests)]
+            before = hostspeed.calibrate()
+            for i, entry in enumerate(requests):
+                result = run_request(cli, entry, tracer, (len(passes), i))
+                after = hostspeed.calibrate()
+                result["scaled_s"] = hostspeed.scaled(result["latency_s"],
+                                                      before, after)
+                results.append(result)
+                before = after
         finally:
             if tracer is not None:
                 tracer.uninstall()
@@ -254,6 +271,7 @@ def run_passes(cli, requests: list[dict], seconds: float, trace: bool):
             "traced": tracer is not None,
             "elapsed": time.perf_counter() - pass_start,
             "wall_s": sum(r["latency_s"] for r in results),
+            "scaled_wall_s": sum(r["scaled_s"] for r in results),
             "results": results,
             "tracer": tracer,
         })
@@ -263,16 +281,31 @@ def run_passes(cli, requests: list[dict], seconds: float, trace: bool):
 # -- metrics --------------------------------------------------------------
 
 
+def lower_quartile(values: list[float]) -> float:
+    if len(values) == 1:
+        return values[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[0]
+
+
 def end_to_end(workload: str, passes, probes, setup_times, peak_rss_kb):
-    """Every end-to-end metric as (value or None, unit, samples)."""
+    """Every end-to-end metric as (value or None, unit, samples).
+
+    A request's latency is the lower quartile over the run's passes of its
+    time scaled to reference host speed, and ``wall_s`` is the sum of these
+    latencies over the request list.  Raw times swing with the load other
+    tenants put on a shared host.  Scaling (hostspeed.py) takes out most of
+    the swing, and what it leaves only ever adds time, so the lower quartile
+    is steadier than the median.
+    """
     results = [r for p in passes for r in p["results"]]
-    latencies = sorted(r["latency_s"] * 1000 for r in results)
+    latencies = sorted(
+        lower_quartile([p["results"][i]["scaled_s"] for p in passes]) * 1000
+        for i in range(len(passes[0]["results"])))
     checked = results + probes
     failed = sum(not r["ok"] for r in checked)
     metrics = {
         "setup_s": (statistics.median(setup_times), "s", len(setup_times)),
-        "wall_s": (statistics.median(p["wall_s"] for p in passes), "s",
-                   len(passes)),
+        "wall_s": (sum(latencies) / 1000, "s", len(passes)),
         "req_p50_ms": (statistics.median(latencies), "ms", len(latencies)),
         "req_p90_ms": ((statistics.quantiles(latencies, n=10)[8]
                         if len(latencies) >= 100 else None),
@@ -289,7 +322,12 @@ def end_to_end(workload: str, passes, probes, setup_times, peak_rss_kb):
 
 
 def per_layer(passes):
-    """Every per-layer metric: the median over traced passes."""
+    """Every per-layer metric: the median over traced passes.
+
+    Span times are raw, and so is their base ``trace.wall_s``, the traced
+    pass time.  ``trace.overhead_s`` compares traced with untraced passes,
+    which ran at different moments, so it uses their scaled times.
+    """
     traced = [p for p in passes if p["traced"]]
     plain = [p for p in passes if not p["traced"]]
     samples = []
@@ -301,11 +339,12 @@ def per_layer(passes):
         values["cli.out_bytes"] = sum(r["out_bytes"] for r in p["results"])
         values["trace.wall_s"] = p["wall_s"]
         samples.append(values)
-    traced_wall = statistics.median(p["wall_s"] for p in traced)
+    traced_wall = statistics.median(p["scaled_wall_s"] for p in traced)
     out = {}
     for name, (unit, _) in spec.PER_LAYER.items():
         if name == "trace.overhead_s":
-            value = traced_wall - statistics.median(p["wall_s"] for p in plain)
+            value = traced_wall - statistics.median(p["scaled_wall_s"]
+                                                    for p in plain)
         else:
             value = statistics.median(s.get(name, 0) for s in samples)
         out[name] = (value, unit, len(traced))
@@ -349,6 +388,7 @@ def measure(workload: str, pool: dict, requests: list[dict], seed: int,
         "machine": machine(),
         "requests": [e["argv"] for e in requests],
         "passes": [{"traced": p["traced"], "wall_s": p["wall_s"],
+                    "scaled_wall_s": p["scaled_wall_s"],
                     "elapsed_s": p["elapsed"]}
                    for p in passes],
         "setup_s": setup_times,

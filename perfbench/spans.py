@@ -101,10 +101,10 @@ class Tracer:
 
     # -- installing wrappers ------------------------------------------------
 
-    def install(self, package: str = "tablepaths") -> None:
-        modules = {layer: importlib.import_module(f"{package}.{layer}")
+    def install(self) -> None:
+        modules = {layer: importlib.import_module(f"tablepaths.{layer}")
                    for layer in LAYERS}
-        namespaces = [importlib.import_module(package), *modules.values()]
+        namespaces = [importlib.import_module("tablepaths"), *modules.values()]
         for layer, module in modules.items():
             for attr, fn in list(vars(module).items()):
                 if (attr.startswith("_") or not inspect.isfunction(fn)

@@ -1,32 +1,27 @@
 """Workloads and metrics of the tablepaths benchmark.
 
-``BENCHMARK.json`` at the repository root repeats this information; the
-smoke test (``smoke.py``) checks that the two agree.
+The workloads and the end-to-end and per-layer metrics are read from
+``BENCHMARK.json`` at the repository root, their one definition.
 """
 
 from __future__ import annotations
 
-WORKLOADS = {
-    "singer-gf2": "matrix-powering path: singer E/O over GF(2), one request "
-                  "per size n=1..90, order shuffled by the seed",
-    "singer-bigq": "factoring path with tiny matrices: 60 singer requests, "
-                   "prime q in [2^10, 2^16], n in 2..14, fixed budget",
-    "verify-suite": "Delta-operator path: 2 verify requests of equal cost "
-                    "per pass, m-max in [22, 27] and n-max in [40, 120]; "
-                    "each runs the whole identity suite",
-    "table-render": "one big-integer table per request, in plain, json and "
-                    "csv at three sizes, m in [8, 64], n in [500, 2500]; "
-                    "plus the n=10000 ceiling probe",
-}
+import json
+from pathlib import Path
+
+with open(Path(__file__).resolve().parent.parent / "BENCHMARK.json",
+          encoding="utf-8") as _handle:
+    _BENCH = json.load(_handle)
+
+WORKLOADS = {w["name"]: w["why"] for w in _BENCH["workloads"]}
 
 # name -> (unit, better, bound).  These are the metrics every workload
 # reports with --trace 0, compared across commits within their bounds.
-END_TO_END = {
-    "setup_s": ("s", "lower", 0.25),
-    "wall_s": ("s", "lower", 0.25),
-    "req_p50_ms": ("ms", "lower", 0.25),
-    "peak_rss_mb": ("MB", "lower", 0.1),
-}
+END_TO_END = {m["name"]: (m["unit"], m["better"], m["bound"])
+              for m in _BENCH["end_to_end"]}
+
+# name -> (unit, better).  Reported with --trace 1, per traced pass.
+PER_LAYER = {m["name"]: (m["unit"], m["better"]) for m in _BENCH["per_layer"]}
 
 # Reported in the human-readable summary and the result file, but not in the
 # JSON result line: each is zero, or undefined, on some workload.
@@ -45,46 +40,3 @@ SUITE_CHECKS = (
     "window-determinants", "polynomial-equivalence", "charpoly-recursion",
     "recurrence-minimality", "constant-combinations",
 )
-
-# name -> (unit, better).  Reported with --trace 1, per traced pass.
-PER_LAYER = {
-    "gfmatrix.pow.s": ("s", "lower"),
-    "gfmatrix.pow.calls": ("count", "lower"),
-    "gfmatrix.matmul.calls": ("count", "lower"),
-    "gfmatrix.matmul.mac": ("count", "lower"),
-    "gfmatrix.det.s": ("s", "lower"),
-    "gfmatrix.factor.s": ("s", "lower"),
-    "gfmatrix.factor.calls": ("count", "lower"),
-    "gfmatrix.factor.incomplete": ("count", "lower"),
-    "gfmatrix.factor.cofactor_bits": ("bits", "lower"),
-    "gfmatrix.factor.repeat_ratio": ("ratio", "lower"),
-    "gfmatrix.is_prime.s": ("s", "lower"),
-    "gfmatrix.order_is_full.s": ("s", "lower"),
-    "gfmatrix.order_is_full.refine_hit_ratio": ("ratio", "higher"),
-    "gfmatrix.self_s": ("s", "lower"),
-    "deltaops.apply.s": ("s", "lower"),
-    "deltaops.apply.calls": ("count", "lower"),
-    "deltaops.apply.diff_ops": ("count", "lower"),
-    "deltaops.multiplier.s": ("s", "lower"),
-    "deltaops.multiplier.calls": ("count", "lower"),
-    "deltaops.self_s": ("s", "lower"),
-    "pathtable.build_table.s": ("s", "lower"),
-    "pathtable.build_table.calls": ("count", "lower"),
-    "pathtable.build_table.cells": ("count", "lower"),
-    "pathtable.build_table.repeat_ratio": ("ratio", "lower"),
-    "pathtable.row.s": ("s", "lower"),
-    "pathtable.row.calls": ("count", "lower"),
-    "pathtable.enumerate_paths.s": ("s", "lower"),
-    "pathtable.self_s": ("s", "lower"),
-    "recurrence.self_s": ("s", "lower"),
-    "recurrence.det_bareiss.calls": ("count", "lower"),
-    **{f"suite.check.{name}.s": ("s", "lower") for name in SUITE_CHECKS},
-    "suite.self_s": ("s", "lower"),
-    "docs.render_document.s": ("s", "lower"),
-    "docs.render_document.bytes": ("bytes", "lower"),
-    "docs.self_s": ("s", "lower"),
-    "cli.self_s": ("s", "lower"),
-    "cli.out_bytes": ("bytes", "lower"),
-    "trace.wall_s": ("s", "lower"),
-    "trace.overhead_s": ("s", "lower"),
-}
