@@ -150,6 +150,16 @@ def test_committed_fixture_matches(capsys):
     assert "all expectations met" in err
 
 
+@pytest.mark.parametrize("family", ["E", "O"])
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_singer_json_matches_frozen_bytes(capsys, family, q):
+    code, out, _ = run_cli(capsys, "--format", "json", "singer",
+                           "--family", family, "--q", q, "--n", "1..40")
+    assert code == 0
+    frozen = (DATA / f"singer_{family}_q{q}.json").read_bytes()
+    assert out.encode() == frozen
+
+
 def test_csv_output_is_fixture_compatible(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--format", "csv", "singer",
                            "--family", "E", "--q", "2", "--n", "1..8")
