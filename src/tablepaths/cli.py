@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .docs import render_document
+from .docs import render_document, unlimited_int_digits
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, SingerReport, Verdict, singer_scan
 from .pathtable import build_table
@@ -78,25 +78,26 @@ def _cmd_table(args, out) -> int:
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     _check_ceiling(args.n, N_CEILING, "n", args.force)
     table = build_table(args.m, args.n)
-    if args.format == "json":
-        out.write(render_document(table))
-        return 0
-    sums = table.column_sums()
-    if args.format == "csv":
-        header = ["row"] + [str(n) for n in range(1, args.n + 1)]
-        out.write(",".join(header) + "\n")
+    with unlimited_int_digits():
+        if args.format == "json":
+            out.write(render_document(table))
+            return 0
+        sums = table.column_sums()
+        if args.format == "csv":
+            header = ["row"] + [str(n) for n in range(1, args.n + 1)]
+            out.write(",".join(header) + "\n")
+            for y in range(1, args.m + 1):
+                out.write(",".join([str(y)] + [str(v) for v in table.row(y)]) + "\n")
+            out.write(",".join(["sum"] + [str(s) for s in sums]) + "\n")
+            return 0
+        width = max(len(str(v)) for v in sums)
+        label = max(len(f"y={table.m}"), len("sum"))
+        out.write(f"m={table.m} n_max={table.n_max}\n")
         for y in range(1, args.m + 1):
-            out.write(",".join([str(y)] + [str(v) for v in table.row(y)]) + "\n")
-        out.write(",".join(["sum"] + [str(s) for s in sums]) + "\n")
-        return 0
-    width = max(len(str(v)) for v in sums)
-    label = max(len(f"y={table.m}"), len("sum"))
-    out.write(f"m={table.m} n_max={table.n_max}\n")
-    for y in range(1, args.m + 1):
-        cells = " ".join(f"{v:>{width}}" for v in table.row(y))
-        out.write(f"{f'y={y}':<{label}} | {cells}\n")
-    out.write(f"{'sum':<{label}} | "
-              + " ".join(f"{s:>{width}}" for s in sums) + "\n")
+            cells = " ".join(f"{v:>{width}}" for v in table.row(y))
+            out.write(f"{f'y={y}':<{label}} | {cells}\n")
+        out.write(f"{'sum':<{label}} | "
+                  + " ".join(f"{s:>{width}}" for s in sums) + "\n")
     return 0
 
 

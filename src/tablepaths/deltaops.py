@@ -25,6 +25,7 @@ families (Chebyshev, Fibonacci, Lucas).
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -293,13 +294,15 @@ def base_constant(family: Family) -> int:
 
 
 # Members are built iteratively and memoised; entry i of the list holds the
-# member of index i + lowest_index(family).
+# member of index i + lowest_index(family).  Lists only grow: growing holds
+# the lock, and members already present are read without it.
 _SEEDS: dict[Family, list[DeltaPoly]] = {
     Family.ODD: [DeltaPoly((2,)), DELTA],
     Family.EVEN: [ONE, DeltaPoly((-1, 1))],
     Family.PRIME: [ZERO, ONE],   # indices -1 and 0
 }
 _members: dict[Family, list[DeltaPoly]] = {f: list(s) for f, s in _SEEDS.items()}
+_members_lock = threading.Lock()
 
 
 def _lowest_index(family: Family) -> int:
@@ -312,8 +315,10 @@ def multiplier(family: Family, n: int) -> DeltaPoly:
     if n < lo:
         raise DomainError(f"{family.value} family has no index {n}")
     seq = _members[family]
-    while len(seq) <= n - lo:
-        seq.append(DELTA * seq[-1] - seq[-2])
+    if n - lo >= len(seq):
+        with _members_lock:
+            while len(seq) <= n - lo:
+                seq.append(DELTA * seq[-1] - seq[-2])
     return seq[n - lo]
 
 
@@ -567,55 +572,43 @@ def verify_congruence(k_max: int = 12) -> str | None:
     return None
 
 
-# -- classical polynomial families -------------------------------------------
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
-
-
-def _poly_shift_scale(a, c):
-    """c * x * a(x), as a coefficient tuple."""
-    return _trim([0] + [c * v for v in a])
+# -- classical polynomial families, as DeltaPoly coefficients in x ----------
 
 
 def chebyshev_t(n: int) -> tuple[int, ...]:
     """Chebyshev polynomial of the first kind, ascending coefficients."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    prev, cur = (1,), (0, 1)
+    prev, cur = ONE, DELTA
     if n == 0:
-        return prev
+        return prev.coeffs
     for _ in range(n - 1):
-        prev, cur = cur, _poly_add(_poly_shift_scale(cur, 2),
-                                   tuple(-v for v in prev))
-    return cur
+        prev, cur = cur, DeltaPoly((0, 2)) * cur - prev
+    return cur.coeffs
 
 
 def fibonacci_poly(n: int) -> tuple[int, ...]:
     """Fibonacci polynomial F_n with F_1 = 1, F_2 = x."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    prev, cur = (1,), (0, 1)
+    prev, cur = ONE, DELTA
     if n == 1:
-        return prev
+        return prev.coeffs
     for _ in range(n - 2):
-        prev, cur = cur, _poly_add(_poly_shift_scale(cur, 1), prev)
-    return cur
+        prev, cur = cur, DELTA * cur + prev
+    return cur.coeffs
 
 
 def lucas_poly(n: int) -> tuple[int, ...]:
     """Lucas polynomial L_n with L_0 = 2, L_1 = x."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    prev, cur = (2,), (0, 1)
+    prev, cur = DeltaPoly((2,)), DELTA
     if n == 0:
-        return prev
+        return prev.coeffs
     for _ in range(n - 1):
-        prev, cur = cur, _poly_add(_poly_shift_scale(cur, 1), prev)
-    return cur
+        prev, cur = cur, DELTA * cur + prev
+    return cur.coeffs
 
 
 def verify_classical(n_max: int = 20) -> str | None:
@@ -646,8 +639,8 @@ def verify_classical(n_max: int = 20) -> str | None:
         if msg:
             return msg
         even_abs = [abs(c) for c in multiplier(Family.EVEN, n).coeffs]
-        fib_pair = list(_poly_add(fibonacci_poly(n + 1),
-                                  fibonacci_poly(n) if n >= 1 else ()))
+        fib_pair = list((DeltaPoly(fibonacci_poly(n + 1))
+                         + DeltaPoly(fibonacci_poly(n) if n >= 1 else ())).coeffs)
         msg = _first_diff("fibonacci-pair", n, even_abs, fib_pair)
         if msg:
             return msg

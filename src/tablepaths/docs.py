@@ -10,6 +10,9 @@ excluded from both serialization and equality).
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from contextlib import contextmanager
 
 from .errors import DomainError
 from .gfmatrix import SingerReport
@@ -26,13 +29,32 @@ _PARSERS = {
 }
 
 
+_render_lock = threading.RLock()
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit while the package renders its own
+    integers (table cells pass 4300 digits near n = 10000).  The limit is
+    process-wide; the lock keeps one render from restoring it under another.
+    """
+    with _render_lock:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 def render_document(obj) -> str:
     """Deterministic JSON text for any report object with a to_doc()."""
-    return json.dumps(obj.to_doc(), sort_keys=True, indent=2) + "\n"
+    with unlimited_int_digits():
+        return json.dumps(obj.to_doc(), sort_keys=True, indent=2) + "\n"
 
 
 def parse_document(text: str):
-    """Inverse of render_document; dispatches on the document's kind."""
+    """Inverse of render_document; a malformed document raises DomainError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -40,6 +62,9 @@ def parse_document(text: str):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DomainError("document has no kind field")
     kind = doc["kind"]
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise DomainError(f"unknown document kind {kind!r}")
-    return _PARSERS[kind](doc)
+    try:
+        return _PARSERS[kind](doc)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind} document: {exc!r}") from exc

@@ -12,8 +12,10 @@ Lucas test above).
 Factoring is budgeted.  When the budget runs out the factorization is
 returned incomplete and order checks report UNKNOWN rather than guessing.
 
-Matrix arithmetic is exact residue arithmetic; numpy int64 is used when the
-dot-product bound n * (q-1)**2 fits, with a Python-integer fallback above.
+Orders are decided on the characteristic polynomial f of a template: its
+order mod q is the order of x in GF(q)[x]/(f), powered in pure Python with
+each residue packed into one integer.  ``GFMatrix`` keeps the plain matrix
+route as a reference.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from math import gcd, isqrt, prod
+from operator import mul
+from struct import Struct
 
-import numpy as np
-
+from .deltaops import DeltaPoly, Family, multiplier
 from .errors import DomainError, InternalInconsistencyError
 from .recurrence import even_matrix, odd_matrix
 
@@ -296,44 +300,40 @@ def factor(n: int, budget: int | None = None) -> PrimeFactorization:
 
 
 class GFMatrix:
-    """Square matrix of residues modulo a prime q."""
+    """Square matrix of residues modulo a prime q; the reference route that
+    the tests hold the polynomial order engine to."""
 
-    def __init__(self, n: int, q: int, data: np.ndarray):
-        self.n = n
+    def __init__(self, rows: tuple[tuple[int, ...], ...], q: int):
+        self.n = len(rows)
         self.q = q
-        self._data = data
-
-    @staticmethod
-    def _dtype_for(n: int, q: int):
-        return np.int64 if n * (q - 1) ** 2 < 2**62 else object
+        self._rows = rows
 
     @classmethod
     def from_rows(cls, rows, q: int) -> "GFMatrix":
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DomainError("matrix must be square")
-        data = np.array([[int(v) % q for v in r] for r in rows],
-                        dtype=cls._dtype_for(n, q))
-        return cls(n, q, data)
+        return cls(tuple(tuple(int(v) % q for v in r) for r in rows), q)
 
     @classmethod
     def identity(cls, n: int, q: int) -> "GFMatrix":
-        data = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                        dtype=cls._dtype_for(n, q))
-        return cls(n, q, data)
+        return cls(tuple(tuple(int(i == j) for j in range(n))
+                         for i in range(n)), q)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(v) for v in row) for row in self._data)
+        return self._rows
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GFMatrix) and self.n == other.n
-                and self.q == other.q
-                and bool((self._data == other._data).all()))
+        return (isinstance(other, GFMatrix) and self.q == other.q
+                and self._rows == other._rows)
 
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
         if self.q != other.q or self.n != other.n:
             raise DomainError("matrix shapes or moduli differ")
-        return GFMatrix(self.n, self.q, (self._data @ other._data) % self.q)
+        q = self.q
+        cols = tuple(zip(*other._rows))
+        return GFMatrix(tuple(tuple(sum(map(mul, row, col)) % q for col in cols)
+                              for row in self._rows), q)
 
     def pow(self, e: int) -> "GFMatrix":
         if e < 0:
@@ -352,7 +352,7 @@ class GFMatrix:
 
     def det(self) -> int:
         """Determinant mod q by Gaussian elimination over the field."""
-        a = [[int(v) for v in row] for row in self._data]
+        a = [list(row) for row in self._rows]
         n, q = self.n, self.q
         det = 1
         for i in range(n):
@@ -371,11 +371,69 @@ class GFMatrix:
         return det % q
 
 
-def reduce_mod(rows, q: int) -> GFMatrix:
-    """Reduce an integer matrix mod q; q must be prime."""
-    if not is_prime(q):
-        raise DomainError(f"modulus must be prime, got {q}")
-    return GFMatrix.from_rows(rows, q)
+# -- powers of x modulo a polynomial over GF(q) --------------------------------
+
+# struct codes of little-endian unsigned slots, keyed by slot width in bytes.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Residues:
+    """GF(q)[x]/(f) for a monic f of degree n >= 1, residues packed in ints.
+
+    A residue's n coefficients fill one int, ``width`` bytes each (Kronecker
+    substitution), so a product is one big-int multiply.  A slot holds
+    2n(q-1)**2, which bounds each slot of a product and of its reduction.
+    Degrees n..2n-2 fold back through a table of packed x**k mod f, and
+    every power of x is a product of the cached squarings x**(2**i).
+    """
+
+    def __init__(self, f: list[int], q: int):
+        n = len(f) - 1
+        bound = 2 * n * (q - 1) ** 2
+        width = next((w for w in _SLOT_CODES if bound < 256**w),
+                     (bound.bit_length() + 7) // 8)
+        code = _SLOT_CODES.get(width)
+        self.n, self.q, self.width, self.bits = n, q, width, 8 * width
+        self.structs = code and {k: Struct(f"<{k}{code}") for k in (n - 1, n)}
+        self.shift = self.bits * n
+        self.low = (1 << self.shift) - 1
+        self.table = []
+        row = [0] * (n - 1) + [1]
+        for _ in range(n - 1):
+            top = row[-1]
+            row = [(v - top * c) % q for v, c in zip([0] + row[:-1], f)]
+            self.table.append(self.pack(row))
+        x = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0] % q]
+        self.squares = [self.pack(x)]
+
+    def pack(self, coeffs: list[int]) -> int:
+        if self.structs:
+            return int.from_bytes(self.structs[self.n].pack(*coeffs), "little")
+        return sum(c << i * self.bits for i, c in enumerate(coeffs))
+
+    def unpack(self, value: int, count: int):
+        if self.structs:
+            raw = value.to_bytes(count * self.width, "little")
+            return self.structs[count].unpack(raw)
+        mask = (1 << self.bits) - 1
+        return [value >> i * self.bits & mask for i in range(count)]
+
+    def times(self, a: int, b: int) -> int:
+        q = self.q
+        p = a * b
+        high = self.unpack(p >> self.shift, self.n - 1)
+        r = sum([v % q * t for v, t in zip(high, self.table)], p & self.low)
+        return self.pack([v % q for v in self.unpack(r, self.n)])
+
+    def power_of_x(self, e: int) -> int:
+        """x**e mod f for e >= 1."""
+        squares = self.squares
+        while len(squares) < e.bit_length():
+            squares.append(self.times(squares[-1], squares[-1]))
+        # bin(e) reversed lists the bits from the lowest; its "b0" tail and
+        # the unused squarings never match "1".
+        return reduce(self.times, [s for bit, s in zip(reversed(bin(e)), squares)
+                                   if bit == "1"])
 
 
 # -- order verdicts ----------------------------------------------------------
@@ -395,20 +453,30 @@ class OrderResult:
     factorization: PrimeFactorization | None
 
 
-def order_is_full(mat: GFMatrix, budget: int | None = None) -> OrderResult:
-    """Decide whether mat generates a cyclic group of order q**n - 1.
+def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
+    """Decide whether x generates a cyclic group of order q**n - 1 mod f.
 
-    FULL_ORDER requires mat**N = I with N = q**n - 1 and mat**(N/p) != I for
-    every prime p dividing N.  When mat**N != I the verdict is NOT_FULL even
+    ``f`` is monic of degree n >= 1 in ascending integer coefficients, read
+    mod the prime q.  A matrix whose minimal and characteristic polynomials
+    are f has the order of x, and det = (-1)**n f(0): NOT_INVERTIBLE iff q | f(0).
+
+    FULL_ORDER requires x**N = 1 with N = q**n - 1 and x**(N/p) != 1 for
+    every prime p dividing N.  When x**N != 1 the verdict is NOT_FULL even
     if the factorization is incomplete; UNKNOWN is returned only when an
     incomplete factorization actually blocks the decision.  The exact order
     is included whenever the factorization allows computing it.
     """
-    if mat.det() == 0:
+    if not is_prime(q):
+        raise DomainError(f"q must be prime, got {q}")
+    if len(f) < 2 or f[-1] != 1:
+        raise DomainError(f"f must be monic of degree >= 1, got {tuple(f)}")
+    f = [int(c) % q for c in f]
+    if f[0] == 0:
         return OrderResult(Verdict.NOT_INVERTIBLE, None, None)
-    n_group = mat.q**mat.n - 1
+    n_group = q ** (len(f) - 1) - 1
     fact = factor(n_group, budget)
-    if not mat.pow(n_group).is_identity():
+    ring = _Residues(f, q)
+    if ring.power_of_x(n_group) != 1:
         return OrderResult(Verdict.NOT_FULL, None, fact)
     if not fact.complete:
         return OrderResult(Verdict.UNKNOWN, None, fact)
@@ -416,7 +484,7 @@ def order_is_full(mat: GFMatrix, budget: int | None = None) -> OrderResult:
     for p, e in fact.factors:
         for _ in range(e):
             candidate = order // p
-            if mat.pow(candidate).is_identity():
+            if ring.power_of_x(candidate) == 1:
                 order = candidate
             else:
                 break
@@ -435,6 +503,13 @@ class MatrixFamily(Enum):
 def family_matrix(family: MatrixFamily, n: int) -> tuple[tuple[int, ...], ...]:
     """Integer n-by-n template for the chosen family (not yet reduced mod q)."""
     return even_matrix(n) if family is MatrixFamily.EVEN else odd_matrix(n)
+
+
+def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
+    """Characteristic polynomial of family_matrix(family, n), ascending
+    coefficients: the operator family's index-n member evaluated at x - 1."""
+    ops = Family.EVEN if family is MatrixFamily.EVEN else Family.ODD
+    return multiplier(ops, n).compose(DeltaPoly((-1, 1))).coeffs
 
 
 @dataclass(frozen=True)
@@ -508,16 +583,19 @@ class SingerReport:
 def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
                 budget: int | None = None) -> SingerReport:
     """Order verdicts for the family templates of sizes n_lo..n_hi mod q."""
-    if not is_prime(q):
-        raise DomainError(f"q must be prime, got {q}")
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError(f"bad scan range {n_lo}..{n_hi}")
     start_all = time.perf_counter()
     entries = []
     for n in range(n_lo, n_hi + 1):
         start = time.perf_counter()
-        mat = reduce_mod(family_matrix(family, n), q)
-        result = order_is_full(mat, budget)
+        # Both templates have ones along the whole superdiagonal, so the
+        # rows e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over
+        # every field, mod 2 too, where the odd template's corner 2 vanishes.
+        # Each template is therefore nonderogatory: its minimal polynomial
+        # mod q is its characteristic polynomial for every q, and its order
+        # is the order of x modulo that polynomial.
+        result = order_is_full(family_charpoly(family, n), q, budget)
         entries.append(ScanEntry(
             n=n,
             verdict=result.verdict,
@@ -533,94 +611,3 @@ def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
         entries=tuple(entries),
         elapsed=time.perf_counter() - start_all,
     )
-
-
-# -- polynomials over GF(q), for characteristic-polynomial checks -------------
-
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mulmod(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    # Reduce by the monic-up-to-unit polynomial f.
-    df = len(f) - 1
-    inv = pow(f[-1], q - 2, q)
-    for i in range(len(out) - 1, df - 1, -1):
-        c = out[i] * inv % q
-        if c:
-            for j, cf in enumerate(f):
-                out[i - df + j] = (out[i - df + j] - c * cf) % q
-    return _gf_trim(out[:df])
-
-
-def _gf_powmod(a: list[int], e: int, f: list[int], q: int) -> list[int]:
-    result = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, base, f, q)
-        base = _gf_mulmod(base, base, f, q)
-        e >>= 1
-    return result
-
-
-def _gf_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _gf_trim(a[:]), _gf_trim(b[:])
-    while b:
-        inv = pow(b[-1], q - 2, q)
-        r = a[:]
-        db = len(b) - 1
-        while len(r) - 1 >= db and r:
-            c = r[-1] * inv % q
-            shift = len(r) - 1 - db
-            for j, cb in enumerate(b):
-                r[shift + j] = (r[shift + j] - c * cb) % q
-            r = _gf_trim(r)
-        a, b = b, r
-    return a
-
-
-def irreducible_mod(coeffs, q: int) -> bool:
-    """Rabin irreducibility test for a polynomial over GF(q).
-
-    ``coeffs`` are ascending integer coefficients; the leading coefficient
-    must be nonzero mod q.
-    """
-    if not is_prime(q):
-        raise DomainError(f"modulus must be prime, got {q}")
-    f = _gf_trim([int(c) % q for c in coeffs])
-    n = len(f) - 1
-    if n < 1:
-        raise DomainError("polynomial must have positive degree")
-    if n == 1:
-        return True
-
-    def _minus_x(poly: list[int]) -> list[int]:
-        out = poly[:] + [0] * max(0, 2 - len(poly))
-        out[1] = (out[1] - 1) % q
-        return _gf_trim(out)
-
-    x = [0, 1]
-    # x^(q^n) must equal x mod f.
-    if _minus_x(_gf_powmod(x, q**n, f, q)):
-        return False
-    for p in {p for p, _ in factor(n).factors}:
-        diff = _minus_x(_gf_powmod(x, q ** (n // p), f, q))
-        g = _gf_gcd(diff, f, q)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def gl_order(n: int, q: int) -> int:
-    """Order of the general linear group GL(n, q)."""
-    qn = q**n
-    return prod(qn - q**i for i in range(n))

@@ -64,14 +64,6 @@ def reduced_matrix(m: int) -> ReducedMatrix:
     return ReducedMatrix(m, k, rows)
 
 
-def full_matrix(m: int) -> tuple[tuple[int, ...], ...]:
-    """The unreduced m x m tridiagonal transfer matrix (testing aid only)."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    return tuple(tuple(1 if abs(i - j) <= 1 else 0 for j in range(m))
-                 for i in range(m))
-
-
 def _mat_vec(rows, vec):
     return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
 

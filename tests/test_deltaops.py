@@ -1,9 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablepaths import deltaops
 from tablepaths.deltaops import (
     DELTA,
     ONE,
@@ -170,6 +173,33 @@ def test_small_members_match_hand_expansion():
 def test_negative_index_rejected():
     with pytest.raises(DomainError):
         multiplier(Family.ODD, -1)
+
+
+def test_threads_growing_the_memo_agree(monkeypatch):
+    want = [closed_form(Family.ODD, i) for i in range(301)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(deltaops, "_members", {
+                f: list(seed) for f, seed in deltaops._SEEDS.items()})
+            start = threading.Barrier(8)
+            results = []
+
+            def worker():
+                start.wait(timeout=30)
+                results.append(multiplier(Family.ODD, 300))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want[300]] * 8
+            assert deltaops._members[Family.ODD] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_parity_family_and_base_constant():

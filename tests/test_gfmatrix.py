@@ -7,18 +7,17 @@ from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import (
     GFMatrix,
     MatrixFamily,
+    OrderResult,
     PrimeFactorization,
     Verdict,
     factor,
+    family_charpoly,
     family_matrix,
-    gl_order,
-    irreducible_mod,
     is_prime,
     order_is_full,
-    reduce_mod,
     singer_scan,
 )
-from tablepaths.recurrence import even_matrix, odd_matrix
+from tablepaths.recurrence import charpoly, even_matrix, odd_matrix, reduced_matrix
 
 # -- primality -------------------------------------------------------------------
 
@@ -154,9 +153,13 @@ def test_determinant_matches_integer_determinant():
         assert GFMatrix.from_rows(rows, q).det() == det_bareiss(rows) % q
 
 
-def test_reduce_mod_requires_prime():
+def test_order_is_full_requires_prime_and_monic():
     with pytest.raises(DomainError):
-        reduce_mod(((1, 0), (0, 1)), 4)
+        order_is_full((1, 1), 4)
+    with pytest.raises(DomainError):
+        order_is_full((1, 2), 3)
+    with pytest.raises(DomainError):
+        order_is_full((1,), 3)
 
 
 def test_even_template_singular_mod_two_on_a_cycle():
@@ -175,31 +178,68 @@ def test_templates_invertible_mod_three():
 
 
 def test_identity_matrix_is_not_full_order():
-    res = order_is_full(GFMatrix.from_rows(odd_matrix(1), 3))
+    res = order_is_full(family_charpoly(MatrixFamily.ODD, 1), 3)
     assert res.verdict is Verdict.NOT_FULL
     assert res.order == 1
 
 
 def test_singular_matrix_flagged():
-    res = order_is_full(GFMatrix.from_rows(even_matrix(1), 2))
+    res = order_is_full(family_charpoly(MatrixFamily.EVEN, 1), 2)
     assert res.verdict is Verdict.NOT_INVERTIBLE
     assert res.order is None
 
 
 def test_full_order_with_exact_order_attached():
-    res = order_is_full(GFMatrix.from_rows(even_matrix(2), 2))
+    res = order_is_full(family_charpoly(MatrixFamily.EVEN, 2), 2)
     assert res.verdict is Verdict.FULL_ORDER
     assert res.order == 3
-    res = order_is_full(GFMatrix.from_rows(odd_matrix(2), 3))
+    res = order_is_full(family_charpoly(MatrixFamily.ODD, 2), 3)
     assert res.verdict is Verdict.FULL_ORDER
     assert res.order == 8
 
 
 def test_unfactorable_group_order_yields_unknown():
-    mat = GFMatrix.from_rows(even_matrix(53), 2)
-    res = order_is_full(mat, budget=0)
+    res = order_is_full(family_charpoly(MatrixFamily.EVEN, 53), 2, budget=0)
     assert res.verdict is Verdict.UNKNOWN
     assert not res.factorization.complete
+
+
+def matrix_route(mat: GFMatrix) -> OrderResult:
+    """Order verdict from matrix powers, the reference for the engine."""
+    if mat.det() == 0:
+        return OrderResult(Verdict.NOT_INVERTIBLE, None, None)
+    n_group = mat.q**mat.n - 1
+    fact = factor(n_group)
+    if not mat.pow(n_group).is_identity():
+        return OrderResult(Verdict.NOT_FULL, None, fact)
+    if not fact.complete:
+        return OrderResult(Verdict.UNKNOWN, None, fact)
+    order = n_group
+    for p, e in fact.factors:
+        for _ in range(e):
+            if not mat.pow(order // p).is_identity():
+                break
+            order //= p
+    verdict = Verdict.FULL_ORDER if order == n_group else Verdict.NOT_FULL
+    return OrderResult(verdict, order, fact)
+
+
+@pytest.mark.parametrize("family", list(MatrixFamily))
+@pytest.mark.parametrize("q, n_max", [(2, 12), (3, 12), (5, 12), (7, 12),
+                                      (2**31 - 1, 3)])
+def test_engine_matches_matrix_route(family, q, n_max):
+    # 2**31 - 1 needs slots wider than 8 bytes.
+    for n in range(1, n_max + 1):
+        want = matrix_route(GFMatrix.from_rows(family_matrix(family, n), q))
+        assert order_is_full(family_charpoly(family, n), q) == want, n
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_family_charpoly_is_the_reduced_matrix_charpoly(q):
+    for m in range(1, 25):
+        family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
+        got = family_charpoly(family, (m + 1) // 2)
+        assert [c % q for c in got] == [c % q for c in charpoly(reduced_matrix(m))]
 
 
 def test_family_matrix_dispatch():
@@ -243,19 +283,3 @@ def test_scan_entry_lookup():
     assert report.entry(4).verdict is Verdict.FULL_ORDER
     with pytest.raises(DomainError):
         report.entry(9)
-
-
-# -- polynomial side checks ----------------------------------------------------------
-
-
-def test_irreducibility_over_small_fields():
-    assert irreducible_mod((1, 1, 1), 2)  # x^2 + x + 1
-    assert not irreducible_mod((1, 0, 1), 2)  # x^2 + 1 = (x + 1)^2
-    assert irreducible_mod((1, 2, 0, 1), 3)  # x^3 + 2x + 1 has no root mod 3
-    assert not irreducible_mod((6, 0, 1), 7)  # x^2 - 1 = (x - 1)(x + 1)
-
-
-def test_gl_order_small():
-    assert gl_order(1, 2) == 1
-    assert gl_order(2, 2) == 6
-    assert gl_order(2, 3) == 48

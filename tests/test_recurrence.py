@@ -18,7 +18,6 @@ from tablepaths.recurrence import (
     equivalence_report,
     even_matrix,
     format_xpoly,
-    full_matrix,
     minimal_recurrence,
     odd_matrix,
     recurrence_report,
@@ -54,10 +53,6 @@ def test_reduced_matrix_dispatches_on_parity():
     assert reduced_matrix(1).rows == ((1,),)
     with pytest.raises(DomainError):
         reduced_matrix(0)
-
-
-def test_full_matrix_is_tridiagonal_ones():
-    assert full_matrix(3) == ((1, 1, 0), (1, 1, 1), (0, 1, 1))
 
 
 @given(m=st.integers(1, 12))
