@@ -8,7 +8,6 @@ from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import MatrixFamily, singer_scan
 from tablepaths.pathtable import PathTable, build_table
-from tablepaths.suite import run_suite
 
 
 def test_render_writes_integers_past_the_digit_limit():
@@ -21,25 +20,26 @@ def test_render_writes_integers_past_the_digit_limit():
         parse_document(doc)
 
 
-def _doc(report, **changes):
-    return dict(json.loads(render_document(report)), **changes)
+TABLE = json.loads(render_document(build_table(3, 2)))
+SCAN = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 2)))
+SUITE = {"kind": "verify_report", "m_max": 1, "n_max": 1, "checks": []}
 
 
-TABLE = build_table(3, 2)
-SCAN = singer_scan(MatrixFamily.ODD, 3, 1, 2)
-SUITE = run_suite(1, 1)
+def test_unbroken_documents_parse():
+    for doc in (TABLE, SCAN, SUITE):
+        parse_document(json.dumps(doc))
 
 
 @pytest.mark.parametrize("doc", [
     {"kind": "path_table"},
     {"kind": []},
-    _doc(TABLE, cells=[["1", "1"]]),
-    _doc(TABLE, cells=[["1", "x"], ["1", "3"], ["1", "2"]]),
-    _doc(TABLE, cells=5),
-    _doc(SCAN, family="X"),
-    _doc(SCAN, entries=[{"n": 1}]),
-    _doc(SUITE, m_max="a"),
-    _doc(SUITE, checks=[3]),
+    dict(TABLE, cells=[["1", "1"]]),
+    dict(TABLE, cells=[["1", "x"], ["1", "3"], ["1", "2"]]),
+    dict(TABLE, cells=5),
+    dict(SCAN, family="X"),
+    dict(SCAN, entries=[{"n": 1}]),
+    dict(SUITE, m_max="a"),
+    dict(SUITE, checks=[3]),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):
