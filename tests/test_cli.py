@@ -160,6 +160,17 @@ def test_singer_json_matches_frozen_bytes(capsys, family, q):
     assert out.encode() == frozen
 
 
+@pytest.mark.parametrize("command, m_max", [("rows", 24), ("recurrence", 32)])
+def test_json_matches_frozen_bytes(capsys, command, m_max):
+    outs = []
+    for m in range(1, m_max + 1):
+        code, out, _ = run_cli(capsys, "--format", "json", command, "--m", str(m))
+        assert code == 0, m
+        outs.append(out)
+    frozen = (DATA / f"{command}_m1-{m_max}.json.txt").read_bytes()
+    assert "".join(outs).encode() == frozen
+
+
 def test_csv_output_is_fixture_compatible(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--format", "csv", "singer",
                            "--family", "E", "--q", "2", "--n", "1..8")
