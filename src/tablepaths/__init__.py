@@ -15,7 +15,6 @@ from .deltaops import (
     multiplier,
     parity_family,
     prime_function,
-    prime_function_diagnostic,
 )
 from .docs import parse_document, render_document
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
@@ -28,10 +27,8 @@ from .gfmatrix import (
     SingerReport,
     Verdict,
     factor,
-    family_matrix,
     is_prime,
     order_is_full,
-    singer_scan,
 )
 from .pathtable import PathTable, ReducedColumn, build_table, enumerate_paths
 from .recurrence import (
@@ -46,6 +43,7 @@ from .recurrence import (
     recurrence_report,
     reduced_matrix,
     row_constant_combinations,
+    singer_scan,
     window_det,
 )
 from .suite import CheckResult, VerifyReport, run_suite
@@ -81,7 +79,6 @@ __all__ = [
     "enumerate_paths",
     "equivalence_report",
     "factor",
-    "family_matrix",
     "is_prime",
     "minimal_recurrence",
     "multiplier",
@@ -89,7 +86,6 @@ __all__ = [
     "parity_family",
     "parse_document",
     "prime_function",
-    "prime_function_diagnostic",
     "recurrence_report",
     "reduced_matrix",
     "render_document",

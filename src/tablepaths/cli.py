@@ -21,9 +21,10 @@ import sys
 
 from .docs import render_document, unlimited_int_digits
 from .errors import DomainError, InternalInconsistencyError
-from .gfmatrix import MatrixFamily, SingerReport, Verdict, singer_scan
+from .gfmatrix import MatrixFamily, Verdict
 from .pathtable import build_table
-from .recurrence import format_xpoly, recurrence_report, row_constant_combinations
+from .recurrence import (format_xpoly, recurrence_report,
+                         row_constant_combinations, singer_scan)
 from .suite import run_suite
 
 M_CEILING = 64

@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError
+from .gfmatrix import factor, is_prime
 
 
 def _binom(n: int, k: int) -> int:
@@ -348,33 +349,6 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
 # -- prime functions ---------------------------------------------------------
 
 
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
-def _factorize_small(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _prime_image(family: Family, p: int, current: DeltaPoly,
                  base: DeltaPoly) -> DeltaPoly:
     left = multiplier(Family.PRIME, p - 1).compose(base) * current
@@ -389,54 +363,12 @@ def prime_function(family: Family, p: int, n: int) -> DeltaPoly:
     prime maps over the factorization of any index rebuilds that member
     from the index-1 seed.
     """
-    if not _is_small_prime(p):
+    if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     if n < 1:
         raise DomainError(f"prime map needs n >= 1, got {n}")
     return _prime_image(family, p, multiplier(family, n),
                         multiplier(Family.ODD, n))
-
-
-@dataclass(frozen=True)
-class PrimeFunctionDiagnostic:
-    """Both composition-base variants of one prime-map application.
-
-    The odd-family composition base is the one that satisfies the defining
-    identity; the even-family variant is retained for side-by-side
-    comparison.
-    """
-
-    family: Family
-    p: int
-    n: int
-    expected: DeltaPoly
-    with_odd_base: DeltaPoly
-    with_even_base: DeltaPoly
-
-    @property
-    def odd_base_matches(self) -> bool:
-        return self.with_odd_base == self.expected
-
-    @property
-    def even_base_matches(self) -> bool:
-        return self.with_even_base == self.expected
-
-
-def prime_function_diagnostic(family: Family, p: int, n: int) -> PrimeFunctionDiagnostic:
-    """Compute the prime map with both candidate composition bases."""
-    if not _is_small_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if n < 1:
-        raise DomainError(f"prime map needs n >= 1, got {n}")
-    current = multiplier(family, n)
-    return PrimeFunctionDiagnostic(
-        family=family,
-        p=p,
-        n=n,
-        expected=multiplier(family, p * n),
-        with_odd_base=_prime_image(family, p, current, multiplier(Family.ODD, n)),
-        with_even_base=_prime_image(family, p, current, multiplier(Family.EVEN, n)),
-    )
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -508,7 +440,7 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
                 return f"a={a} b={b}: {composed} != {direct}"
     for n in range(1, n_max + 1):
         poly = multiplier(Family.ODD, 1)
-        for p, e in _factorize_small(n):
+        for p, e in factor(n).factors:
             for _ in range(e):
                 poly = multiplier(Family.ODD, p).compose(poly)
         if poly != multiplier(Family.ODD, n):
@@ -522,7 +454,7 @@ def verify_uniform_factorization(n_max: int = 40) -> str | None:
         for n in range(1, n_max + 1):
             poly = multiplier(family, 1)
             j = 1
-            for p, e in _factorize_small(n):
+            for p, e in factor(n).factors:
                 for _ in range(e):
                     poly = _prime_image(family, p, poly, multiplier(Family.ODD, j))
                     j *= p

@@ -57,7 +57,7 @@ def parse_document(text: str):
     """Inverse of render_document; a malformed document raises DomainError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"not a valid document: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DomainError("document has no kind field")
@@ -66,5 +66,6 @@ def parse_document(text: str):
         raise DomainError(f"unknown document kind {kind!r}")
     try:
         return _PARSERS[kind](doc)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise DomainError(f"malformed {kind} document: {exc!r}") from exc

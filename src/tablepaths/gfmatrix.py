@@ -3,8 +3,8 @@
 The question driving this module: reduced modulo a prime q, does the n x n
 template matrix generate the full cyclic group of order q**n - 1 (a Singer
 cycle)?  Answering it needs the factorization of q**n - 1, so the module
-carries its own exact integer factorization stack: trial division to a
-fixed bound, perfect-power reduction, then Brent's variant of Pollard rho
+carries the package's one exact integer factorization stack: trial division
+to a fixed bound, perfect-power reduction, then Brent's variant of Pollard rho
 with deterministic seeding, with primality certified by Miller-Rabin (a
 base set that is provably sufficient below 3.3e24, extended by a strong
 Lucas test above).
@@ -16,11 +16,15 @@ Orders are decided on the characteristic polynomial f of a template: its
 order mod q is the order of x in GF(q)[x]/(f), powered in pure Python with
 each residue packed into one integer.  ``GFMatrix`` keeps the plain matrix
 route as a reference.
+
+The module is a leaf: it imports only ``errors`` from the package.  The
+templates' characteristic polynomials and the scan over a range of sizes
+(``singer_scan``) live in ``recurrence``; ``deltaops`` takes its primality
+test and factorization from here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -28,9 +32,7 @@ from math import gcd, isqrt, prod
 from operator import mul
 from struct import Struct
 
-from .deltaops import DeltaPoly, Family, multiplier
 from .errors import DomainError, InternalInconsistencyError
-from .recurrence import even_matrix, odd_matrix
 
 _TRIAL_BOUND = 10_000
 DEFAULT_FACTOR_BUDGET = 4_000_000
@@ -492,24 +494,12 @@ def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
     return OrderResult(verdict, order, fact)
 
 
-# -- scanning the template families -------------------------------------------
+# -- scan reports ---------------------------------------------------------------
 
 
 class MatrixFamily(Enum):
     EVEN = "E"
     ODD = "O"
-
-
-def family_matrix(family: MatrixFamily, n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer n-by-n template for the chosen family (not yet reduced mod q)."""
-    return even_matrix(n) if family is MatrixFamily.EVEN else odd_matrix(n)
-
-
-def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
-    """Characteristic polynomial of family_matrix(family, n), ascending
-    coefficients: the operator family's index-n member evaluated at x - 1."""
-    ops = Family.EVEN if family is MatrixFamily.EVEN else Family.ODD
-    return multiplier(ops, n).compose(DeltaPoly((-1, 1))).coeffs
 
 
 @dataclass(frozen=True)
@@ -579,35 +569,3 @@ class SingerReport:
             entries=tuple(ScanEntry.from_doc(e) for e in doc["entries"]),
         )
 
-
-def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
-                budget: int | None = None) -> SingerReport:
-    """Order verdicts for the family templates of sizes n_lo..n_hi mod q."""
-    if n_lo < 1 or n_hi < n_lo:
-        raise DomainError(f"bad scan range {n_lo}..{n_hi}")
-    start_all = time.perf_counter()
-    entries = []
-    for n in range(n_lo, n_hi + 1):
-        start = time.perf_counter()
-        # Both templates have ones along the whole superdiagonal, so the
-        # rows e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over
-        # every field, mod 2 too, where the odd template's corner 2 vanishes.
-        # Each template is therefore nonderogatory: its minimal polynomial
-        # mod q is its characteristic polynomial for every q, and its order
-        # is the order of x modulo that polynomial.
-        result = order_is_full(family_charpoly(family, n), q, budget)
-        entries.append(ScanEntry(
-            n=n,
-            verdict=result.verdict,
-            order=result.order,
-            factorization=result.factorization,
-            elapsed=time.perf_counter() - start,
-        ))
-    return SingerReport(
-        family=family,
-        q=q,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        entries=tuple(entries),
-        elapsed=time.perf_counter() - start_all,
-    )

@@ -92,6 +92,8 @@ class PathTable:
         m = int(doc["m"])
         n_max = int(doc["n_max"])
         cells = doc["cells"]
+        if len(cells) != m or any(len(row) != n_max for row in cells):
+            raise DomainError(f"cells must be {m} x {n_max}")
         columns = tuple(
             tuple(int(cells[y][x]) for y in range(m)) for x in range(n_max)
         )

@@ -5,20 +5,27 @@ reduced columns are advanced by a k x k transfer matrix that is tridiagonal
 with ones except for a single 2, placed on the subdiagonal corner for odd m
 and on the diagonal corner for even m.  This module builds those matrices,
 computes their determinants and characteristic polynomials exactly, derives
-each table's minimal linear column recurrence, and analyses which constant
-linear combinations of full rows exist.
+each table's minimal linear column recurrence, analyses which constant
+linear combinations of full rows exist, and scans the templates' orders over
+prime fields.
 
-All linear algebra here is exact: Bareiss elimination over the integers
-where determinants are needed, Fraction elimination where a nullspace is.
+All linear algebra here is exact and runs through one fraction-free
+(Bareiss) Gauss-Jordan elimination over the integers: determinants, the
+recurrence solve, ranks and nullspaces.  Fractions appear only in the
+reported nullspace vectors.  A template's characteristic polynomial is the
+operator family's member at x - 1 (``family_charpoly``); the singer scan
+decides each order on it with ``gfmatrix.order_is_full``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .deltaops import DeltaPoly, Family, multiplier, parity_family, format_poly
 from .errors import DomainError, InternalInconsistencyError
+from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
 
 
@@ -68,34 +75,70 @@ def _mat_vec(rows, vec):
     return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
 
 
-# -- exact determinants ------------------------------------------------------
+# -- exact elimination -------------------------------------------------------
+
+
+def _gauss_jordan(rows) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns (a, pivots, scale, sign): a is scale times the reduced row
+    echelon form, with row t holding the pivot of column pivots[t]; scale is
+    the last pivot (1 when there is none) and sign the parity of the row
+    swaps.  Each step replaces every other row by (p * row - row[c] * top)
+    divided by the previous pivot; the entries stay integer minors of the
+    input, so every division is exact.
+    """
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                a[i] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+            elif p != prev:
+                # A zero in column c leaves only the rescaling by p / prev.
+                a[i] = [p * v // prev for v in row]
+        pivots.append(c)
+        prev = p
+        if r + 1 == len(a):
+            break
+    return a, pivots, prev, sign
 
 
 def det_bareiss(rows) -> int:
-    """Fraction-free determinant; intermediate divisions are exact."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in a):
+    """Exact determinant: the swap sign times the last fraction-free pivot."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise DomainError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
+    _, pivots, scale, sign = _gauss_jordan(rows)
+    return sign * scale if len(pivots) == n else 0
+
+
+def _nullspace(rows, cols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical nullspace basis, one vector per free column of the RREF."""
+    a, pivots, scale, _ = _gauss_jordan(rows)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, pc in zip(a, pivots):
+            v[pc] = Fraction(-row[f], scale)
+        basis.append(tuple(v))
+    return basis
 
 
 def det_reduced_direct(m: int) -> int:
@@ -131,6 +174,13 @@ def det_reduced(m: int) -> int:
 def charpoly(mat: ReducedMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - A), ascending coefficients."""
     return _charpoly_rows(mat.rows)
+
+
+def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
+    """Characteristic polynomial of the family's n x n template, ascending
+    coefficients: the operator family's index-n member evaluated at x - 1."""
+    ops = Family.EVEN if family is MatrixFamily.EVEN else Family.ODD
+    return multiplier(ops, n).compose(DeltaPoly((-1, 1))).coeffs
 
 
 def _charpoly_rows(rows) -> tuple[int, ...]:
@@ -192,26 +242,6 @@ class Recurrence:
         return lhs == rhs
 
 
-def _solve_cramer(columns, rhs) -> tuple[int, ...]:
-    """Solve A x = rhs exactly by Cramer's rule with Bareiss determinants."""
-    k = len(rhs)
-    base = [[columns[j][i] for j in range(k)] for i in range(k)]
-    d = det_bareiss(base)
-    if d == 0:
-        raise InternalInconsistencyError("singular system in recurrence solve")
-    out = []
-    for j in range(k):
-        mod = [row[:] for row in base]
-        for i in range(k):
-            mod[i][j] = rhs[i]
-        dj = det_bareiss(mod)
-        if dj % d:
-            raise InternalInconsistencyError(
-                f"non-integral recurrence coefficient {dj}/{d}")
-        out.append(dj // d)
-    return tuple(out)
-
-
 def minimal_recurrence(m: int) -> Recurrence:
     """Minimal linear recurrence advancing the reduced columns of the table.
 
@@ -224,7 +254,16 @@ def minimal_recurrence(m: int) -> Recurrence:
     k = (m + 1) // 2
     table = build_table(m, k + 1)
     cols = [table.reduced_column(n).entries for n in range(1, k + 2)]
-    alphas = _solve_cramer(cols[:k], cols[k])
+    a, pivots, scale, _ = _gauss_jordan(list(zip(*cols)))
+    if pivots != list(range(k)):
+        raise InternalInconsistencyError("singular system in recurrence solve")
+    alphas = []
+    for row in a:
+        if row[k] % scale:
+            raise InternalInconsistencyError(
+                f"non-integral recurrence coefficient {row[k]}/{scale}")
+        alphas.append(row[k] // scale)
+    alphas = tuple(alphas)
     if alphas[0] == 0:
         raise InternalInconsistencyError(
             f"leading recurrence coefficient vanished at m={m}")
@@ -252,10 +291,10 @@ class EquivalenceReport:
 def equivalence_report(m: int) -> EquivalenceReport:
     """Characteristic, shifted-operator and recurrence polynomials for m."""
     mat = reduced_matrix(m)
-    cp = charpoly(mat)
-    shifted = multiplier(parity_family(m), mat.k).compose(DeltaPoly((-1, 1)))
-    rec = minimal_recurrence(m)
-    return EquivalenceReport(m, mat.k, cp, shifted.coeffs, rec.poly())
+    family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
+    return EquivalenceReport(m, mat.k, charpoly(mat),
+                             family_charpoly(family, mat.k),
+                             minimal_recurrence(m).poly())
 
 
 @dataclass(frozen=True)
@@ -319,54 +358,6 @@ def window_det(table: PathTable, shift: int) -> int:
             f"window determinant at m={table.m} shift={shift}: "
             f"{d} != {expected}")
     return d
-
-
-# -- exact rational elimination ----------------------------------------------
-
-
-def _rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def _rank(mat: list[list[Fraction]]) -> int:
-    return len(_rref(mat)[1])
-
-
-def _nullspace(mat: list[list[Fraction]], cols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical nullspace basis, one vector per free column of the RREF."""
-    if not mat:
-        return [tuple(Fraction(1 if i == f else 0) for i in range(cols))
-                for f in range(cols)]
-    rref, pivots = _rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -rref[r_idx][f]
-        basis.append(tuple(v))
-    return basis
 
 
 # -- constant combinations of rows -------------------------------------------
@@ -453,8 +444,7 @@ def row_constant_combinations(m: int, n_probe: int | None = None) -> RowComboRep
     if n_probe < m + 2:
         raise DomainError(f"n_probe must be at least m + 2 = {m + 2}")
     table = build_table(m, n_probe)
-    diff = [[Fraction(table.cell(n + 1, i) - table.cell(n, i))
-             for i in range(1, m + 1)]
+    diff = [[table.cell(n + 1, i) - table.cell(n, i) for i in range(1, m + 1)]
             for n in range(1, n_probe)]
     basis = _nullspace(diff, m)
     classified = []
@@ -677,9 +667,8 @@ def verify_minimality(m_max: int = 10) -> str | None:
         table = build_table(m, 3 * k + 3)
         seq = table.row(1)
         for kp in range(1, k):
-            rows = [[Fraction(seq[n - 1 + j]) for j in range(kp + 1)]
-                    for n in range(1, kp + k + 3)]
-            if _rank(rows) != kp + 1:
+            rows = [seq[n - 1: n + kp] for n in range(1, kp + k + 3)]
+            if len(_gauss_jordan(rows)[1]) != kp + 1:
                 return f"m={m}: rank drop at candidate order {kp}"
     return None
 
@@ -696,6 +685,42 @@ def verify_constant_combinations(m_max: int = 13) -> str | None:
         if report.trivial_dim != m // 2:
             return f"m={m}: trivial dimension {report.trivial_dim} != {m // 2}"
     return None
+
+
+# -- template orders over prime fields ----------------------------------------
+
+
+def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
+                budget: int | None = None) -> SingerReport:
+    """Order verdicts for the family templates of sizes n_lo..n_hi mod q."""
+    if n_lo < 1 or n_hi < n_lo:
+        raise DomainError(f"bad scan range {n_lo}..{n_hi}")
+    start_all = time.perf_counter()
+    entries = []
+    for n in range(n_lo, n_hi + 1):
+        start = time.perf_counter()
+        # Both templates have ones along the whole superdiagonal, so the
+        # rows e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over
+        # every field, mod 2 too, where the odd template's corner 2 vanishes.
+        # Each template is therefore nonderogatory: its minimal polynomial
+        # mod q is its characteristic polynomial for every q, and its order
+        # is the order of x modulo that polynomial.
+        result = order_is_full(family_charpoly(family, n), q, budget)
+        entries.append(ScanEntry(
+            n=n,
+            verdict=result.verdict,
+            order=result.order,
+            factorization=result.factorization,
+            elapsed=time.perf_counter() - start,
+        ))
+    return SingerReport(
+        family=family,
+        q=q,
+        n_lo=n_lo,
+        n_hi=n_hi,
+        entries=tuple(entries),
+        elapsed=time.perf_counter() - start_all,
+    )
 
 
 def format_xpoly(coeffs) -> str:

@@ -20,11 +20,12 @@ from tablepaths.deltaops import (
     verify_product_theorem,
     verify_uniform_factorization,
 )
-from tablepaths.gfmatrix import MatrixFamily, Verdict, singer_scan
+from tablepaths.gfmatrix import MatrixFamily, Verdict
 from tablepaths.pathtable import build_table, verify_oracle
 from tablepaths.recurrence import (
     minimal_recurrence,
     row_constant_combinations,
+    singer_scan,
     verify_constant_combinations,
     verify_determinants,
     verify_minimality,

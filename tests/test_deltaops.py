@@ -13,7 +13,6 @@ from tablepaths.deltaops import (
     ZERO,
     DeltaPoly,
     Family,
-    PrimeFunctionDiagnostic,
     base_constant,
     chebyshev_t,
     closed_form,
@@ -23,7 +22,6 @@ from tablepaths.deltaops import (
     multiplier,
     parity_family,
     prime_function,
-    prime_function_diagnostic,
     verify_action_theorem,
     verify_addition_theorem,
     verify_bridge_lemma,
@@ -241,21 +239,6 @@ def test_prime_function_rejects_composite_p():
         prime_function(Family.ODD, 4, 1)
     with pytest.raises(DomainError):
         prime_function(Family.ODD, 2, 0)
-
-
-def test_diagnostic_shows_even_base_failing():
-    diag = prime_function_diagnostic(Family.EVEN, 2, 1)
-    assert isinstance(diag, PrimeFunctionDiagnostic)
-    assert diag.expected == multiplier(Family.EVEN, 2)
-    assert diag.odd_base_matches
-    assert not diag.even_base_matches
-
-
-def test_diagnostic_odd_base_holds_across_samples():
-    for family in Family:
-        for p, n in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
-            diag = prime_function_diagnostic(family, p, n)
-            assert diag.odd_base_matches, (family, p, n)
 
 
 # -- classical polynomial families -----------------------------------------------

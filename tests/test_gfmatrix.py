@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablepaths import gfmatrix
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import (
@@ -11,13 +15,17 @@ from tablepaths.gfmatrix import (
     PrimeFactorization,
     Verdict,
     factor,
-    family_charpoly,
-    family_matrix,
     is_prime,
     order_is_full,
+)
+from tablepaths.recurrence import (
+    charpoly,
+    even_matrix,
+    family_charpoly,
+    odd_matrix,
+    reduced_matrix,
     singer_scan,
 )
-from tablepaths.recurrence import charpoly, even_matrix, odd_matrix, reduced_matrix
 
 # -- primality -------------------------------------------------------------------
 
@@ -230,7 +238,8 @@ def matrix_route(mat: GFMatrix) -> OrderResult:
 def test_engine_matches_matrix_route(family, q, n_max):
     # 2**31 - 1 needs slots wider than 8 bytes.
     for n in range(1, n_max + 1):
-        want = matrix_route(GFMatrix.from_rows(family_matrix(family, n), q))
+        template = even_matrix if family is MatrixFamily.EVEN else odd_matrix
+        want = matrix_route(GFMatrix.from_rows(template(n), q))
         assert order_is_full(family_charpoly(family, n), q) == want, n
 
 
@@ -240,11 +249,6 @@ def test_family_charpoly_is_the_reduced_matrix_charpoly(q):
         family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
         got = family_charpoly(family, (m + 1) // 2)
         assert [c % q for c in got] == [c % q for c in charpoly(reduced_matrix(m))]
-
-
-def test_family_matrix_dispatch():
-    assert family_matrix(MatrixFamily.EVEN, 3) == even_matrix(3)
-    assert family_matrix(MatrixFamily.ODD, 4) == odd_matrix(4)
 
 
 # -- scans ------------------------------------------------------------------------
@@ -283,3 +287,13 @@ def test_scan_entry_lookup():
     assert report.entry(4).verdict is Verdict.FULL_ORDER
     with pytest.raises(DomainError):
         report.entry(9)
+
+
+# -- layering --------------------------------------------------------------------
+
+
+def test_gfmatrix_imports_only_errors():
+    tree = ast.parse(Path(gfmatrix.__file__).read_text(encoding="utf-8"))
+    local = [node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level]
+    assert local == ["errors"]

@@ -10,6 +10,8 @@ from tablepaths.errors import DomainError
 from tablepaths.pathtable import build_table
 from tablepaths.recurrence import (
     Recurrence,
+    _gauss_jordan,
+    _nullspace,
     charpoly,
     det_bareiss,
     det_reduced,
@@ -72,6 +74,56 @@ def test_bareiss_on_known_matrix():
     assert det_bareiss(((2, 5), (3, 7))) == -1
     assert det_bareiss(((1,),)) == 1
     assert det_bareiss(((0, 1), (1, 0))) == -1
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]))
+
+
+def _fraction_rank(rows):
+    a = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _matrices(rows, cols):
+    # Small entries make singular and rank-deficient matrices common.
+    return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: _matrices(n, n)))
+def test_bareiss_matches_cofactor_expansion(rows):
+    assert det_bareiss(rows) == _cofactor_det(rows)
+
+
+@given(st.tuples(st.integers(0, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.tuples(_matrices(*shape), st.just(shape[1]))))
+def test_nullspace_and_rank_of_the_elimination(case):
+    rows, cols = case
+    basis = _nullspace(rows, cols)
+    for v in basis:
+        assert all(sum(r[j] * v[j] for j in range(cols)) == 0 for r in rows)
+    # The last nonzero coordinate of each vector is its free column; there
+    # it is 1, and every other basis vector is 0.
+    free = [max(j for j in range(cols) if v[j]) for v in basis]
+    for i, v in enumerate(basis):
+        assert [v[f] for f in free] == [int(i == t) for t in range(len(free))]
+    rank = len(_gauss_jordan(rows)[1])
+    assert rank == _fraction_rank(rows)
+    assert rank + len(basis) == cols
 
 
 def test_reduced_determinants_small_cases():
