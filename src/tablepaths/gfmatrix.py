@@ -568,4 +568,3 @@ class SingerReport:
             n_hi=int(doc["n_hi"]),
             entries=tuple(ScanEntry.from_doc(e) for e in doc["entries"]),
         )
-

@@ -257,13 +257,11 @@ def minimal_recurrence(m: int) -> Recurrence:
     a, pivots, scale, _ = _gauss_jordan(list(zip(*cols)))
     if pivots != list(range(k)):
         raise InternalInconsistencyError("singular system in recurrence solve")
-    alphas = []
     for row in a:
         if row[k] % scale:
             raise InternalInconsistencyError(
                 f"non-integral recurrence coefficient {row[k]}/{scale}")
-        alphas.append(row[k] // scale)
-    alphas = tuple(alphas)
+    alphas = tuple(row[k] // scale for row in a)
     if alphas[0] == 0:
         raise InternalInconsistencyError(
             f"leading recurrence coefficient vanished at m={m}")

@@ -38,12 +38,12 @@ def test_unbroken_documents_parse():
     dict(TABLE, cells=[["1", "1"]]),
     dict(TABLE, cells=[["1", "x"], ["1", "3"], ["1", "2"]]),
     dict(TABLE, cells=5),
-    dict(TABLE, cells=TABLE["cells"] + [["1", "1"]]),
-    dict(TABLE, cells=[row + ["1"] for row in TABLE["cells"]]),
     dict(SCAN, family="X"),
     dict(SCAN, entries=[{"n": 1}]),
     dict(SUITE, m_max="a"),
     dict(SUITE, checks=[3]),
+    dict(TABLE, cells=TABLE["cells"] + [["1", "1"]]),
+    dict(TABLE, cells=[row + ["1"] for row in TABLE["cells"]]),
     dict(ROWS, basis=[{"kind": "trivial", "vector": ["1/0", "-1"]}]),
 ])
 def test_malformed_documents_raise_domain_error(doc):

@@ -237,8 +237,8 @@ def matrix_route(mat: GFMatrix) -> OrderResult:
                                       (2**31 - 1, 3)])
 def test_engine_matches_matrix_route(family, q, n_max):
     # 2**31 - 1 needs slots wider than 8 bytes.
+    template = even_matrix if family is MatrixFamily.EVEN else odd_matrix
     for n in range(1, n_max + 1):
-        template = even_matrix if family is MatrixFamily.EVEN else odd_matrix
         want = matrix_route(GFMatrix.from_rows(template(n), q))
         assert order_is_full(family_charpoly(family, n), q) == want, n
 
