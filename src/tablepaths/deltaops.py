@@ -24,7 +24,6 @@ families (Chebyshev, Fibonacci, Lucas).
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -185,10 +184,6 @@ class DeltaPoly:
     def __str__(self) -> str:
         return format_poly(self.coeffs, "Δ")
 
-    @classmethod
-    def parse(cls, text: str) -> "DeltaPoly":
-        return cls(_parse_poly(text))
-
 
 def _coerce(value):
     if isinstance(value, DeltaPoly):
@@ -203,7 +198,7 @@ ONE = DeltaPoly((1,))
 DELTA = DeltaPoly((0, 1))
 
 
-# -- pretty printing and parsing -------------------------------------------
+# -- pretty printing ---------------------------------------------------------
 
 
 def format_poly(coeffs, var: str = "Δ") -> str:
@@ -227,48 +222,6 @@ def format_poly(coeffs, var: str = "Δ") -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-_TERM_RE = re.compile(r"^(\d+)?\*?(?:(?:Δ|D)(?:\^(\d+))?)?$")
-
-
-def _parse_poly(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    if not s:
-        raise DomainError("empty polynomial string")
-    if s == "0":
-        return ()
-    # Split into signed terms.
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    buf = []
-    for ch in s:
-        if ch in "+-":
-            if buf and "".join(buf).strip():
-                chunks.append((sign, "".join(buf).strip()))
-                sign = 1
-                buf = []
-            sign *= -1 if ch == "-" else 1
-        else:
-            buf.append(ch)
-    tail = "".join(buf).strip()
-    if not tail:
-        raise DomainError(f"dangling sign in {text!r}")
-    chunks.append((sign, tail))
-    out: dict[int, int] = {}
-    for sign, term in chunks:
-        term = term.replace(" ", "")
-        match = _TERM_RE.match(term)
-        if not match or (match.group(1) is None and "Δ" not in term and "D" not in term):
-            raise DomainError(f"cannot parse term {term!r} in {text!r}")
-        mag = int(match.group(1)) if match.group(1) is not None else 1
-        if "Δ" in term or "D" in term:
-            power = int(match.group(2)) if match.group(2) is not None else 1
-        else:
-            power = 0
-        out[power] = out.get(power, 0) + sign * mag
-    size = max(out) + 1 if out else 0
-    return _trim(out.get(i, 0) for i in range(size))
 
 
 # -- the operator families ---------------------------------------------------

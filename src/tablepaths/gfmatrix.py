@@ -165,23 +165,6 @@ class PrimeFactorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def to_doc(self) -> dict:
-        return {
-            "value": str(self.value),
-            "factors": [[str(p), e] for p, e in self.factors],
-            "complete": self.complete,
-            "cofactor": str(self.cofactor),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PrimeFactorization":
-        return cls(
-            value=int(doc["value"]),
-            factors=tuple((int(p), int(e)) for p, e in doc["factors"]),
-            complete=bool(doc["complete"]),
-            cofactor=int(doc["cofactor"]),
-        )
-
 
 def _iroot(n: int, e: int) -> int:
     if n < 2 or e == 1:
@@ -510,25 +493,6 @@ class ScanEntry:
     factorization: PrimeFactorization | None
     elapsed: float = field(compare=False, default=0.0)
 
-    def to_doc(self) -> dict:
-        return {
-            "n": self.n,
-            "verdict": self.verdict.value,
-            "order": None if self.order is None else str(self.order),
-            "factorization": (None if self.factorization is None
-                              else self.factorization.to_doc()),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ScanEntry":
-        return cls(
-            n=int(doc["n"]),
-            verdict=Verdict(doc["verdict"]),
-            order=None if doc["order"] is None else int(doc["order"]),
-            factorization=(None if doc["factorization"] is None else
-                           PrimeFactorization.from_doc(doc["factorization"])),
-        )
-
 
 @dataclass(frozen=True)
 class SingerReport:
@@ -548,23 +512,3 @@ class SingerReport:
             if e.n == n:
                 return e
         raise DomainError(f"n={n} not in scan range {self.n_lo}..{self.n_hi}")
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": "singer_report",
-            "family": self.family.value,
-            "q": self.q,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "entries": [e.to_doc() for e in self.entries],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SingerReport":
-        return cls(
-            family=MatrixFamily(doc["family"]),
-            q=int(doc["q"]),
-            n_lo=int(doc["n_lo"]),
-            n_hi=int(doc["n_hi"]),
-            entries=tuple(ScanEntry.from_doc(e) for e in doc["entries"]),
-        )

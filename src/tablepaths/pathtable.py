@@ -77,28 +77,6 @@ class PathTable:
     def reduced_column(self, n: int) -> ReducedColumn:
         return ReducedColumn(self.m, n, self.column(n)[: self.k])
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "path_table",
-            "m": self.m,
-            "n_max": self.n_max,
-            "cells": [[str(self.columns[x][y]) for x in range(self.n_max)]
-                      for y in range(self.m)],
-            "column_sums": [str(s) for s in self.column_sums()],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PathTable":
-        m = int(doc["m"])
-        n_max = int(doc["n_max"])
-        cells = doc["cells"]
-        if len(cells) != m or any(len(row) != n_max for row in cells):
-            raise DomainError(f"cells must be {m} x {n_max}")
-        columns = tuple(
-            tuple(int(cells[y][x]) for y in range(m)) for x in range(n_max)
-        )
-        return cls(m, n_max, columns)
-
 
 def build_table(m: int, n_max: int) -> PathTable:
     """Fill the m x n_max count table by the column recurrence."""

@@ -303,31 +303,6 @@ class RecurrenceReport:
     recurrence: Recurrence
     equivalence: EquivalenceReport
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "recurrence_report",
-            "m": self.m,
-            "k": self.recurrence.k,
-            "alphas": [str(a) for a in self.recurrence.alphas],
-            "relation": str(self.recurrence),
-            "charpoly": [str(c) for c in self.equivalence.charpoly],
-            "operator_poly": [str(c) for c in self.equivalence.operator_poly],
-            "recurrence_poly": [str(c) for c in self.equivalence.recurrence_poly],
-            "polynomials_equal": self.equivalence.equal,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RecurrenceReport":
-        k = int(doc["k"])
-        rec = Recurrence(k, tuple(int(a) for a in doc["alphas"]))
-        eq = EquivalenceReport(
-            int(doc["m"]), k,
-            tuple(int(c) for c in doc["charpoly"]),
-            tuple(int(c) for c in doc["operator_poly"]),
-            tuple(int(c) for c in doc["recurrence_poly"]),
-        )
-        return cls(int(doc["m"]), rec, eq)
-
 
 def recurrence_report(m: int) -> RecurrenceReport:
     return RecurrenceReport(m, minimal_recurrence(m), equivalence_report(m))
@@ -381,36 +356,6 @@ class RowComboReport:
     nullspace_dim: int
     trivial_dim: int
     basis: tuple[tuple[str, tuple[Fraction, ...]], ...]
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": "row_combo_report",
-            "m": self.m,
-            "n_probe": self.n_probe,
-            "exists": self.exists,
-            "lambda": None if self.lam is None else str(self.lam),
-            "alphas": [str(a) for a in self.alphas],
-            "verified_up_to": self.verified_up_to,
-            "nullspace_dim": self.nullspace_dim,
-            "trivial_dim": self.trivial_dim,
-            "basis": [{"kind": kind, "vector": [str(v) for v in vec]}
-                      for kind, vec in self.basis],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RowComboReport":
-        return cls(
-            m=int(doc["m"]),
-            n_probe=int(doc["n_probe"]),
-            exists=bool(doc["exists"]),
-            lam=None if doc["lambda"] is None else int(doc["lambda"]),
-            alphas=tuple(int(a) for a in doc["alphas"]),
-            verified_up_to=int(doc["verified_up_to"]),
-            nullspace_dim=int(doc["nullspace_dim"]),
-            trivial_dim=int(doc["trivial_dim"]),
-            basis=tuple((e["kind"], tuple(Fraction(v) for v in e["vector"]))
-                        for e in doc["basis"]),
-        )
 
 
 def _symmetric_part(vec, m: int):

@@ -16,13 +16,6 @@ class CheckResult:
     detail: str | None
     elapsed: float = field(compare=False, default=0.0)
 
-    def to_doc(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CheckResult":
-        return cls(doc["name"], bool(doc["passed"]), doc["detail"])
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -34,20 +27,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": "verify_report",
-            "m_max": self.m_max,
-            "n_max": self.n_max,
-            "passed": self.passed,
-            "checks": [c.to_doc() for c in self.checks],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "VerifyReport":
-        return cls(int(doc["m_max"]), int(doc["n_max"]),
-                   tuple(CheckResult.from_doc(c) for c in doc["checks"]))
 
 
 def run_suite(m_max: int, n_max: int,

@@ -114,7 +114,7 @@ def test_apply_window_bounds_checked():
         p.apply((1, 2, 3), 0)
 
 
-# -- parse / format -----------------------------------------------------------
+# -- format --------------------------------------------------------------------
 
 
 def test_format_descending_terms():
@@ -123,25 +123,6 @@ def test_format_descending_terms():
     assert str(ZERO) == "0"
     assert str(DELTA) == "Δ"
     assert format_poly((0, -1)) == "-Δ"
-
-
-def test_parse_accepts_unicode_and_ascii_names():
-    assert DeltaPoly.parse("Δ^2 - 2") == DeltaPoly((-2, 0, 1))
-    assert DeltaPoly.parse("D^2-2") == DeltaPoly((-2, 0, 1))
-    assert DeltaPoly.parse("-D + 3") == DeltaPoly((3, -1))
-    assert DeltaPoly.parse("0") == ZERO
-    assert DeltaPoly.parse("2*D^3") == DeltaPoly((0, 0, 0, 2))
-
-
-def test_parse_rejects_garbage():
-    for bad in ("", "x + 1", "D^", "2 +", "D**2"):
-        with pytest.raises(DomainError):
-            DeltaPoly.parse(bad)
-
-
-@given(a=polys)
-def test_parse_format_round_trip(a):
-    assert DeltaPoly.parse(str(a)) == a
 
 
 # -- operator families ---------------------------------------------------------

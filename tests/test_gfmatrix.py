@@ -12,7 +12,8 @@ from tablepaths.gfmatrix import (
     GFMatrix,
     MatrixFamily,
     OrderResult,
-    PrimeFactorization,
+    ScanEntry,
+    SingerReport,
     Verdict,
     factor,
     is_prime,
@@ -100,8 +101,9 @@ def test_factorization_product_and_round_trip():
     f = factor(3600)
     assert f.product() == 3600
     assert f.primes() == (2, 3, 5)
-    doc = f.to_doc()
-    assert PrimeFactorization.from_doc(doc) == f
+    report = SingerReport(MatrixFamily.EVEN, 2, 1, 1,
+                          (ScanEntry(1, Verdict.NOT_FULL, None, f),))
+    assert parse_document(render_document(report)).entries[0].factorization == f
 
 
 # -- matrices over GF(q) ------------------------------------------------------------

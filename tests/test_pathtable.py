@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,8 @@ def test_table_document_round_trip():
 
 
 def test_table_cells_serialize_as_strings():
-    doc = build_table(2, 3).to_doc()
+    text = render_document(build_table(2, 3))
+    doc = json.loads(text)
     assert doc["kind"] == "path_table"
     assert all(isinstance(v, str) for row in doc["cells"] for v in row)
+    assert parse_document(text) == build_table(2, 3)
