@@ -3,7 +3,9 @@
 ``DeltaPoly`` holds ascending integer coefficients of a polynomial in the
 operator D defined by (D a)(n) = a(n+1) - a(n).  Applied to an integer
 sequence, such a polynomial yields another integer sequence; D + 1 acts as
-the index shift.
+the index shift E.  Since D = E - 1, p(D) is evaluated as p(E - 1): the
+shift coefficients of p(x - 1) are computed once per polynomial and each
+value is their dot product with a window of the sequence.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -28,7 +30,9 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import comb
+from operator import mul
 
 from .errors import DomainError
 from .gfmatrix import factor, is_prime
@@ -157,12 +161,29 @@ class DeltaPoly:
         """Remainder after division by a monic divisor."""
         return self.divmod_monic(divisor)[1]
 
+    @cached_property
+    def shift_coeffs(self) -> tuple[int, ...]:
+        """Ascending coefficients of self evaluated at x - 1.
+
+        The additive Taylor shift: d(d+1)/2 integer subtractions, no
+        binomials.  Cached in the instance ``__dict__``, which equality and
+        hashing never read.
+        """
+        a = list(self.coeffs)
+        d = len(a) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                a[j] -= a[j + 1]
+        return tuple(a)
+
     def apply(self, seq, n: int) -> int:
         """Evaluate (self applied to seq) at index ``n``.
 
         ``seq`` is read with 1-based indexing: its first element is the
         sequence value at index 1.  Requires values up to n + degree, i.e.
-        len(seq) >= n + degree.
+        len(seq) >= n + degree.  With D = E - 1 for the index shift E, the
+        value is p(E - 1) applied at n: the dot product of ``shift_coeffs``
+        with seq(n), ..., seq(n + degree).
         """
         if n < 1:
             raise DomainError(f"index must be >= 1, got {n}")
@@ -172,12 +193,7 @@ class DeltaPoly:
         if n + d > len(seq):
             raise DomainError(
                 f"need sequence values up to index {n + d}, have {len(seq)}")
-        window = [int(v) for v in seq[n - 1: n + d]]
-        total = self.coeffs[0] * window[0]
-        for i in range(1, d + 1):
-            window = [window[j + 1] - window[j] for j in range(len(window) - 1)]
-            total += self.coeffs[i] * window[0]
-        return total
+        return sum(map(mul, self.shift_coeffs, seq[n - 1: n + d]))
 
     # -- text form ---------------------------------------------------------
 

@@ -5,8 +5,9 @@ kind has one encoder and one decoder here.  The frozen format is irregular:
 unbounded integers are decimal strings while small counts are numbers, cells
 are written row-major, and some keys are derived rather than stored.
 Rendering is byte-deterministic.  Parsing accepts exactly what rendering
-writes: the decoder converts every field to its declared type, and the
-object must render back to the same JSON value, else DomainError.  Only
+writes: the decoder converts every field to its declared type, rejects the
+parameters that the producing function rejects, and the object must render
+back to the same JSON value, else DomainError.  Only
 parsing keeps the interpreter's int-to-str digit limit.
 Per-entry timings are diagnostic and excluded from format and equality.
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .gfmatrix import (MatrixFamily, PrimeFactorization, ScanEntry,
-                       SingerReport, Verdict)
+                       SingerReport, Verdict, is_prime)
 from .pathtable import PathTable
 from .recurrence import (EquivalenceReport, Recurrence, RecurrenceReport,
                          RowComboReport)
@@ -40,6 +41,12 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _at_least(low: int, **values: int) -> None:
+    for name, value in values.items():
+        if value < low:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
 def _encode_table(t: PathTable) -> dict:
     return {"kind": "path_table", "m": t.m, "n_max": t.n_max,
             "cells": [[str(t.columns[x][y]) for x in range(t.n_max)]
@@ -48,8 +55,10 @@ def _encode_table(t: PathTable) -> dict:
 
 
 def _decode_table(doc: dict) -> PathTable:
+    m, n_max = int(doc["m"]), int(doc["n_max"])
+    _at_least(1, m=m, n_max=n_max)
     rows = [_ints(row) for row in doc["cells"]]
-    return PathTable(int(doc["m"]), int(doc["n_max"]), tuple(zip(*rows)))
+    return PathTable(m, n_max, tuple(zip(*rows)))
 
 
 def _encode_factorization(f: PrimeFactorization) -> dict:
@@ -74,12 +83,16 @@ def _encode_singer(r: SingerReport) -> dict:
 
 
 def _decode_singer(doc: dict) -> SingerReport:
+    q, n_lo, n_hi = int(doc["q"]), int(doc["n_lo"]), int(doc["n_hi"])
+    _at_least(1, n_lo=n_lo)
+    _at_least(n_lo, n_hi=n_hi)
+    if not is_prime(q):
+        raise DomainError(f"q must be prime, got {q}")
     entries = tuple(
         ScanEntry(int(e["n"]), Verdict(e["verdict"]), _optional(int, e["order"]),
                   _optional(_decode_factorization, e["factorization"]))
         for e in doc["entries"])
-    return SingerReport(MatrixFamily(doc["family"]), int(doc["q"]),
-                        int(doc["n_lo"]), int(doc["n_hi"]), entries)
+    return SingerReport(MatrixFamily(doc["family"]), q, n_lo, n_hi, entries)
 
 
 def _encode_recurrence(r: RecurrenceReport) -> dict:
@@ -94,6 +107,7 @@ def _encode_recurrence(r: RecurrenceReport) -> dict:
 
 def _decode_recurrence(doc: dict) -> RecurrenceReport:
     m, alphas = int(doc["m"]), _ints(doc["alphas"])
+    _at_least(1, m=m)
     return RecurrenceReport(m, Recurrence(len(alphas), alphas), EquivalenceReport(
         m, len(alphas), _ints(doc["charpoly"]), _ints(doc["operator_poly"]),
         _ints(doc["recurrence_poly"])))
@@ -109,8 +123,11 @@ def _encode_row_combo(r: RowComboReport) -> dict:
 
 
 def _decode_row_combo(doc: dict) -> RowComboReport:
+    m, n_probe = int(doc["m"]), int(doc["n_probe"])
+    _at_least(1, m=m)
+    _at_least(m + 2, n_probe=n_probe)
     return RowComboReport(
-        int(doc["m"]), int(doc["n_probe"]), bool(doc["exists"]),
+        m, n_probe, bool(doc["exists"]),
         _optional(int, doc["lambda"]), _ints(doc["alphas"]),
         int(doc["verified_up_to"]), int(doc["nullspace_dim"]),
         int(doc["trivial_dim"]),
@@ -129,7 +146,9 @@ def _decode_verify(doc: dict) -> VerifyReport:
     checks = tuple(CheckResult(str(c["name"]), bool(c["passed"]),
                                _optional(str, c["detail"]))
                    for c in doc["checks"])
-    return VerifyReport(int(doc["m_max"]), int(doc["n_max"]), checks)
+    m_max, n_max = int(doc["m_max"]), int(doc["n_max"])
+    _at_least(1, m_max=m_max, n_max=n_max)
+    return VerifyReport(m_max, n_max, checks)
 
 
 _ENCODERS = {PathTable: _encode_table, RecurrenceReport: _encode_recurrence,
@@ -186,6 +205,8 @@ def parse_document(text: str):
     try:
         obj = _DECODERS[kind](doc)
         canonical = render_document(obj) == _json_text(doc) + "\n"
+    except DomainError:
+        raise
     except (LookupError, TypeError, ValueError, ArithmeticError,
             RecursionError) as exc:
         raise DomainError(f"malformed {kind} document: {exc!r}") from exc

@@ -178,9 +178,11 @@ def charpoly(mat: ReducedMatrix) -> tuple[int, ...]:
 
 def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
     """Characteristic polynomial of the family's n x n template, ascending
-    coefficients: the operator family's index-n member evaluated at x - 1."""
+    coefficients: the operator family's index-n member evaluated at x - 1,
+    i.e. its ``shift_coeffs``, the same Taylor shift that backs
+    ``DeltaPoly.apply``."""
     ops = Family.EVEN if family is MatrixFamily.EVEN else Family.ODD
-    return multiplier(ops, n).compose(DeltaPoly((-1, 1))).coeffs
+    return multiplier(ops, n).shift_coeffs
 
 
 def _charpoly_rows(rows) -> tuple[int, ...]:
@@ -454,10 +456,11 @@ def verify_annihilation(m_max: int = 12, n_max: int = 30) -> str | None:
         k = (m + 1) // 2
         poly = multiplier(parity_family(m), k)
         table = build_table(m, n_max + k)
+        rows = [table.row(y) for y in range(1, m + 1)]
         sums = table.column_sums()
         for n in range(1, n_max + 1):
-            for y in range(1, m + 1):
-                if poly.apply(table.row(y), n) != 0:
+            for y, row in enumerate(rows, 1):
+                if poly.apply(row, n) != 0:
                     return f"m={m} row {y} n={n}: not annihilated"
             if poly.apply(sums, n) != 0:
                 return f"m={m} sums n={n}: not annihilated"
@@ -483,8 +486,12 @@ def verify_row_equivalence(m_max: int = 12, n_max: int = 25) -> str | None:
         fam = parity_family(m)
         table = build_table(m, n_max + k)
         rows = {a: table.row(a) for a in range(1, k + 1)}
+        # The pair (b, a) compares the two sequences that (a, b) compares,
+        # and (a, a) compares a sequence with itself, so the pairs a < b,
+        # taken in order, meet the first failure and compute each
+        # transported sequence once.
         for a in range(1, k + 1):
-            for b in range(1, k + 1):
+            for b in range(a + 1, k + 1):
                 pa = multiplier(fam, k - b)
                 pb = multiplier(fam, k - a)
                 qa = multiplier(Family.PRIME, b - 1)

@@ -37,6 +37,9 @@ from tablepaths.errors import DomainError
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=0, max_size=6)
 polys = coeff_lists.map(lambda cs: DeltaPoly(tuple(cs)))
+wide_polys = st.lists(st.integers(-10**6, 10**6), max_size=17).map(
+    lambda cs: DeltaPoly(tuple(cs)))
+seq_values = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**80, 2**80))
 
 
 # -- canonical form and ring structure --------------------------------------
@@ -104,6 +107,57 @@ def test_apply_uses_forward_differences():
     assert p.apply(row, 1) == 5
     # (Delta^2 - 2) at n=1 on the m=5 middle row.
     assert DeltaPoly((-2, 0, 1)).apply((1, 3, 9, 25, 69), 1) == 2
+
+
+def difference_triangle_apply(p, seq, n):
+    """The reference evaluation of p(Delta): rebuild the difference triangle
+    of the window seq(n), ..., seq(n + degree) and weight its left edge."""
+    if n < 1:
+        raise DomainError(f"index must be >= 1, got {n}")
+    if p.is_zero:
+        return 0
+    d = p.degree
+    if n + d > len(seq):
+        raise DomainError(
+            f"need sequence values up to index {n + d}, have {len(seq)}")
+    window = [int(v) for v in seq[n - 1: n + d]]
+    total = p.coeffs[0] * window[0]
+    for i in range(1, d + 1):
+        window = [window[j + 1] - window[j] for j in range(len(window) - 1)]
+        total += p.coeffs[i] * window[0]
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+@given(p=wide_polys, data=st.data())
+@settings(max_examples=200)
+def test_apply_matches_the_difference_triangle(p, data):
+    d = max(p.degree, 0)
+    seq = tuple(data.draw(st.lists(seq_values, min_size=d + 1,
+                                   max_size=d + 12)))
+    for n in range(0, len(seq) - d + 2):
+        assert (_outcome(p.apply, seq, n)
+                == _outcome(difference_triangle_apply, p, seq, n)), n
+
+
+@given(p=wide_polys)
+def test_shift_coeffs_are_the_taylor_shift_by_minus_one(p):
+    assert p.shift_coeffs == p.compose(DeltaPoly((-1, 1))).coeffs
+    assert DeltaPoly(p.shift_coeffs).compose(DeltaPoly((1, 1))) == p
+
+
+@given(p=wide_polys)
+def test_cached_shift_leaves_equality_and_hash_alone(p):
+    p.shift_coeffs
+    twin = DeltaPoly(p.coeffs)
+    assert p == twin
+    assert hash(p) == hash(twin)
 
 
 def test_apply_window_bounds_checked():

@@ -67,6 +67,20 @@ def test_unbroken_documents_parse():
     dict(TABLE, m=3.0),
     dict(SCAN, note="extra"),
     dict(REC, relation="junk"),
+    {"kind": "path_table", "m": -1, "n_max": -2, "cells": [],
+     "column_sums": []},
+    dict(SCAN, q=4, n_lo=5, n_hi=1),
+    dict(SUITE, m_max=-3),
+    dict(TABLE, m=0, cells=[], column_sums=[]),
+    dict(TABLE, n_max=0, cells=[[], [], []], column_sums=[]),
+    dict(REC, m=0),
+    dict(ROWS, m=0),
+    dict(ROWS, n_probe=3),
+    dict(SCAN, q=4),
+    dict(SCAN, n_lo=0),
+    dict(SCAN, n_hi=0),
+    dict(SUITE, m_max=0),
+    dict(SUITE, n_max=0),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablepaths import recurrence
 from tablepaths.deltaops import DeltaPoly, Family, multiplier
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
-from tablepaths.pathtable import build_table
+from tablepaths.pathtable import PathTable, build_table
 from tablepaths.recurrence import (
     Recurrence,
     _gauss_jordan,
@@ -32,6 +33,8 @@ from tablepaths.recurrence import (
     verify_determinants,
     verify_minimality,
     verify_polynomial_equivalence,
+    verify_row_equivalence,
+    verify_table_action,
     verify_transfer,
     verify_window_determinants,
     window_det,
@@ -208,6 +211,31 @@ def test_annihilation_and_transfer_sweeps():
     assert verify_transfer(10, 20) is None
     assert verify_annihilation(10, 20) is None
     assert verify_minimality(8) is None
+
+
+@pytest.mark.parametrize("m, x, y, details", [
+    (7, 5, 2, ("m=7 row 2 n=1: not annihilated",
+               "m=7 a=1 b=2 n=2: family transport fails",
+               "m=7 a=1 b=1 n=5: split fails",
+               "m=7 a=1 n=2: partial-sum form fails")),
+    (3, 3, 1, ("m=3 row 1 n=1: not annihilated",
+               "m=3 a=1 b=2 n=2: prime transport fails",
+               "m=3 a=1 b=1 n=2: split fails",
+               "m=3 a=1 n=2: partial-sum form fails")),
+])
+def test_table_checks_fail_where_a_wrong_cell_is(monkeypatch, m, x, y, details):
+    def with_wrong_cell(rows, n_max):
+        table = build_table(rows, n_max)
+        if rows != m:
+            return table
+        columns = [list(col) for col in table.columns]
+        columns[x - 1][y - 1] += 1
+        return PathTable(rows, n_max, tuple(map(tuple, columns)))
+
+    monkeypatch.setattr(recurrence, "build_table", with_wrong_cell)
+    checks = (verify_annihilation, verify_row_equivalence, verify_table_action,
+              verify_column_sum_formulas)
+    assert tuple(check(9, 12) for check in checks) == details
 
 
 def test_recurrence_report_round_trip():
