@@ -30,12 +30,11 @@ from .gfmatrix import (
     is_prime,
     order_is_full,
 )
-from .pathtable import PathTable, ReducedColumn, build_table, enumerate_paths
+from .pathtable import PathTable, build_table, enumerate_paths
 from .recurrence import (
     EquivalenceReport,
     Recurrence,
     RecurrenceReport,
-    ReducedMatrix,
     RowComboReport,
     det_reduced,
     equivalence_report,
@@ -65,8 +64,6 @@ __all__ = [
     "PrimeFactorization",
     "Recurrence",
     "RecurrenceReport",
-    "ReducedColumn",
-    "ReducedMatrix",
     "RowComboReport",
     "ScanEntry",
     "SingerReport",

@@ -19,12 +19,13 @@ import argparse
 import os
 import sys
 
+from .deltaops import format_poly
 from .docs import render_document, unlimited_int_digits
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, Verdict
 from .pathtable import build_table
-from .recurrence import (format_xpoly, recurrence_report,
-                         row_constant_combinations, singer_scan)
+from .recurrence import (recurrence_report, row_constant_combinations,
+                         singer_scan)
 from .suite import run_suite
 
 M_CEILING = 64
@@ -125,9 +126,9 @@ def _cmd_recurrence(args, out) -> int:
     out.write(f"m={report.m} k={report.recurrence.k}\n")
     out.write(f"recurrence: {report.recurrence}\n")
     out.write("alphas: " + ", ".join(str(a) for a in report.recurrence.alphas) + "\n")
-    out.write(f"charpoly:         {format_xpoly(eq.charpoly)}\n")
-    out.write(f"operator poly:    {format_xpoly(eq.operator_poly)}\n")
-    out.write(f"recurrence poly:  {format_xpoly(eq.recurrence_poly)}\n")
+    out.write(f"charpoly:         {format_poly(eq.charpoly, 'x')}\n")
+    out.write(f"operator poly:    {format_poly(eq.operator_poly, 'x')}\n")
+    out.write(f"recurrence poly:  {format_poly(eq.recurrence_poly, 'x')}\n")
     out.write(f"polynomials equal: {'yes' if eq.equal else 'NO'}\n")
     return status
 
@@ -165,6 +166,8 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_rows(args, out) -> int:
     _check_ceiling(args.m, M_CEILING, "m", args.force)
+    if args.n_probe is not None:
+        _check_ceiling(args.n_probe, N_CEILING, "n-probe", args.force)
     report = row_constant_combinations(args.m, args.n_probe)
     if args.format == "json":
         out.write(render_document(report))

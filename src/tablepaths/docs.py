@@ -9,7 +9,7 @@ writes: the decoder converts every field to its declared type, rejects the
 parameters that the producing function rejects, and the object must render
 back to the same JSON value, else DomainError.  Only
 parsing keeps the interpreter's int-to-str digit limit.
-Per-entry timings are diagnostic and excluded from format and equality.
+Per-check timings are diagnostic and excluded from format and equality.
 """
 
 from __future__ import annotations
@@ -49,16 +49,14 @@ def _at_least(low: int, **values: int) -> None:
 
 def _encode_table(t: PathTable) -> dict:
     return {"kind": "path_table", "m": t.m, "n_max": t.n_max,
-            "cells": [[str(t.columns[x][y]) for x in range(t.n_max)]
-                      for y in range(t.m)],
+            "cells": [_strs(row) for row in t.rows],
             "column_sums": _strs(t.column_sums())}
 
 
 def _decode_table(doc: dict) -> PathTable:
     m, n_max = int(doc["m"]), int(doc["n_max"])
     _at_least(1, m=m, n_max=n_max)
-    rows = [_ints(row) for row in doc["cells"]]
-    return PathTable(m, n_max, tuple(zip(*rows)))
+    return PathTable(m, n_max, tuple(_ints(row) for row in doc["cells"]))
 
 
 def _encode_factorization(f: PrimeFactorization) -> dict:
@@ -193,23 +191,25 @@ def render_document(obj) -> str:
 def parse_document(text: str):
     """Inverse of render_document: only a document that is the rendering of
     some object parses; anything else raises DomainError."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise DomainError(f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DomainError("document has no kind field")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in _DECODERS:
-        raise DomainError(f"unknown document kind {kind!r}")
-    try:
-        obj = _DECODERS[kind](doc)
-        canonical = render_document(obj) == _json_text(doc) + "\n"
-    except DomainError:
-        raise
-    except (LookupError, TypeError, ValueError, ArithmeticError,
-            RecursionError) as exc:
-        raise DomainError(f"malformed {kind} document: {exc!r}") from exc
+    # The render lock keeps the digit limit in force for the whole parse.
+    with _render_lock:
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"not a valid document: {exc}") from exc
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise DomainError("document has no kind field")
+        kind = doc["kind"]
+        if not isinstance(kind, str) or kind not in _DECODERS:
+            raise DomainError(f"unknown document kind {kind!r}")
+        try:
+            obj = _DECODERS[kind](doc)
+            canonical = render_document(obj) == _json_text(doc) + "\n"
+        except DomainError:
+            raise
+        except (LookupError, TypeError, ValueError, ArithmeticError,
+                RecursionError) as exc:
+            raise DomainError(f"malformed {kind} document: {exc!r}") from exc
     if not canonical:
         raise DomainError(f"{kind} document differs from its rendering")
     return obj

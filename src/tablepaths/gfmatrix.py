@@ -25,7 +25,7 @@ test and factorization from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from math import gcd, isqrt, prod
@@ -491,7 +491,6 @@ class ScanEntry:
     verdict: Verdict
     order: int | None
     factorization: PrimeFactorization | None
-    elapsed: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -501,7 +500,6 @@ class SingerReport:
     n_lo: int
     n_hi: int
     entries: tuple[ScanEntry, ...]
-    elapsed: float = field(compare=False, default=0.0)
 
     def full_order_ns(self) -> tuple[int, ...]:
         return tuple(e.n for e in self.entries

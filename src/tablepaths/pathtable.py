@@ -30,21 +30,18 @@ DEFAULT_NODE_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
-class ReducedColumn:
-    """Top half of one column: entries y = 1..ceil(m/2)."""
-
-    m: int
-    n: int
-    entries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PathTable:
-    """Immutable m x n_max grid of exact walk counts."""
+    """Immutable m x n_max grid of exact walk counts, stored by rows."""
 
     m: int
     n_max: int
-    columns: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.rows) != self.m or any(len(r) != self.n_max
+                                           for r in self.rows):
+            raise DomainError(
+                f"a table needs {self.m} rows of {self.n_max} cells")
 
     @property
     def k(self) -> int:
@@ -56,30 +53,25 @@ class PathTable:
             raise DomainError(f"column {x} outside 1..{self.n_max}")
         if not 1 <= y <= self.m:
             raise DomainError(f"row {y} outside 1..{self.m}")
-        return self.columns[x - 1][y - 1]
+        return self.rows[y - 1][x - 1]
 
     def column(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= self.n_max:
             raise DomainError(f"column {n} outside 1..{self.n_max}")
-        return self.columns[n - 1]
+        return tuple(r[n - 1] for r in self.rows)
 
     def row(self, y: int) -> tuple[int, ...]:
         if not 1 <= y <= self.m:
             raise DomainError(f"row {y} outside 1..{self.m}")
-        return tuple(col[y - 1] for col in self.columns)
-
-    def column_sum(self, n: int) -> int:
-        return sum(self.column(n))
+        return self.rows[y - 1]
 
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in self.columns)
-
-    def reduced_column(self, n: int) -> ReducedColumn:
-        return ReducedColumn(self.m, n, self.column(n)[: self.k])
+        return tuple(map(sum, zip(*self.rows)))
 
 
 def build_table(m: int, n_max: int) -> PathTable:
-    """Fill the m x n_max count table by the column recurrence."""
+    """Fill the m x n_max count table by the column recurrence, then store
+    its rows."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if n_max < 1:
@@ -96,7 +88,7 @@ def build_table(m: int, n_max: int) -> PathTable:
                 total += prev[y + 1]
             nxt.append(total)
         columns.append(tuple(nxt))
-    return PathTable(m, n_max, tuple(columns))
+    return PathTable(m, n_max, tuple(zip(*columns)))
 
 
 def enumerate_paths(m: int, target: tuple[int, int],

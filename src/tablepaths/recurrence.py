@@ -1,9 +1,10 @@
 """Reduced transfer matrices and minimal recurrences for count tables.
 
 Row symmetry cuts an m-row table down to its top k = ceil(m/2) rows.  The
-reduced columns are advanced by a k x k transfer matrix that is tridiagonal
-with ones except for a single 2, placed on the subdiagonal corner for odd m
-and on the diagonal corner for even m.  This module builds those matrices,
+reduced columns are advanced by the k x k transfer matrix of the strip
+folded at that symmetry: ones on the tridiagonal, plus one more 1 in row k,
+where its missing neighbour k + 1 mirrors onto row k for even m and onto
+row k - 1 for odd m.  This module builds those matrices,
 computes their determinants and characteristic polynomials exactly, derives
 each table's minimal linear column recurrence, analyses which constant
 linear combinations of full rows exist, and scans the templates' orders over
@@ -19,60 +20,33 @@ decides each order on it with ``gfmatrix.order_is_full``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deltaops import DeltaPoly, Family, multiplier, parity_family, format_poly
+from .deltaops import DeltaPoly, Family, multiplier, parity_family
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
 
 
-# -- matrix templates --------------------------------------------------------
+# -- the reduced transfer matrix ---------------------------------------------
 
 
-def odd_matrix(k: int) -> tuple[tuple[int, ...], ...]:
-    """Transfer matrix template attached to odd row counts (m = 2k - 1)."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return ((1,),)
-    rows = [[1 if abs(i - j) <= 1 else 0 for j in range(k)] for i in range(k)]
-    rows[k - 1][k - 2] = 2
-    return tuple(tuple(r) for r in rows)
+def reduced_matrix(m: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the k x k reduced transfer matrix of an m-row table.
 
-
-def even_matrix(k: int) -> tuple[tuple[int, ...], ...]:
-    """Transfer matrix template attached to even row counts (m = 2k)."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return ((2,),)
-    rows = [[1 if abs(i - j) <= 1 else 0 for j in range(k)] for i in range(k)]
-    rows[k - 1][k - 1] = 2
-    return tuple(tuple(r) for r in rows)
-
-
-@dataclass(frozen=True)
-class ReducedMatrix:
-    """The k x k reduced transfer matrix of an m-row table."""
-
-    m: int
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-def reduced_matrix(m: int) -> ReducedMatrix:
+    Each of the top k rows takes its left neighbour and that neighbour's
+    vertical neighbours: ones on the tridiagonal.  Row k's missing neighbour
+    k + 1 is its mirror image, row k itself when m is even and row k - 1
+    when m is odd, so one more 1 lands in row k.
+    """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     k = (m + 1) // 2
-    rows = odd_matrix(k) if m % 2 else even_matrix(k)
-    return ReducedMatrix(m, k, rows)
-
-
-def _mat_vec(rows, vec):
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
+    rows = [[1 if abs(i - j) <= 1 else 0 for j in range(k)] for i in range(k)]
+    if m > 1:
+        rows[k - 1][k - 1 - m % 2] += 1
+    return tuple(tuple(r) for r in rows)
 
 
 # -- exact elimination -------------------------------------------------------
@@ -142,7 +116,7 @@ def _nullspace(rows, cols: int) -> list[tuple[Fraction, ...]]:
 
 
 def det_reduced_direct(m: int) -> int:
-    return det_bareiss(reduced_matrix(m).rows)
+    return det_bareiss(reduced_matrix(m))
 
 
 def det_reduced_formula(m: int) -> int:
@@ -171,11 +145,6 @@ def det_reduced(m: int) -> int:
 # -- characteristic polynomial -----------------------------------------------
 
 
-def charpoly(mat: ReducedMatrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial det(xI - A), ascending coefficients."""
-    return _charpoly_rows(mat.rows)
-
-
 def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
     """Characteristic polynomial of the family's n x n template, ascending
     coefficients: the operator family's index-n member evaluated at x - 1,
@@ -185,8 +154,9 @@ def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
     return multiplier(ops, n).shift_coeffs
 
 
-def _charpoly_rows(rows) -> tuple[int, ...]:
-    # Faddeev-LeVerrier; every division is exact for integer matrices.
+def charpoly(rows) -> tuple[int, ...]:
+    """Monic characteristic polynomial det(xI - A), ascending coefficients,
+    by Faddeev-LeVerrier; every division is exact for integer matrices."""
     k = len(rows)
     coeffs = [0] * (k + 1)
     coeffs[k] = 1
@@ -247,16 +217,15 @@ class Recurrence:
 def minimal_recurrence(m: int) -> Recurrence:
     """Minimal linear recurrence advancing the reduced columns of the table.
 
-    Solves [col(1) ... col(k)] alpha = col(k+1) exactly; the theory
+    Solves [col(1) ... col(k)] alpha = col(k+1) exactly on the top k rows,
+    which are that system's augmented matrix; the theory
     guarantees integer coefficients with alphas[0] != 0, and both facts are
     asserted rather than assumed.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     k = (m + 1) // 2
-    table = build_table(m, k + 1)
-    cols = [table.reduced_column(n).entries for n in range(1, k + 2)]
-    a, pivots, scale, _ = _gauss_jordan(list(zip(*cols)))
+    a, pivots, scale, _ = _gauss_jordan(build_table(m, k + 1).rows[:k])
     if pivots != list(range(k)):
         raise InternalInconsistencyError("singular system in recurrence solve")
     for row in a:
@@ -290,10 +259,10 @@ class EquivalenceReport:
 
 def equivalence_report(m: int) -> EquivalenceReport:
     """Characteristic, shifted-operator and recurrence polynomials for m."""
-    mat = reduced_matrix(m)
+    k = (m + 1) // 2
     family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
-    return EquivalenceReport(m, mat.k, charpoly(mat),
-                             family_charpoly(family, mat.k),
+    return EquivalenceReport(m, k, charpoly(reduced_matrix(m)),
+                             family_charpoly(family, k),
                              minimal_recurrence(m).poly())
 
 
@@ -443,8 +412,9 @@ def verify_transfer(m_max: int = 12, n_max: int = 30) -> str | None:
         mat = reduced_matrix(m)
         table = build_table(m, n_max + 1)
         for n in range(1, n_max + 1):
-            got = _mat_vec(mat.rows, table.reduced_column(n).entries)
-            want = table.reduced_column(n + 1).entries
+            col = table.column(n)
+            got = tuple(sum(a * c for a, c in zip(r, col)) for r in mat)
+            want = table.column(n + 1)[:len(mat)]
             if got != want:
                 return f"m={m} n={n}: {got} != {want}"
     return None
@@ -595,13 +565,14 @@ def verify_polynomial_equivalence(m_max: int = 24) -> str | None:
 def verify_charpoly_recursion(m_max: int = 24) -> str | None:
     """det(xI - A_k) = (x - 1) det(xI - A_{k-1}) - det(xI - A_{k-2})."""
     x_minus_1 = DeltaPoly((-1, 1))
-    for template in (odd_matrix, even_matrix):
-        k_max = (m_max + 1) // 2
-        polys = [DeltaPoly(_charpoly_rows(template(k))) for k in range(1, k_max + 1)]
+    k_max = (m_max + 1) // 2
+    for parity, name in ((1, "odd"), (0, "even")):
+        polys = [DeltaPoly(charpoly(reduced_matrix(2 * k - parity)))
+                 for k in range(1, k_max + 1)]
         for i in range(2, len(polys)):
             want = x_minus_1 * polys[i - 1] - polys[i - 2]
             if polys[i] != want:
-                return f"{template.__name__} k={i + 1}: recursion fails"
+                return f"{name}_matrix k={i + 1}: recursion fails"
     return None
 
 
@@ -645,10 +616,8 @@ def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
     """Order verdicts for the family templates of sizes n_lo..n_hi mod q."""
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError(f"bad scan range {n_lo}..{n_hi}")
-    start_all = time.perf_counter()
     entries = []
     for n in range(n_lo, n_hi + 1):
-        start = time.perf_counter()
         # Both templates have ones along the whole superdiagonal, so the
         # rows e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over
         # every field, mod 2 too, where the odd template's corner 2 vanishes.
@@ -661,7 +630,6 @@ def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
             verdict=result.verdict,
             order=result.order,
             factorization=result.factorization,
-            elapsed=time.perf_counter() - start,
         ))
     return SingerReport(
         family=family,
@@ -669,10 +637,5 @@ def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
         n_lo=n_lo,
         n_hi=n_hi,
         entries=tuple(entries),
-        elapsed=time.perf_counter() - start_all,
     )
 
-
-def format_xpoly(coeffs) -> str:
-    """Render an ascending coefficient tuple as a polynomial in x."""
-    return format_poly(coeffs, "x")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,12 @@ def test_ceiling_rejected_without_force(capsys):
     assert "ceiling" in err
 
 
+def test_probe_depth_ceiling_rejected_without_force(capsys):
+    code, _, err = run_cli(capsys, "rows", "--m", "1", "--n-probe", "10001")
+    assert code == 2
+    assert "n-probe 10001 exceeds the default ceiling" in err
+
+
 def test_ceiling_bypassed_with_force(capsys):
     code, _, _ = run_cli(capsys, "--force", "table", "--m", "70", "--n", "2")
     assert code == 0
@@ -169,6 +177,20 @@ def test_json_matches_frozen_bytes(capsys, command, m_max):
         outs.append(out)
     frozen = (DATA / f"{command}_m1-{m_max}.json.txt").read_bytes()
     assert "".join(outs).encode() == frozen
+
+
+TABLE_SHA256 = json.loads((DATA / "table_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_table_matches_frozen_digests(capsys, fmt):
+    for m in (1, 2, 5, 8, 33, 64):
+        for n in (1, 7, 300):
+            code, out, _ = run_cli(capsys, "--format", fmt, "table",
+                                   "--m", str(m), "--n", str(n))
+            assert code == 0, (m, n)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == TABLE_SHA256[f"{fmt} {m} {n}"], (m, n)
 
 
 def test_csv_output_is_fixture_compatible(capsys, tmp_path):
@@ -250,12 +272,18 @@ def test_explicit_budget_overrides_env(capsys, monkeypatch):
 
 # -- module entry point --------------------------------------------------------------
 
+# The child interpreter finds the package in this checkout's src/, as the
+# pytest process does, whether or not it is installed.
+MODULE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")])))
+
 
 def test_module_invocation_round_trips():
     proc = subprocess.run(
         [sys.executable, "-m", "tablepaths", "--format", "csv",
          "table", "--m", "2", "--n", "3"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env=MODULE_ENV)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "sum,2,4,8"
 
@@ -263,6 +291,6 @@ def test_module_invocation_round_trips():
 def test_no_subcommand_is_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "tablepaths"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env=MODULE_ENV)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()

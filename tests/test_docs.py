@@ -1,6 +1,7 @@
 import ast
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import tablepaths
 from tablepaths.cli import main
-from tablepaths.docs import parse_document, render_document
+from tablepaths.docs import (parse_document, render_document,
+                             unlimited_int_digits)
 from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import MatrixFamily
 from tablepaths.pathtable import PathTable, build_table
@@ -81,6 +83,9 @@ def test_unbroken_documents_parse():
     dict(SCAN, n_hi=0),
     dict(SUITE, m_max=0),
     dict(SUITE, n_max=0),
+    dict(TABLE, cells=[row + ["1"] for row in TABLE["cells"]],
+         column_sums=TABLE["column_sums"] + ["3"]),
+    dict(TABLE, cells=TABLE["cells"][:-1], column_sums=["2", "5"]),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):
@@ -155,6 +160,25 @@ def test_only_docs_knows_the_format():
                    if isinstance(node, ast.ClassDef) for item in node.body
                    if isinstance(item, ast.FunctionDef)}
         assert not methods & {"to_doc", "from_doc"}, path.name
+
+
+def test_parse_keeps_the_digit_limit_while_another_thread_renders():
+    text = render_document(PathTable(1, 1, ((10**4999,),)))
+    outcome = []
+
+    def parse():
+        try:
+            parse_document(text)
+        except DomainError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=parse)
+    with unlimited_int_digits():
+        worker.start()
+        worker.join(0.5)
+    worker.join(10)
+    assert not worker.is_alive()
+    assert len(outcome) == 1
 
 
 def test_deeply_nested_text_raises_domain_error():

@@ -21,9 +21,7 @@ from tablepaths.gfmatrix import (
 )
 from tablepaths.recurrence import (
     charpoly,
-    even_matrix,
     family_charpoly,
-    odd_matrix,
     reduced_matrix,
     singer_scan,
 )
@@ -118,13 +116,13 @@ def test_identity_and_powers():
     eye = GFMatrix.identity(3, 5)
     assert eye.is_identity()
     assert eye.pow(10) == eye
-    mat = GFMatrix.from_rows(odd_matrix(2), 3)
+    mat = GFMatrix.from_rows(reduced_matrix(3), 3)
     assert mat.pow(0).is_identity()
     assert mat.pow(1) == mat
 
 
 def test_odd_two_by_two_has_order_eight_mod_three():
-    mat = GFMatrix.from_rows(odd_matrix(2), 3)
+    mat = GFMatrix.from_rows(reduced_matrix(3), 3)
     assert mat.pow(2).rows() == ((0, 2), (1, 0))
     assert mat.pow(4).rows() == ((2, 0), (0, 2))
     assert mat.pow(8).is_identity()
@@ -132,7 +130,7 @@ def test_odd_two_by_two_has_order_eight_mod_three():
 
 
 def test_even_two_by_two_has_order_three_mod_two():
-    mat = GFMatrix.from_rows(even_matrix(2), 2)
+    mat = GFMatrix.from_rows(reduced_matrix(4), 2)
     assert mat.rows() == ((1, 1), (1, 0))
     assert mat.pow(3).is_identity()
     assert not mat.pow(2).is_identity()
@@ -174,14 +172,14 @@ def test_order_is_full_requires_prime_and_monic():
 
 def test_even_template_singular_mod_two_on_a_cycle():
     for n in range(1, 21):
-        mat = GFMatrix.from_rows(even_matrix(n), 2)
+        mat = GFMatrix.from_rows(reduced_matrix(n * 2), 2)
         assert (mat.det() == 0) == (n % 3 == 1), n
 
 
 def test_templates_invertible_mod_three():
     for n in range(1, 21):
-        assert GFMatrix.from_rows(even_matrix(n), 3).det() != 0, n
-        assert GFMatrix.from_rows(odd_matrix(n), 3).det() != 0, n
+        assert GFMatrix.from_rows(reduced_matrix(n * 2), 3).det() != 0, n
+        assert GFMatrix.from_rows(reduced_matrix(n * 2 - 1), 3).det() != 0, n
 
 
 # -- order classification -------------------------------------------------------------
@@ -239,9 +237,9 @@ def matrix_route(mat: GFMatrix) -> OrderResult:
                                       (2**31 - 1, 3)])
 def test_engine_matches_matrix_route(family, q, n_max):
     # 2**31 - 1 needs slots wider than 8 bytes.
-    template = even_matrix if family is MatrixFamily.EVEN else odd_matrix
+    parity = 1 if family is MatrixFamily.ODD else 0
     for n in range(1, n_max + 1):
-        want = matrix_route(GFMatrix.from_rows(template(n), q))
+        want = matrix_route(GFMatrix.from_rows(reduced_matrix(2 * n - parity), q))
         assert order_is_full(family_charpoly(family, n), q) == want, n
 
 

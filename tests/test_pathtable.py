@@ -39,14 +39,14 @@ def test_seven_row_table_upper_rows():
 def test_five_row_table_column_and_sum():
     table = build_table(5, 4)
     assert table.column(4) == (13, 22, 25, 22, 13)
-    assert table.column_sum(4) == 95
+    assert table.column_sums()[3] == 95
 
 
 def test_reduced_column_keeps_top_half():
     table = build_table(5, 5)
-    assert table.reduced_column(3).entries == (5, 8, 9)
-    assert table.reduced_column(5).entries == (35, 60, 69)
     assert table.k == 3
+    assert table.column(3)[:table.k] == (5, 8, 9)
+    assert table.column(5)[:table.k] == (35, 60, 69)
 
 
 def test_cell_recurrence_holds_inside_table():
@@ -90,6 +90,14 @@ def test_out_of_range_cell_rejected():
         table.cell(1, 5)
     with pytest.raises(DomainError):
         table.cell(4, 1)
+
+
+def test_table_stores_m_rows_of_n_max_cells():
+    assert build_table(3, 2).rows == ((1, 2), (1, 3), (1, 2))
+    with pytest.raises(DomainError):
+        PathTable(3, 2, ((1, 2, 5), (1, 3, 7), (1, 2, 5)))
+    with pytest.raises(DomainError):
+        PathTable(3, 2, ((1, 1, 1), (2, 3, 2)))
 
 
 def test_bad_dimensions_rejected():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablepaths import recurrence
-from tablepaths.deltaops import DeltaPoly, Family, multiplier
+from tablepaths.deltaops import DeltaPoly, Family, format_poly, multiplier
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.pathtable import PathTable, build_table
@@ -19,10 +19,7 @@ from tablepaths.recurrence import (
     det_reduced_direct,
     det_reduced_formula,
     equivalence_report,
-    even_matrix,
-    format_xpoly,
     minimal_recurrence,
-    odd_matrix,
     recurrence_report,
     reduced_matrix,
     row_constant_combinations,
@@ -44,18 +41,25 @@ from tablepaths.recurrence import (
 
 
 def test_small_templates_match_hand_written_forms():
-    assert odd_matrix(1) == ((1,),)
-    assert odd_matrix(2) == ((1, 1), (2, 1))
-    assert odd_matrix(3) == ((1, 1, 0), (1, 1, 1), (0, 2, 1))
-    assert even_matrix(1) == ((2,),)
-    assert even_matrix(2) == ((1, 1), (1, 2))
-    assert even_matrix(3) == ((1, 1, 0), (1, 1, 1), (0, 1, 2))
+    assert reduced_matrix(1) == ((1,),)
+    assert reduced_matrix(3) == ((1, 1), (2, 1))
+    assert reduced_matrix(5) == ((1, 1, 0), (1, 1, 1), (0, 2, 1))
+    assert reduced_matrix(2) == ((2,),)
+    assert reduced_matrix(4) == ((1, 1), (1, 2))
+    assert reduced_matrix(6) == ((1, 1, 0), (1, 1, 1), (0, 1, 2))
 
 
 def test_reduced_matrix_dispatches_on_parity():
-    assert reduced_matrix(5).rows == odd_matrix(3)
-    assert reduced_matrix(6).rows == even_matrix(3)
-    assert reduced_matrix(1).rows == ((1,),)
+    # The fold adds one 1 to row k: on the diagonal for even m, left of it
+    # for odd m.
+    for m in range(2, 13):
+        k = (m + 1) // 2
+        extra = [[v - (abs(i - j) <= 1) for j, v in enumerate(row)]
+                 for i, row in enumerate(reduced_matrix(m))]
+        corner = k - 1 - m % 2
+        assert extra[k - 1][corner] == 1, m
+        assert sum(map(sum, extra)) == 1, m
+    assert reduced_matrix(1) == ((1,),)
     with pytest.raises(DomainError):
         reduced_matrix(0)
 
@@ -64,10 +68,11 @@ def test_reduced_matrix_dispatches_on_parity():
 def test_reduced_matrix_advances_reduced_columns(m):
     table = build_table(m, 8)
     mat = reduced_matrix(m)
+    k = len(mat)
     for n in range(1, 8):
-        cur = table.reduced_column(n).entries
-        nxt = table.reduced_column(n + 1).entries
-        assert tuple(sum(r * c for r, c in zip(row, cur)) for row in mat.rows) == nxt
+        cur = table.column(n)[:k]
+        nxt = table.column(n + 1)[:k]
+        assert tuple(sum(r * c for r, c in zip(row, cur)) for row in mat) == nxt
 
 
 # -- determinants ----------------------------------------------------------------
@@ -202,9 +207,8 @@ def test_three_polynomials_agree():
 
 def test_operator_polynomial_route_is_shift_composed():
     # same object the report builds, spelled out for one case
-    mat = reduced_matrix(5)
-    poly = multiplier(Family.ODD, mat.k).compose(DeltaPoly((-1, 1)))
-    assert poly.coeffs == charpoly(mat)
+    poly = multiplier(Family.ODD, 3).compose(DeltaPoly((-1, 1)))
+    assert poly.coeffs == charpoly(reduced_matrix(5))
 
 
 def test_annihilation_and_transfer_sweeps():
@@ -228,9 +232,9 @@ def test_table_checks_fail_where_a_wrong_cell_is(monkeypatch, m, x, y, details):
         table = build_table(rows, n_max)
         if rows != m:
             return table
-        columns = [list(col) for col in table.columns]
-        columns[x - 1][y - 1] += 1
-        return PathTable(rows, n_max, tuple(map(tuple, columns)))
+        cells = [list(row) for row in table.rows]
+        cells[y - 1][x - 1] += 1
+        return PathTable(rows, n_max, tuple(map(tuple, cells)))
 
     monkeypatch.setattr(recurrence, "build_table", with_wrong_cell)
     checks = (verify_annihilation, verify_row_equivalence, verify_table_action,
@@ -306,9 +310,9 @@ def test_constant_combination_sweep():
 
 
 def test_xpoly_rendering():
-    assert format_xpoly((2, 0, -3, 1)) == "x^3 - 3x^2 + 2"
-    assert format_xpoly((-1, 1)) == "x - 1"
-    assert format_xpoly((1,)) == "1"
+    assert format_poly((2, 0, -3, 1), "x") == "x^3 - 3x^2 + 2"
+    assert format_poly((-1, 1), "x") == "x - 1"
+    assert format_poly((1,), "x") == "1"
 
 
 @given(m=st.integers(1, 10))
