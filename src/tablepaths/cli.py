@@ -20,10 +20,10 @@ import os
 import sys
 
 from .deltaops import format_poly
-from .docs import render_document, unlimited_int_digits
+from .docs import path_table_chunks, render_document
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, Verdict
-from .pathtable import build_table
+from .pathtable import table_strings
 from .recurrence import (recurrence_report, row_constant_combinations,
                          singer_scan)
 from .suite import run_suite
@@ -79,27 +79,26 @@ def _factor_budget(args) -> int | None:
 def _cmd_table(args, out) -> int:
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     _check_ceiling(args.n, N_CEILING, "n", args.force)
-    table = build_table(args.m, args.n)
-    with unlimited_int_digits():
-        if args.format == "json":
-            out.write(render_document(table))
-            return 0
-        sums = table.column_sums()
-        if args.format == "csv":
-            header = ["row"] + [str(n) for n in range(1, args.n + 1)]
-            out.write(",".join(header) + "\n")
-            for y in range(1, args.m + 1):
-                out.write(",".join([str(y)] + [str(v) for v in table.row(y)]) + "\n")
-            out.write(",".join(["sum"] + [str(s) for s in sums]) + "\n")
-            return 0
-        width = max(len(str(v)) for v in sums)
-        label = max(len(f"y={table.m}"), len("sum"))
-        out.write(f"m={table.m} n_max={table.n_max}\n")
-        for y in range(1, args.m + 1):
-            cells = " ".join(f"{v:>{width}}" for v in table.row(y))
-            out.write(f"{f'y={y}':<{label}} | {cells}\n")
-        out.write(f"{'sum':<{label}} | "
-                  + " ".join(f"{s:>{width}}" for s in sums) + "\n")
+    sums, rows = table_strings(args.m, args.n)
+    if args.format == "json":
+        for chunk in path_table_chunks(args.m, args.n, rows, sums):
+            out.write(chunk)
+        return 0
+    if args.format == "csv":
+        out.write(",".join(["row"] + [str(n) for n in range(1, args.n + 1)])
+                  + "\n")
+        for y, row in enumerate(rows, start=1):
+            out.write(",".join([str(y), *row]) + "\n")
+        out.write(",".join(["sum", *sums]) + "\n")
+        return 0
+    width = max(map(len, sums))
+    label = max(len(f"y={args.m}"), len("sum"))
+    out.write(f"m={args.m} n_max={args.n}\n")
+    for y, row in enumerate(rows, start=1):
+        out.write(f"{f'y={y}':<{label}} | "
+                  + " ".join(s.rjust(width) for s in row) + "\n")
+    out.write(f"{'sum':<{label}} | "
+              + " ".join(s.rjust(width) for s in sums) + "\n")
     return 0
 
 

@@ -4,11 +4,15 @@ Every report renders to a self-describing dict with a "kind" key, and each
 kind has one encoder and one decoder here.  The frozen format is irregular:
 unbounded integers are decimal strings while small counts are numbers, cells
 are written row-major, and some keys are derived rather than stored.
-Rendering is byte-deterministic.  Parsing accepts exactly what rendering
-writes: the decoder converts every field to its declared type, rejects the
-parameters that the producing function rejects, and the object must render
-back to the same JSON value, else DomainError.  Only
-parsing keeps the interpreter's int-to-str digit limit.
+Rendering is byte-deterministic.  A ``path_table`` document is not built as
+a dict: ``path_table_chunks`` writes the text of
+``json.dumps(..., sort_keys=True, indent=2)`` one row at a time, so the CLI
+can stream a table too large to hold as one string.  Parsing accepts exactly
+what rendering writes: the decoder converts every field to its declared type,
+rejects the parameters that the producing function rejects, and the object
+must render back to the same JSON value (compared with ``json.dumps`` of the
+parsed document, which also checks the table writer), else DomainError.
+Only parsing keeps the interpreter's int-to-str digit limit.
 Per-check timings are diagnostic and excluded from format and equality.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -47,10 +52,36 @@ def _at_least(low: int, **values: int) -> None:
             raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
-def _encode_table(t: PathTable) -> dict:
-    return {"kind": "path_table", "m": t.m, "n_max": t.n_max,
-            "cells": [_strs(row) for row in t.rows],
-            "column_sums": _strs(t.column_sums())}
+def _json_digit_list(items: Sequence[str], depth: int, before: str = "",
+                     after: str = "") -> str:
+    """json.dumps(list(items), indent=2) nested ``depth`` levels deep, for
+    strings that need no escaping, between ``before`` and ``after``."""
+    if not items:
+        return before + "[]" + after
+    pad = "\n" + "  " * (depth + 1)
+    return "".join((before, "[", pad, '"', f'",{pad}"'.join(items), '"\n',
+                    "  " * depth, "]", after))
+
+
+def path_table_chunks(m: int, n_max: int, rows: Iterable[Sequence[str]],
+                      column_sums: Sequence[str]) -> Iterator[str]:
+    """The path_table document as render_document writes it, one chunk per
+    row of cell strings; cells and sums are digit strings."""
+    yield '{\n  "cells": '
+    before = "[\n    "
+    for row in rows:
+        yield _json_digit_list(row, 2, before)
+        before = ",\n    "
+    yield ("[]" if before == "[\n    " else "\n  ]") + ',\n  "column_sums": '
+    yield _json_digit_list(
+        column_sums, 1, after=f',\n  "kind": "path_table",\n  "m": '
+                              f'{json.dumps(m)},\n  "n_max": '
+                              f'{json.dumps(n_max)}\n}}\n')
+
+
+def _render_table(t: PathTable) -> str:
+    return "".join(path_table_chunks(t.m, t.n_max, map(_strs, t.rows),
+                                     _strs(t.column_sums())))
 
 
 def _decode_table(doc: dict) -> PathTable:
@@ -149,7 +180,7 @@ def _decode_verify(doc: dict) -> VerifyReport:
     return VerifyReport(m_max, n_max, checks)
 
 
-_ENCODERS = {PathTable: _encode_table, RecurrenceReport: _encode_recurrence,
+_ENCODERS = {RecurrenceReport: _encode_recurrence,
              RowComboReport: _encode_row_combo, SingerReport: _encode_singer,
              VerifyReport: _encode_verify}
 
@@ -166,8 +197,9 @@ _render_lock = threading.RLock()
 @contextmanager
 def unlimited_int_digits():
     """Lift the int-to-str digit limit while the package renders its own
-    integers (table cells pass 4300 digits near n = 10000).  The limit is
-    process-wide; the lock keeps one render from restoring it under another.
+    integers (a table's cells or a singer report's factors can pass 4300
+    digits).  The limit is process-wide; the lock keeps one render from
+    restoring it under another.
     """
     with _render_lock:
         saved = sys.get_int_max_str_digits()
@@ -185,6 +217,8 @@ def _json_text(doc) -> str:
 def render_document(obj) -> str:
     """Deterministic JSON text for a table or report object."""
     with unlimited_int_digits():
+        if type(obj) is PathTable:
+            return _render_table(obj)
         return _json_text(_ENCODERS[type(obj)](obj)) + "\n"
 
 

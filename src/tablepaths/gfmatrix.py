@@ -6,8 +6,8 @@ cycle)?  Answering it needs the factorization of q**n - 1, so the module
 carries the package's one exact integer factorization stack: trial division
 to a fixed bound, perfect-power reduction, then Brent's variant of Pollard rho
 with deterministic seeding, with primality certified by Miller-Rabin (a
-base set that is provably sufficient below 3.3e24, extended by a strong
-Lucas test above).
+base set that is provably sufficient below 3.3e24) and, above that, tested
+by BPSW (Miller-Rabin to base 2, then a strong Lucas test).
 
 Factoring is budgeted.  When the budget runs out the factorization is
 returned incomplete and order checks report UNKNOWN rather than guessing.
@@ -127,7 +127,8 @@ def _half(x: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below 3.3e24; Miller-Rabin plus strong Lucas above."""
+    """Deterministic below 3.3e24 (Miller-Rabin to the 12 prime bases);
+    above it, BPSW: Miller-Rabin to base 2, then strong Lucas."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES[:25]:
@@ -138,12 +139,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    proven = n < _MR_PROVEN_LIMIT
+    for a in _MR_BASES if proven else _MR_BASES[:1]:
         if _mr_witness(n, a, d, s):
             return False
-    if n < _MR_PROVEN_LIMIT:
-        return True
-    return _strong_lucas_prp(n)
+    return proven or _strong_lucas_prp(n)
 
 
 # -- factorization -----------------------------------------------------------

@@ -13,20 +13,41 @@ precision integers.  ``enumerate_paths`` recounts a single cell by an
 explicit depth-first walk over the step set; it is deliberately independent
 of the recurrence and serves as the brute-force cross-check.
 
+``table_strings`` is where table text comes from.  It runs the same
+recurrence on the k = ceil(m/2) independent rows (rows y and m+1-y are
+equal) in ``decimal`` under an exact context, because converting an int to
+decimal digits takes quadratic time and converting a Decimal takes linear
+time.  Each cell is converted once, except that a mirror row past a fixed
+memory bound is converted again.  A second route, the unfolded recurrence
+on residues mod 10**9 in machine-size ints, checks every string it hands
+out.
+
 Indices are 1-based throughout the public surface: columns run x = 1..n_max
 and rows y = 1..m.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow,
+                     Rounded, localcontext)
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
 
 # Row offsets of the step set; every step advances exactly one column.
 STEPS = (-1, 0, 1)
 
 DEFAULT_NODE_BUDGET = 10**8
+
+# Sums of integers stay exact here; any rounding or overflow raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
+                 traps=[Inexact, Rounded, Overflow])
+_CHECK_MODULUS = 10**9
+# Digits of converted rows kept for their mirror rows: every mirror row up
+# to about 64 x 2900 cells; beyond that some are converted twice, which
+# keeps 64 x 10000 (1.5 G digits) well under 1 GB.
+_KEPT_CHARS = 2**26
 
 
 @dataclass(frozen=True)
@@ -69,13 +90,17 @@ class PathTable:
         return tuple(map(sum, zip(*self.rows)))
 
 
-def build_table(m: int, n_max: int) -> PathTable:
-    """Fill the m x n_max count table by the column recurrence, then store
-    its rows."""
+def _check_size(m: int, n_max: int) -> None:
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+
+
+def build_table(m: int, n_max: int) -> PathTable:
+    """Fill the m x n_max count table by the column recurrence, then store
+    its rows."""
+    _check_size(m, n_max)
     columns = [tuple(1 for _ in range(m))]
     for _ in range(n_max - 1):
         prev = columns[-1]
@@ -89,6 +114,91 @@ def build_table(m: int, n_max: int) -> PathTable:
             nxt.append(total)
         columns.append(tuple(nxt))
     return PathTable(m, n_max, tuple(zip(*columns)))
+
+
+def table_strings(m: int, n_max: int
+                  ) -> tuple[tuple[str, ...], Iterator[list[str]]]:
+    """Decimal digits of the m x n_max table: its column sums, and a
+    generator of its m rows, each a list of n_max cell strings.
+
+    Every string is checked against the residue route before it is handed
+    out; a mismatch raises InternalInconsistencyError.  The generator frees
+    the rows it has passed, so peak memory is about the top k rows as
+    Decimals plus at most _KEPT_CHARS of kept strings.
+    """
+    _check_size(m, n_max)
+    top, sums = _decimal_top_rows(m, n_max)
+    residue_rows, residue_sums = _residue_rows(m, n_max)
+    sum_strings = tuple(map(str, sums))
+    _check_residues("column sums", sum_strings, residue_sums)
+    return sum_strings, _row_strings(m, top, residue_rows)
+
+
+def _decimal_top_rows(m: int, n_max: int
+                      ) -> tuple[list[list[Decimal]], list[Decimal]]:
+    """Rows 1..k and the column sums, by the column recurrence folded at the
+    row symmetry: row k's missing neighbour k + 1 is row k when m is even
+    and row k - 1 when m is odd."""
+    k = (m + 1) // 2
+    zero, one = Decimal(0), Decimal(1)
+    column = [one] * k
+    rows = [[one] for _ in range(k)]
+    total = Decimal(m)
+    sums = [total]
+    with localcontext(_EXACT):
+        for _ in range(n_max - 1):
+            if m > 1:
+                # Rows 1 and m each feed two cells, every other row three.
+                total = 3 * total - 2 * column[0]
+                padded = [zero, *column, column[k - 1 - m % 2]]
+                column = [a + b + c for a, b, c
+                          in zip(padded, padded[1:], padded[2:])]
+            for row, value in zip(rows, column):
+                row.append(value)
+            sums.append(total)
+    return rows, sums
+
+
+def _residue_rows(m: int, n_max: int
+                  ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every row and the column sums mod 10**9, by the unfolded recurrence:
+    the independent route that ``table_strings`` checks against."""
+    column = [1] * m
+    columns = [column]
+    for _ in range(n_max - 1):
+        padded = [0, *column, 0]
+        column = [(a + b + c) % _CHECK_MODULUS
+                  for a, b, c in zip(padded, padded[1:], padded[2:])]
+        columns.append(column)
+    return (list(zip(*columns)),
+            [sum(c) % _CHECK_MODULUS for c in columns])
+
+
+def _row_strings(m: int, top: list[list[Decimal] | None],
+                 residue_rows: list[tuple[int, ...]]) -> Iterator[list[str]]:
+    """Rows y and m + 1 - y are the same top row.  The first of the two
+    keeps its strings for the second while the kept strings fit in
+    _KEPT_CHARS; past that the second converts its Decimals again."""
+    kept: dict[int, list[str]] = {}
+    room = _KEPT_CHARS
+    for y in range(m):
+        i = min(y, m - 1 - y)
+        strings = kept.pop(i, None)
+        if strings is None:
+            strings = list(map(str, top[i]))
+        if y >= m - 1 - y:
+            top[i] = None
+        elif (size := sum(map(len, strings))) <= room:
+            kept[i], top[i] = strings, None
+            room -= size
+        _check_residues(f"row {y + 1}", strings, residue_rows[y])
+        yield strings
+
+
+def _check_residues(what: str, strings, residues) -> None:
+    if [int(s[-9:]) for s in strings] != list(residues):
+        raise InternalInconsistencyError(
+            f"{what}: decimal digits disagree with the residues mod 10**9")
 
 
 def enumerate_paths(m: int, target: tuple[int, int],

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from tablepaths.cli import main
-from tablepaths.docs import parse_document
+from tablepaths.docs import parse_document, render_document
+from tablepaths.pathtable import build_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -193,6 +194,15 @@ def test_table_matches_frozen_digests(capsys, fmt):
             assert digest == TABLE_SHA256[f"{fmt} {m} {n}"], (m, n)
 
 
+@pytest.mark.parametrize("m", (1, 2, 5, 8, 33, 64))
+def test_table_json_equals_rendered_int_table(capsys, m):
+    for n in (1, 7, 300):
+        code, out, _ = run_cli(capsys, "--format", "json", "table",
+                               "--m", str(m), "--n", str(n))
+        assert code == 0, (m, n)
+        assert out == render_document(build_table(m, n)), (m, n)
+
+
 def test_csv_output_is_fixture_compatible(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--format", "csv", "singer",
                            "--family", "E", "--q", "2", "--n", "1..8")
@@ -294,3 +304,59 @@ def test_no_subcommand_is_usage_error():
         capture_output=True, text=True, check=False, env=MODULE_ENV)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+# Runs ``python -m tablepaths`` with the given arguments; afterwards reports
+# on stderr the exit code and the peak resident size of the child's own
+# address space (VmHWM, in KiB; 0 without /proc).  ru_maxrss would also count
+# the parent's pages at spawn, because Linux carries it across exec.
+CHILD = """\
+import runpy, sys
+sys.argv = ["tablepaths", *sys.argv[1:]]
+code = None
+try:
+    runpy.run_module("tablepaths", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+try:
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status
+                    if line.startswith("VmHWM:"))
+except OSError:
+    peak = 0
+print(code, peak, file=sys.stderr)
+"""
+
+
+def run_child(*argv):
+    """sha256 of stdout and peak RSS in KiB of a child CLI run that must
+    exit 0; stdout is hashed as it streams, never held whole."""
+    sha = hashlib.sha256()
+    with subprocess.Popen([sys.executable, "-c", CHILD, *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=MODULE_ENV) as proc:
+        while chunk := proc.stdout.read(1 << 20):
+            sha.update(chunk)
+        err = proc.stderr.read().decode()
+    code, peak_kib = err.split()[-2:]
+    assert code == "0", err
+    return sha.hexdigest(), int(peak_kib)
+
+
+# The n = 10000 ceiling: json at m = 64 is about 1.5 GB of text.
+@pytest.mark.parametrize("key", ["json 64 10000", "plain 5 10000",
+                                 "json 5 10000", "csv 5 10000"])
+def test_table_at_the_ceiling_matches_frozen_digest(key):
+    fmt, m, n = key.split()
+    digest, peak_kib = run_child("--format", fmt, "table", "--m", m, "--n", n)
+    assert digest == TABLE_SHA256[key]
+    assert peak_kib < 1024 * 1024
+
+
+def test_table_json_peak_memory_is_bounded():
+    _, peak_kib = run_child("--format", "json", "table", "--m", "64",
+                            "--n", "2200")
+    if not peak_kib:
+        pytest.skip("no /proc/self/status to read the peak from")
+    assert peak_kib < 150 * 1024

@@ -30,6 +30,17 @@ def test_render_writes_integers_past_the_digit_limit():
         parse_document(doc)
 
 
+@pytest.mark.parametrize("table", [
+    PathTable(0, 0, ()), PathTable(0, 3, ()), PathTable(1, 0, ((),)),
+    PathTable(2, 1, ((5,), (-12,))), build_table(1, 1), build_table(4, 6)])
+def test_table_writer_matches_json_dumps(table):
+    doc = {"kind": "path_table", "m": table.m, "n_max": table.n_max,
+           "cells": [[str(v) for v in row] for row in table.rows],
+           "column_sums": [str(v) for v in table.column_sums()]}
+    assert render_document(table) == json.dumps(doc, sort_keys=True,
+                                                 indent=2) + "\n"
+
+
 TABLE = json.loads(render_document(build_table(3, 2)))
 SCAN = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 2)))
 SUITE = {"kind": "verify_report", "m_max": 1, "n_max": 1, "passed": True,

@@ -49,6 +49,27 @@ def test_large_primes_recognized():
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
 
 
+def test_is_prime_agrees_with_sympy_above_the_proven_limit():
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    mersenne = [2**p - 1 for p in (89, 107, 127, 521, 607, 1279, 2203)]
+    composite = [2**p - 1 for p in (83, 97, 101, 103, 109, 113, 131, 1277)]
+    rng = random.Random(3_317)
+    odd = [rng.randrange(gfmatrix._MR_PROVEN_LIMIT, 2**400) | 1
+           for _ in range(300)]
+    # Products of two primes near the limit pass trial division.
+    semiprime = [int(sympy.nextprime(rng.randrange(2**41, 2**42)))
+                 * int(sympy.nextprime(rng.randrange(2**41, 2**42)))
+                 for _ in range(20)]
+    for n in mersenne + composite + odd + semiprime:
+        assert n > gfmatrix._MR_PROVEN_LIMIT
+        assert is_prime(n) == sympy.isprime(n), n
+    assert all(map(is_prime, mersenne))
+    assert not any(map(is_prime, composite + semiprime))
+    assert any(map(is_prime, odd))
+
+
 def naive_factor(n):
     out = []
     d = 2

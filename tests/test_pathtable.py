@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tablepaths.errors import BudgetExceededError, DomainError
+from tablepaths import pathtable
+from tablepaths.errors import (BudgetExceededError, DomainError,
+                               InternalInconsistencyError)
 from tablepaths.pathtable import (
     PathTable,
     build_table,
     enumerate_paths,
+    table_strings,
     verify_oracle,
 )
 from tablepaths.docs import parse_document, render_document
@@ -101,10 +104,54 @@ def test_table_stores_m_rows_of_n_max_cells():
 
 
 def test_bad_dimensions_rejected():
-    with pytest.raises(DomainError):
-        build_table(0, 3)
-    with pytest.raises(DomainError):
-        build_table(3, 0)
+    for make in (build_table, table_strings):
+        with pytest.raises(DomainError):
+            make(0, 3)
+        with pytest.raises(DomainError):
+            make(3, 0)
+
+
+def test_table_strings_are_the_digits_of_the_int_table():
+    # m = 1 and m = 2 fold onto one row that has no partner row.
+    for m in range(1, 13):
+        for n in range(1, 61):
+            table = build_table(m, n)
+            sums, rows = table_strings(m, n)
+            assert sums == tuple(map(str, table.column_sums())), (m, n)
+            assert list(rows) == [list(map(str, r)) for r in table.rows], (m, n)
+
+
+@pytest.mark.parametrize("m, row, column", [
+    (1, 0, 4), (2, 0, 9), (5, 2, 3), (6, 1, 7), (6, 2, 11), (9, 0, 1)])
+def test_corrupted_decimal_cell_is_caught(monkeypatch, m, row, column):
+    decimal_top_rows = pathtable._decimal_top_rows
+
+    def corrupted(m, n_max):
+        rows, sums = decimal_top_rows(m, n_max)
+        rows[row][column] += 1
+        return rows, sums
+
+    monkeypatch.setattr(pathtable, "_decimal_top_rows", corrupted)
+    sums, rows = table_strings(m, 12)
+    passed = []
+    with pytest.raises(InternalInconsistencyError, match=f"row {row + 1}:"):
+        for strings in rows:
+            passed.append(strings)
+    # Rows are checked before they are handed out.
+    assert len(passed) == row
+
+
+def test_corrupted_decimal_sum_is_caught(monkeypatch):
+    decimal_top_rows = pathtable._decimal_top_rows
+
+    def corrupted(m, n_max):
+        rows, sums = decimal_top_rows(m, n_max)
+        sums[-1] -= 10**9 + 1
+        return rows, sums
+
+    monkeypatch.setattr(pathtable, "_decimal_top_rows", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="column sums"):
+        table_strings(7, 30)
 
 
 def test_table_document_round_trip():
