@@ -79,11 +79,6 @@ def path_table_chunks(m: int, n_max: int, rows: Iterable[Sequence[str]],
                               f'{json.dumps(n_max)}\n}}\n')
 
 
-def _render_table(t: PathTable) -> str:
-    return "".join(path_table_chunks(t.m, t.n_max, map(_strs, t.rows),
-                                     _strs(t.column_sums())))
-
-
 def _decode_table(doc: dict) -> PathTable:
     m, n_max = int(doc["m"]), int(doc["n_max"])
     _at_least(1, m=m, n_max=n_max)
@@ -218,7 +213,9 @@ def render_document(obj) -> str:
     """Deterministic JSON text for a table or report object."""
     with unlimited_int_digits():
         if type(obj) is PathTable:
-            return _render_table(obj)
+            return "".join(path_table_chunks(
+                obj.m, obj.n_max, map(_strs, obj.rows),
+                _strs(obj.column_sums())))
         return _json_text(_ENCODERS[type(obj)](obj)) + "\n"
 
 
