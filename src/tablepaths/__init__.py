@@ -14,7 +14,6 @@ from .deltaops import (
     closed_form,
     multiplier,
     parity_family,
-    prime_function,
 )
 from .docs import parse_document, render_document
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
@@ -82,7 +81,6 @@ __all__ = [
     "order_is_full",
     "parity_family",
     "parse_document",
-    "prime_function",
     "recurrence_report",
     "reduced_matrix",
     "render_document",

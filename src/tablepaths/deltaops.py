@@ -35,7 +35,7 @@ from math import comb
 from operator import mul
 
 from .errors import DomainError
-from .gfmatrix import factor, is_prime
+from .gfmatrix import factor
 
 
 def _binom(n: int, k: int) -> int:
@@ -60,12 +60,6 @@ class DeltaPoly:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def constant(cls, c: int) -> "DeltaPoly":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -78,13 +72,6 @@ class DeltaPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coefficient(self, power: int) -> int:
-        if power < 0:
-            raise DomainError(f"power must be >= 0, got {power}")
-        if power >= len(self.coeffs):
-            return 0
-        return self.coeffs[power]
 
     # -- ring operations -------------------------------------------------
 
@@ -156,10 +143,6 @@ class DeltaPoly:
                 for j, dv in enumerate(divisor.coeffs):
                     rem[i - dq + j] -= c * dv
         return DeltaPoly(tuple(quot)), DeltaPoly(tuple(rem))
-
-    def mod_reduce(self, divisor: "DeltaPoly") -> "DeltaPoly":
-        """Remainder after division by a monic divisor."""
-        return self.divmod_monic(divisor)[1]
 
     @cached_property
     def shift_coeffs(self) -> tuple[int, ...]:
@@ -297,7 +280,7 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
     if n < 0:
         raise DomainError(f"closed form needs n >= 0, got {n}")
     if n == 0:
-        return DeltaPoly.constant(base_constant(family))
+        return DeltaPoly((base_constant(family),))
     size = n + 1
     out = [0] * size
     if family is Family.ODD:
@@ -320,24 +303,15 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
 
 def _prime_image(family: Family, p: int, current: DeltaPoly,
                  base: DeltaPoly) -> DeltaPoly:
+    """Image of ``current``, the index-n member of ``family``, under the
+    index-multiplying prime map; ``base`` is the odd member of index n.
+
+    The result is the index p*n member; iterating prime maps over the
+    factorization of any index rebuilds that member from the index-1 seed.
+    """
     left = multiplier(Family.PRIME, p - 1).compose(base) * current
     right = multiplier(Family.PRIME, p - 2).compose(base) * base_constant(family)
     return left - right
-
-
-def prime_function(family: Family, p: int, n: int) -> DeltaPoly:
-    """Image of the index-n member under the index-multiplying prime map.
-
-    The result equals the index p*n member of the same family; iterating
-    prime maps over the factorization of any index rebuilds that member
-    from the index-1 seed.
-    """
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if n < 1:
-        raise DomainError(f"prime map needs n >= 1, got {n}")
-    return _prime_image(family, p, multiplier(family, n),
-                        multiplier(Family.ODD, n))
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -467,7 +441,7 @@ def verify_congruence(k_max: int = 12) -> str | None:
             modulus = multiplier(family, k)
             for a in range(1, k + 1):
                 prod = multiplier(Family.PRIME, a - 1) * multiplier(family, k - 1)
-                rem = prod.mod_reduce(modulus)
+                rem = prod.divmod_monic(modulus)[1]
                 if rem != multiplier(family, k - a):
                     return f"{family.value} k={k} a={a}: {rem}"
     return None

@@ -12,17 +12,17 @@ what rendering writes: the decoder converts every field to its declared type,
 rejects the parameters that the producing function rejects, and the object
 must render back to the same JSON value (compared with ``json.dumps`` of the
 parsed document, which also checks the table writer), else DomainError.
-Only parsing keeps the interpreter's int-to-str digit limit.
+Rendering writes every integer string through ``decimal``, which the
+interpreter's int-to-str digit limit does not govern; parsing reads with
+``int`` and so keeps that limit.  Nothing in the package changes it.
 Per-check timings are diagnostic and excluded from format and equality.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-import threading
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -38,8 +38,13 @@ def _optional(convert, value):
     return None if value is None else convert(value)
 
 
+def _digits(n: int) -> str:
+    """str(n), written through decimal so that no digit limit applies."""
+    return str(Decimal(n))
+
+
 def _strs(values) -> list[str]:
-    return [str(v) for v in values]
+    return list(map(_digits, values))
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -86,8 +91,9 @@ def _decode_table(doc: dict) -> PathTable:
 
 
 def _encode_factorization(f: PrimeFactorization) -> dict:
-    return {"value": str(f.value), "factors": [[str(p), e] for p, e in f.factors],
-            "complete": f.complete, "cofactor": str(f.cofactor)}
+    return {"value": _digits(f.value),
+            "factors": [[_digits(p), e] for p, e in f.factors],
+            "complete": f.complete, "cofactor": _digits(f.cofactor)}
 
 
 def _decode_factorization(doc: dict) -> PrimeFactorization:
@@ -100,7 +106,7 @@ def _encode_singer(r: SingerReport) -> dict:
     return {"kind": "singer_report", "family": r.family.value, "q": r.q,
             "n_lo": r.n_lo, "n_hi": r.n_hi,
             "entries": [{"n": e.n, "verdict": e.verdict.value,
-                         "order": _optional(str, e.order),
+                         "order": _optional(_digits, e.order),
                          "factorization": _optional(_encode_factorization,
                                                     e.factorization)}
                         for e in r.entries]}
@@ -139,10 +145,10 @@ def _decode_recurrence(doc: dict) -> RecurrenceReport:
 
 def _encode_row_combo(r: RowComboReport) -> dict:
     return {"kind": "row_combo_report", "m": r.m, "n_probe": r.n_probe,
-            "exists": r.exists, "lambda": _optional(str, r.lam),
+            "exists": r.exists, "lambda": _optional(_digits, r.lam),
             "alphas": _strs(r.alphas), "verified_up_to": r.verified_up_to,
             "nullspace_dim": r.nullspace_dim, "trivial_dim": r.trivial_dim,
-            "basis": [{"kind": kind, "vector": _strs(vec)}
+            "basis": [{"kind": kind, "vector": [str(v) for v in vec]}
                       for kind, vec in r.basis]}
 
 
@@ -186,61 +192,49 @@ _DECODERS = {"path_table": _decode_table,
              "verify_report": _decode_verify}
 
 
-_render_lock = threading.RLock()
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int-to-str digit limit while the package renders its own
-    integers (a table's cells or a singer report's factors can pass 4300
-    digits).  The limit is process-wide; the lock keeps one render from
-    restoring it under another.
-    """
-    with _render_lock:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            yield
-        finally:
-            sys.set_int_max_str_digits(saved)
-
-
 def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def render_document(obj) -> str:
-    """Deterministic JSON text for a table or report object."""
-    with unlimited_int_digits():
+    """Deterministic JSON text for a table or report object.
+
+    DomainError for an object of no document kind, and for one whose
+    integer fields written as JSON numbers (a singer report's ``q``, say)
+    pass the interpreter's digit limit.
+    """
+    if type(obj) is not PathTable and type(obj) not in _ENCODERS:
+        raise DomainError(f"no document kind for {type(obj).__name__}")
+    try:
         if type(obj) is PathTable:
             return "".join(path_table_chunks(
                 obj.m, obj.n_max, map(_strs, obj.rows),
                 _strs(obj.column_sums())))
         return _json_text(_ENCODERS[type(obj)](obj)) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"cannot write {type(obj).__name__}: {exc}") from exc
 
 
 def parse_document(text: str):
     """Inverse of render_document: only a document that is the rendering of
     some object parses; anything else raises DomainError."""
-    # The render lock keeps the digit limit in force for the whole parse.
-    with _render_lock:
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise DomainError(f"not a valid document: {exc}") from exc
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise DomainError("document has no kind field")
-        kind = doc["kind"]
-        if not isinstance(kind, str) or kind not in _DECODERS:
-            raise DomainError(f"unknown document kind {kind!r}")
-        try:
-            obj = _DECODERS[kind](doc)
-            canonical = render_document(obj) == _json_text(doc) + "\n"
-        except DomainError:
-            raise
-        except (LookupError, TypeError, ValueError, ArithmeticError,
-                RecursionError) as exc:
-            raise DomainError(f"malformed {kind} document: {exc!r}") from exc
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"not a valid document: {exc}") from exc
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise DomainError("document has no kind field")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _DECODERS:
+        raise DomainError(f"unknown document kind {kind!r}")
+    try:
+        obj = _DECODERS[kind](doc)
+        canonical = render_document(obj) == _json_text(doc) + "\n"
+    except DomainError:
+        raise
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            RecursionError) as exc:
+        raise DomainError(f"malformed {kind} document: {exc!r}") from exc
     if not canonical:
         raise DomainError(f"{kind} document differs from its rendering")
     return obj

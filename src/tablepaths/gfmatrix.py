@@ -19,8 +19,8 @@ route as a reference.
 
 The module is a leaf: it imports only ``errors`` from the package.  The
 templates' characteristic polynomials and the scan over a range of sizes
-(``singer_scan``) live in ``recurrence``; ``deltaops`` takes its primality
-test and factorization from here.
+(``singer_scan``) live in ``recurrence``; ``deltaops`` takes its
+factorization from here.
 """
 
 from __future__ import annotations
@@ -162,9 +162,6 @@ class PrimeFactorization:
     def product(self) -> int:
         return self.cofactor * prod(p**e for p, e in self.factors)
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def _iroot(n: int, e: int) -> int:
     if n < 2 or e == 1:
@@ -222,17 +219,25 @@ def _brent_rho(n: int, c: int, max_steps: int) -> tuple[int | None, int]:
     return g, steps
 
 
+def _checked_budget(budget: int | None) -> int:
+    if budget is None:
+        return DEFAULT_FACTOR_BUDGET
+    if budget < 0:
+        raise DomainError(f"factor budget must be >= 0, got {budget}")
+    return budget
+
+
 def factor(n: int, budget: int | None = None) -> PrimeFactorization:
     """Factor n within a deterministic effort budget.
 
     ``budget`` caps the total number of Pollard-rho iterations; trial
     division and primality certification are not charged against it.  The
-    default is sized for inputs around 140 bits.
+    default is sized for inputs around 140 bits; a negative budget is a
+    DomainError.
     """
     if n < 1:
         raise DomainError(f"factor needs n >= 1, got {n}")
-    if budget is None:
-        budget = DEFAULT_FACTOR_BUDGET
+    budget = _checked_budget(budget)
     counts: dict[int, int] = {}
     rem = n
     for p in _SMALL_PRIMES:
@@ -455,6 +460,7 @@ def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
         raise DomainError(f"q must be prime, got {q}")
     if len(f) < 2 or f[-1] != 1:
         raise DomainError(f"f must be monic of degree >= 1, got {tuple(f)}")
+    budget = _checked_budget(budget)
     f = [int(c) % q for c in f]
     if f[0] == 0:
         return OrderResult(Verdict.NOT_INVERTIBLE, None, None)

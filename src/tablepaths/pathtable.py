@@ -210,10 +210,12 @@ def enumerate_paths(m: int, target: tuple[int, int],
     the dynamic programming table.  Prefixes that provably cannot reach the
     target column-row are pruned, which changes the work done but not the
     count.  Raises BudgetExceededError once more than ``node_budget`` states
-    have been visited.
+    have been visited, and DomainError for a negative ``node_budget``.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    if node_budget < 0:
+        raise DomainError(f"node budget must be >= 0, got {node_budget}")
     x, y = target
     if x < 1:
         raise DomainError(f"target column {x} outside 1..")

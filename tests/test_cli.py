@@ -60,6 +60,14 @@ def test_verify_starved_node_budget_fails_oracle_check(capsys):
     assert "FAIL  path-oracle" in out or "FAIL" in out
 
 
+def test_verify_negative_node_budget_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--m-max", "4", "--n-max",
+                             "10", "--node-budget", "-1")
+    assert code == 2
+    assert "node budget" in err
+    assert "FAIL" not in out
+
+
 def test_rows_plain(capsys):
     code, out, _ = run_cli(capsys, "rows", "--m", "5")
     assert code == 0
@@ -270,6 +278,24 @@ def test_env_var_budget_must_be_integer(capsys, monkeypatch):
                            "--n", "3")
     assert code == 2
     assert "TABLEPATHS_FACTOR_BUDGET" in err
+
+
+@pytest.mark.parametrize("n", ["1", "53"])
+def test_negative_budget_flag_is_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
+                             "--n", n, "--budget", "-1")
+    assert code == 2
+    assert "budget" in err
+    assert "UNKNOWN" not in out
+
+
+def test_negative_env_var_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TABLEPATHS_FACTOR_BUDGET", "-1")
+    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
+                             "--n", "53")
+    assert code == 2
+    assert "budget" in err
+    assert "UNKNOWN" not in out
 
 
 def test_explicit_budget_overrides_env(capsys, monkeypatch):

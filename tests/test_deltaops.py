@@ -21,7 +21,6 @@ from tablepaths.deltaops import (
     lucas_poly,
     multiplier,
     parity_family,
-    prime_function,
     verify_action_theorem,
     verify_addition_theorem,
     verify_bridge_lemma,
@@ -53,11 +52,8 @@ def test_trailing_zeros_are_trimmed():
 
 
 def test_coefficient_lookup():
-    p = DeltaPoly((3, 0, -1))
-    assert p.coefficient(0) == 3
-    assert p.coefficient(1) == 0
-    assert p.coefficient(2) == -1
-    assert p.coefficient(9) == 0
+    assert DeltaPoly((3, 0, -1)).coeffs == (3, 0, -1)
+    assert DeltaPoly((3, 0, -1, 0, 0)).coeffs == (3, 0, -1)
 
 
 @given(a=polys, b=polys, c=polys)
@@ -264,16 +260,13 @@ def test_identity_sweeps_find_nothing():
 
 
 def test_prime_function_reaches_composite_indices():
-    assert prime_function(Family.PRIME, 2, 1) == multiplier(Family.PRIME, 2)
-    assert prime_function(Family.ODD, 3, 2) == multiplier(Family.ODD, 6)
-    assert prime_function(Family.EVEN, 5, 3) == multiplier(Family.EVEN, 15)
+    def prime_image(family, p, n):
+        return deltaops._prime_image(family, p, multiplier(family, n),
+                                     multiplier(Family.ODD, n))
 
-
-def test_prime_function_rejects_composite_p():
-    with pytest.raises(DomainError):
-        prime_function(Family.ODD, 4, 1)
-    with pytest.raises(DomainError):
-        prime_function(Family.ODD, 2, 0)
+    assert prime_image(Family.PRIME, 2, 1) == multiplier(Family.PRIME, 2)
+    assert prime_image(Family.ODD, 3, 2) == multiplier(Family.ODD, 6)
+    assert prime_image(Family.EVEN, 5, 3) == multiplier(Family.EVEN, 15)
 
 
 # -- classical polynomial families -----------------------------------------------

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 import tablepaths
 from tablepaths.cli import main
-from tablepaths.docs import (parse_document, render_document,
-                             unlimited_int_digits)
+from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
-from tablepaths.gfmatrix import MatrixFamily
+from tablepaths.gfmatrix import (MatrixFamily, PrimeFactorization, ScanEntry,
+                                 SingerReport, Verdict)
 from tablepaths.pathtable import PathTable, build_table
 from tablepaths.recurrence import (recurrence_report, row_constant_combinations,
                                    singer_scan)
@@ -173,23 +173,71 @@ def test_only_docs_knows_the_format():
         assert not methods & {"to_doc", "from_doc"}, path.name
 
 
+def test_no_module_changes_the_digit_limit():
+    for path in Path(tablepaths.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "set_int_max_str_digits" not in names, path.name
+        if path.name == "docs.py":
+            imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, ast.Import) for alias in node.names}
+            imported |= {node.module.partition(".")[0]
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and not node.level}
+            assert not imported & {"sys", "threading"}
+
+
+def test_render_never_touches_the_digit_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("render_document changed the digit limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    big = 10**4999 + 7
+    digits = "1" + "0" * 4998 + "7"
+    table = json.loads(render_document(PathTable(1, 2, ((big, 3),))))
+    assert table["cells"] == [[digits, "3"]]
+    assert table["column_sums"] == [digits, "3"]
+    unknown = ScanEntry(1, Verdict.UNKNOWN, None,
+                        PrimeFactorization(big, (), False, big))
+    report = SingerReport(MatrixFamily.EVEN, 2, 1, 1, (unknown,))
+    entry = json.loads(render_document(report))["entries"][0]
+    assert entry["factorization"]["value"] == digits
+    assert entry["factorization"]["cofactor"] == digits
+    scan = singer_scan(MatrixFamily.EVEN, 2, 1, 12)
+    assert parse_document(render_document(scan)) == scan
+
+
+def test_render_raises_domain_error_for_what_it_cannot_write():
+    with pytest.raises(DomainError):
+        render_document(object())
+    with pytest.raises(DomainError):
+        render_document(SingerReport(MatrixFamily.EVEN, 10**5000 + 1, 1, 1, ()))
+
+
 def test_parse_keeps_the_digit_limit_while_another_thread_renders():
     text = render_document(PathTable(1, 1, ((10**4999,),)))
-    outcome = []
+    large = PathTable(2, 100, ((10**4999,) * 100, (3**9000,) * 100))
+    stop = threading.Event()
 
-    def parse():
-        try:
-            parse_document(text)
-        except DomainError as exc:
-            outcome.append(exc)
+    def render():
+        while not stop.is_set():
+            render_document(large)
 
-    worker = threading.Thread(target=parse)
-    with unlimited_int_digits():
-        worker.start()
-        worker.join(0.5)
-    worker.join(10)
+    worker = threading.Thread(target=render)
+    worker.start()
+    try:
+        for _ in range(20):
+            with pytest.raises(DomainError):
+                parse_document(text)
+    finally:
+        stop.set()
+        worker.join(10)
     assert not worker.is_alive()
-    assert len(outcome) == 1
 
 
 def test_deeply_nested_text_raises_domain_error():

@@ -108,6 +108,13 @@ def test_factor_rejects_nonpositive():
         factor(-6)
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(DomainError):
+        factor(2**67 - 1, budget=-10)
+    with pytest.raises(DomainError):
+        order_is_full((0, 1), 2, budget=-1)
+
+
 def test_budget_zero_leaves_a_cofactor():
     big = (2**67 - 1)  # semiprime with 9- and 12-digit factors
     result = factor(big, budget=0)
@@ -119,7 +126,7 @@ def test_budget_zero_leaves_a_cofactor():
 def test_factorization_product_and_round_trip():
     f = factor(3600)
     assert f.product() == 3600
-    assert f.primes() == (2, 3, 5)
+    assert f.factors == ((2, 4), (3, 2), (5, 2))
     report = SingerReport(MatrixFamily.EVEN, 2, 1, 1,
                           (ScanEntry(1, Verdict.NOT_FULL, None, f),))
     assert parse_document(render_document(report)).entries[0].factorization == f

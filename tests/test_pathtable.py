@@ -85,6 +85,12 @@ def test_enumeration_budget_is_enforced():
         enumerate_paths(6, (10, 3), node_budget=10)
 
 
+def test_negative_node_budget_is_rejected():
+    with pytest.raises(DomainError):
+        enumerate_paths(1, (1, 1), node_budget=-1)
+    assert enumerate_paths(1, (1, 1), node_budget=1) == 1
+
+
 def test_out_of_range_cell_rejected():
     table = build_table(4, 3)
     with pytest.raises(DomainError):
