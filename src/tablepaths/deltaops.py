@@ -170,13 +170,13 @@ class DeltaPoly:
         """
         if n < 1:
             raise DomainError(f"index must be >= 1, got {n}")
-        if self.is_zero:
+        if not (c := self.shift_coeffs):
             return 0
-        d = self.degree
-        if n + d > len(seq):
+        end = n - 1 + len(c)
+        if end > len(seq):
             raise DomainError(
-                f"need sequence values up to index {n + d}, have {len(seq)}")
-        return sum(map(mul, self.shift_coeffs, seq[n - 1: n + d]))
+                f"need sequence values up to index {end}, have {len(seq)}")
+        return sum(map(mul, c, seq[n - 1:end]))
 
     # -- text form ---------------------------------------------------------
 

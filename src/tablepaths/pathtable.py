@@ -9,9 +9,10 @@ The number of walks ending at a cell therefore satisfies
 with zero terms outside the strip, and the first column is all ones.
 
 ``build_table`` fills the grid by dynamic programming with arbitrary
-precision integers.  ``enumerate_paths`` recounts a single cell by an
-explicit depth-first walk over the step set; it is deliberately independent
-of the recurrence and serves as the brute-force cross-check.
+precision integers.  The brute-force cross-check, deliberately independent
+of the recurrence, is one depth-first enumeration per strip: each state it
+visits is one walk and counts once for the cell where that walk ends, and
+the node budget caps the states visited in one strip.
 
 ``table_strings`` is where table text comes from.  It runs the same
 recurrence on the k = ceil(m/2) independent rows (rows y and m+1-y are
@@ -205,58 +206,55 @@ def enumerate_paths(m: int, target: tuple[int, int],
                     node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Count walks ending at ``target`` by explicit depth-first search.
 
-    Walks are generated one at a time from every first-column start cell;
-    nothing is shared between them, so the count is an independent check on
-    the dynamic programming table.  Prefixes that provably cannot reach the
-    target column-row are pruned, which changes the work done but not the
-    count.  Raises BudgetExceededError once more than ``node_budget`` states
-    have been visited, and DomainError for a negative ``node_budget``.
+    The count is read from one enumeration of the strip up to the target's
+    column, so ``node_budget`` caps the walks of that whole strip: more
+    raise BudgetExceededError, and a negative budget DomainError.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if node_budget < 0:
-        raise DomainError(f"node budget must be >= 0, got {node_budget}")
     x, y = target
     if x < 1:
         raise DomainError(f"target column {x} outside 1..")
     if not 1 <= y <= m:
         raise DomainError(f"target row {y} outside 1..{m}")
-    count = 0
+    return _walk_counts(m, x, node_budget)[y - 1][x - 1]
+
+
+def _walk_counts(m: int, x_max: int, node_budget: int) -> list[list[int]]:
+    """Entry [y - 1][x - 1] counts the walks of the m-row strip that end at
+    (x, y), x <= x_max.  The search starts at every first-column cell; each
+    state it visits is one walk and adds 1 to the cell where the walk ends.
+    """
+    if node_budget < 0:
+        raise DomainError(f"node budget must be >= 0, got {node_budget}")
+    # State x * m + y is the cell in 0-based column x and row y.
+    children = [tuple(s + m + dy for dy in STEPS if 0 <= s % m + dy < m)
+                for s in range((x_max - 1) * m)] + [()] * m
+    counts = [0] * (x_max * m)
+    stack = list(range(m))
     visited = 0
-    for y0 in range(1, m + 1):
-        if abs(y - y0) > x - 1:
-            continue
-        stack = [(1, y0)]
-        while stack:
-            cx, cy = stack.pop()
-            visited += 1
-            if visited > node_budget:
-                raise BudgetExceededError(
-                    f"node budget {node_budget} exceeded while counting {target}")
-            if cx == x:
-                if cy == y:
-                    count += 1
-                continue
-            for dy in STEPS:
-                ny = cy + dy
-                if 1 <= ny <= m and abs(y - ny) <= x - cx - 1:
-                    stack.append((cx + 1, ny))
-    return count
+    while stack:
+        s = stack.pop()
+        visited += 1
+        if visited > node_budget:
+            raise BudgetExceededError(f"node budget {node_budget} exceeded "
+                                      f"in strip m={m} up to column {x_max}")
+        counts[s] += 1
+        stack.extend(children[s])
+    return [counts[y::m] for y in range(m)]
 
 
 def verify_oracle(m_max: int = 6, x_max: int = 10,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> str | None:
-    """Compare the DP table against the depth-first count, cell by cell.
-
-    Returns None when everything agrees, else a description of the first
-    disagreement.
-    """
+    """Compare the DP table against one walk enumeration per strip, with
+    ``node_budget`` capping the states visited in each strip.  Returns None
+    when every cell agrees, else a description of the first disagreement."""
     for m in range(1, m_max + 1):
         table = build_table(m, x_max)
-        for x in range(1, x_max + 1):
-            for y in range(1, m + 1):
-                direct = enumerate_paths(m, (x, y), node_budget)
-                if direct != table.cell(x, y):
-                    return (f"m={m} cell({x},{y}): table {table.cell(x, y)} "
-                            f"!= enumeration {direct}")
+        counts = _walk_counts(m, x_max, node_budget)
+        for x in range(x_max):
+            for y in range(m):
+                if counts[y][x] != table.rows[y][x]:
+                    return (f"m={m} cell({x + 1},{y + 1}): table "
+                            f"{table.rows[y][x]} != enumeration {counts[y][x]}")
     return None

@@ -60,6 +60,19 @@ def test_verify_starved_node_budget_fails_oracle_check(capsys):
     assert "FAIL  path-oracle" in out or "FAIL" in out
 
 
+@pytest.mark.parametrize("budget, code, detail", [
+    ("5", 1, "node budget 5 exceeded in strip m=1 up to column 10"),
+    ("90813", 1, "node budget 90813 exceeded in strip m=6 up to column 10"),
+    ("90814", 0, None),
+])
+def test_verify_node_budget_caps_each_strip(capsys, budget, code, detail):
+    got, out, _ = run_cli(capsys, "--format", "json", "verify", "--m-max", "6",
+                          "--n-max", "10", "--node-budget", budget)
+    assert got == code
+    assert json.loads(out)["checks"][0] == {
+        "name": "path-oracle", "passed": detail is None, "detail": detail}
+
+
 def test_verify_negative_node_budget_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--m-max", "4", "--n-max",
                              "10", "--node-budget", "-1")
@@ -186,6 +199,21 @@ def test_json_matches_frozen_bytes(capsys, command, m_max):
         outs.append(out)
     frozen = (DATA / f"{command}_m1-{m_max}.json.txt").read_bytes()
     assert "".join(outs).encode() == frozen
+
+
+VERIFY_GOLDENS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "goldens" / "verify-suite.json")
+    .read_text())["entries"]
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(VERIFY_GOLDENS, key=lambda e: e["cost_s"])[:2],
+    ids=lambda e: " ".join(e["argv"][-4:]))
+def test_verify_matches_benchmark_golden(capsys, entry):
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        entry["exit"], entry["bytes"], entry["sha256"])
 
 
 TABLE_SHA256 = json.loads((DATA / "table_sha256.json").read_text())

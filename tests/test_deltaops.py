@@ -158,10 +158,21 @@ def test_cached_shift_leaves_equality_and_hash_alone(p):
 
 def test_apply_window_bounds_checked():
     p = DeltaPoly((0, 0, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^need sequence values up to index 4, have 3$"):
         p.apply((1, 2, 3), 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^index must be >= 1, got 0$"):
         p.apply((1, 2, 3), 0)
+
+
+def test_zero_polynomial_applies_to_zero_without_a_window():
+    for n in (1, 2, 50):
+        assert ZERO.apply((), n) == 0
+        assert ZERO.apply((7, 8), n) == 0
+    # The index is checked before the zero polynomial returns.
+    for n in (0, -3):
+        with pytest.raises(DomainError, match=f"^index must be >= 1, got {n}$"):
+            ZERO.apply((), n)
 
 
 # -- format --------------------------------------------------------------------

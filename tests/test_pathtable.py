@@ -85,6 +85,21 @@ def test_enumeration_budget_is_enforced():
         enumerate_paths(6, (10, 3), node_budget=10)
 
 
+def test_node_budget_caps_the_walks_of_one_strip():
+    # One walk per visited state: the strip's walks are its table's cells
+    # summed over columns 1..10.
+    table = build_table(6, 10)
+    walks = sum(map(sum, table.rows))
+    assert walks == 90814
+    assert verify_oracle(6, 10, node_budget=walks) is None
+    assert enumerate_paths(6, (10, 3), node_budget=walks) == table.cell(10, 3)
+    with pytest.raises(BudgetExceededError, match=(
+            "^node budget 90813 exceeded in strip m=6 up to column 10$")):
+        verify_oracle(6, 10, node_budget=walks - 1)
+    with pytest.raises(BudgetExceededError):
+        enumerate_paths(6, (10, 3), node_budget=walks - 1)
+
+
 def test_negative_node_budget_is_rejected():
     with pytest.raises(DomainError):
         enumerate_paths(1, (1, 1), node_budget=-1)
