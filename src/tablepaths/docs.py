@@ -97,9 +97,19 @@ def _encode_factorization(f: PrimeFactorization) -> dict:
 
 
 def _decode_factorization(doc: dict) -> PrimeFactorization:
-    return PrimeFactorization(
+    f = PrimeFactorization(
         int(doc["value"]), tuple((int(p), int(e)) for p, e in doc["factors"]),
         bool(doc["complete"]), int(doc["cofactor"]))
+    _at_least(1, value=f.value)
+    rest = f.value  # each division halves it at least, whatever e claims
+    for p, e in f.factors:
+        for _ in range(e):
+            if p < 2 or rest % p:
+                raise DomainError(f"factors do not divide {f.value}")
+            rest //= p
+    if rest != f.cofactor or f.complete != (rest == 1):
+        raise DomainError(f"factors, cofactor and complete flag of {f.value} disagree")
+    return f
 
 
 def _encode_singer(r: SingerReport) -> dict:

@@ -244,17 +244,15 @@ def _walk_counts(m: int, x_max: int, node_budget: int) -> list[list[int]]:
     return [counts[y::m] for y in range(m)]
 
 
-def verify_oracle(m_max: int = 6, x_max: int = 10,
+def verify_oracle(table: PathTable, x_max: int = 10,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> str | None:
-    """Compare the DP table against one walk enumeration per strip, with
-    ``node_budget`` capping the states visited in each strip.  Returns None
-    when every cell agrees, else a description of the first disagreement."""
-    for m in range(1, m_max + 1):
-        table = build_table(m, x_max)
-        counts = _walk_counts(m, x_max, node_budget)
-        for x in range(x_max):
-            for y in range(m):
-                if counts[y][x] != table.rows[y][x]:
-                    return (f"m={m} cell({x + 1},{y + 1}): table "
-                            f"{table.rows[y][x]} != enumeration {counts[y][x]}")
+    """Compare the table's first x_max columns against one walk enumeration
+    of its strip, with ``node_budget`` capping the states visited.  Returns
+    None when they agree, else a description of the first disagreement."""
+    counts = _walk_counts(table.m, x_max, node_budget)
+    for x in range(1, x_max + 1):
+        for y in range(1, table.m + 1):
+            if counts[y - 1][x - 1] != table.cell(x, y):
+                return (f"m={table.m} cell({x},{y}): table {table.cell(x, y)}"
+                        f" != enumeration {counts[y - 1][x - 1]}")
     return None

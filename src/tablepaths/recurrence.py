@@ -8,7 +8,9 @@ row k - 1 for odd m.  This module builds those matrices,
 computes their determinants and characteristic polynomials exactly, derives
 each table's minimal linear column recurrence, analyses which constant
 linear combinations of full rows exist, and scans the templates' orders over
-prime fields.
+prime fields.  Each identity check over tables reads one table and takes m
+from it, so that ``suite.run_suite`` can build one table per m and hand it
+to every check.
 
 All linear algebra here is exact and runs through one fraction-free
 (Bareiss) Gauss-Jordan elimination over the integers: determinants, the
@@ -406,149 +408,136 @@ def row_constant_combinations(m: int, n_probe: int | None = None) -> RowComboRep
 # -- identity verifiers over tables ------------------------------------------
 
 
-def verify_transfer(m_max: int = 12, n_max: int = 30) -> str | None:
+def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
     """Reduced matrix advances reduced columns."""
-    for m in range(1, m_max + 1):
-        mat = reduced_matrix(m)
-        table = build_table(m, n_max + 1)
-        for n in range(1, n_max + 1):
-            col = table.column(n)
-            got = tuple(sum(a * c for a, c in zip(r, col)) for r in mat)
-            want = table.column(n + 1)[:len(mat)]
-            if got != want:
-                return f"m={m} n={n}: {got} != {want}"
+    mat = reduced_matrix(table.m)
+    for n in range(1, n_max + 1):
+        col = table.column(n)
+        got = tuple(sum(a * c for a, c in zip(r, col)) for r in mat)
+        want = table.column(n + 1)[:len(mat)]
+        if got != want:
+            return f"m={table.m} n={n}: {got} != {want}"
     return None
 
 
-def verify_annihilation(m_max: int = 12, n_max: int = 30) -> str | None:
+def verify_annihilation(table: PathTable, n_max: int = 30) -> str | None:
     """The index-k family member sends every row and the column sums to 0."""
-    for m in range(1, m_max + 1):
-        k = (m + 1) // 2
-        poly = multiplier(parity_family(m), k)
-        table = build_table(m, n_max + k)
-        rows = [table.row(y) for y in range(1, m + 1)]
-        sums = table.column_sums()
-        for n in range(1, n_max + 1):
-            for y, row in enumerate(rows, 1):
-                if poly.apply(row, n) != 0:
-                    return f"m={m} row {y} n={n}: not annihilated"
-            if poly.apply(sums, n) != 0:
-                return f"m={m} sums n={n}: not annihilated"
+    m = table.m
+    poly = multiplier(parity_family(m), table.k)
+    rows = [table.row(y) for y in range(1, m + 1)]
+    sums = table.column_sums()
+    for n in range(1, n_max + 1):
+        for y, row in enumerate(rows, 1):
+            if poly.apply(row, n) != 0:
+                return f"m={m} row {y} n={n}: not annihilated"
+        if poly.apply(sums, n) != 0:
+            return f"m={m} sums n={n}: not annihilated"
     return None
 
 
-def verify_column_sum_bridge(m_max: int = 12, n_max: int = 30) -> str | None:
+def verify_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
     """(2 - D) applied to the column sums equals twice the first row."""
     two_minus_delta = DeltaPoly((2, -1))
-    for m in range(1, m_max + 1):
-        table = build_table(m, n_max + 1)
-        sums = table.column_sums()
-        for n in range(1, n_max + 1):
-            if two_minus_delta.apply(sums, n) != 2 * table.cell(n, 1):
-                return f"m={m} n={n}: bridge identity fails"
+    sums = table.column_sums()
+    for n in range(1, n_max + 1):
+        if two_minus_delta.apply(sums, n) != 2 * table.cell(n, 1):
+            return f"m={table.m} n={n}: bridge identity fails"
     return None
 
 
-def verify_row_equivalence(m_max: int = 12, n_max: int = 25) -> str | None:
+def verify_row_equivalence(table: PathTable, n_max: int = 25) -> str | None:
     """Any row determines any other through the two transport identities."""
-    for m in range(1, m_max + 1):
-        k = (m + 1) // 2
-        fam = parity_family(m)
-        table = build_table(m, n_max + k)
-        rows = {a: table.row(a) for a in range(1, k + 1)}
-        # The pair (b, a) compares the two sequences that (a, b) compares,
-        # and (a, a) compares a sequence with itself, so the pairs a < b,
-        # taken in order, meet the first failure and compute each
-        # transported sequence once.
-        for a in range(1, k + 1):
-            for b in range(a + 1, k + 1):
-                pa = multiplier(fam, k - b)
-                pb = multiplier(fam, k - a)
-                qa = multiplier(Family.PRIME, b - 1)
-                qb = multiplier(Family.PRIME, a - 1)
-                for n in range(1, n_max + 1):
-                    if pa.apply(rows[a], n) != pb.apply(rows[b], n):
-                        return f"m={m} a={a} b={b} n={n}: family transport fails"
-                    if qa.apply(rows[a], n) != qb.apply(rows[b], n):
-                        return f"m={m} a={a} b={b} n={n}: prime transport fails"
-    return None
-
-
-def verify_table_action(m_max: int = 12, n_max: int = 25) -> str | None:
-    """Odd(b) applied to row a splits into rows a-b and a+b."""
-    for m in range(1, m_max + 1):
-        k = (m + 1) // 2
-        table = build_table(m, n_max + k)
-        for a in range(1, k + 1):
-            row_a = table.row(a)
-            for b in range(0, min(a, k - a) + 1):
-                poly = multiplier(Family.ODD, b)
-                for n in range(1, n_max + 1):
-                    low = table.cell(n, a - b) if a - b >= 1 else 0
-                    want = low + table.cell(n, a + b)
-                    if poly.apply(row_a, n) != want:
-                        return f"m={m} a={a} b={b} n={n}: split fails"
-    return None
-
-
-def verify_column_sum_formulas(m_max: int = 12, n_max: int = 25) -> str | None:
-    """Column sums are determined by any single row, three ways."""
-    for m in range(1, m_max + 1):
-        k = (m + 1) // 2
-        fam = parity_family(m)
-        base = 2 if m % 2 else 1
-        table = build_table(m, n_max + k)
-        sums = table.column_sums()
-        sum_members = sum((multiplier(fam, j) for j in range(1, k)), DeltaPoly((1,)))
-        combined = (multiplier(Family.PRIME, k - 1)
-                    + (base - 1) * multiplier(Family.PRIME, k - 2))
-        if m % 2:
-            prime_side = (multiplier(Family.PRIME, k - 1)
-                          + 2 * sum((multiplier(Family.PRIME, j)
-                                     for j in range(k - 1)), DeltaPoly(())))
-        else:
-            prime_side = 2 * sum((multiplier(Family.PRIME, j)
-                                  for j in range(k)), DeltaPoly(()))
-        for a in range(1, k + 1):
-            row_a = table.row(a)
-            lhs_poly = multiplier(fam, k - a)
-            prime_lhs = multiplier(Family.PRIME, a - 1)
+    m, k = table.m, table.k
+    fam = parity_family(m)
+    rows = {a: table.row(a) for a in range(1, k + 1)}
+    # The pair (b, a) compares the two sequences that (a, b) compares, and
+    # (a, a) compares a sequence with itself, so the pairs a < b, taken in
+    # order, meet the first failure and compute each transported sequence
+    # once.
+    for a in range(1, k + 1):
+        for b in range(a + 1, k + 1):
+            pa = multiplier(fam, k - b)
+            pb = multiplier(fam, k - a)
+            qa = multiplier(Family.PRIME, b - 1)
+            qb = multiplier(Family.PRIME, a - 1)
             for n in range(1, n_max + 1):
-                lhs = lhs_poly.apply(sums, n)
-                if lhs != 2 * sum_members.apply(row_a, n):
-                    return f"m={m} a={a} n={n}: partial-sum form fails"
-                if lhs != 2 * combined.apply(row_a, n):
-                    return f"m={m} a={a} n={n}: combined form fails"
-                if prime_lhs.apply(sums, n) != prime_side.apply(row_a, n):
-                    return f"m={m} a={a} n={n}: prime form fails"
+                if pa.apply(rows[a], n) != pb.apply(rows[b], n):
+                    return f"m={m} a={a} b={b} n={n}: family transport fails"
+                if qa.apply(rows[a], n) != qb.apply(rows[b], n):
+                    return f"m={m} a={a} b={b} n={n}: prime transport fails"
+    return None
+
+
+def verify_table_action(table: PathTable, n_max: int = 25) -> str | None:
+    """Odd(b) applied to row a splits into rows a-b and a+b."""
+    k = table.k
+    for a in range(1, k + 1):
+        row_a = table.row(a)
+        for b in range(0, min(a, k - a) + 1):
+            poly = multiplier(Family.ODD, b)
+            for n in range(1, n_max + 1):
+                low = table.cell(n, a - b) if a - b >= 1 else 0
+                want = low + table.cell(n, a + b)
+                if poly.apply(row_a, n) != want:
+                    return f"m={table.m} a={a} b={b} n={n}: split fails"
+    return None
+
+
+def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
+    """Column sums are determined by any single row, three ways."""
+    m, k = table.m, table.k
+    fam = parity_family(m)
+    base = 2 if m % 2 else 1
+    sums = table.column_sums()
+    sum_members = sum((multiplier(fam, j) for j in range(1, k)), DeltaPoly((1,)))
+    combined = (multiplier(Family.PRIME, k - 1)
+                + (base - 1) * multiplier(Family.PRIME, k - 2))
+    if m % 2:
+        prime_side = (multiplier(Family.PRIME, k - 1)
+                      + 2 * sum((multiplier(Family.PRIME, j)
+                                 for j in range(k - 1)), DeltaPoly(())))
+    else:
+        prime_side = 2 * sum((multiplier(Family.PRIME, j)
+                              for j in range(k)), DeltaPoly(()))
+    for a in range(1, k + 1):
+        row_a = table.row(a)
+        lhs_poly = multiplier(fam, k - a)
+        prime_lhs = multiplier(Family.PRIME, a - 1)
+        for n in range(1, n_max + 1):
+            lhs = lhs_poly.apply(sums, n)
+            if lhs != 2 * sum_members.apply(row_a, n):
+                return f"m={m} a={a} n={n}: partial-sum form fails"
+            if lhs != 2 * combined.apply(row_a, n):
+                return f"m={m} a={a} n={n}: combined form fails"
+            if prime_lhs.apply(sums, n) != prime_side.apply(row_a, n):
+                return f"m={m} a={a} n={n}: prime form fails"
     return None
 
 
 def verify_determinants(m_max: int = 48) -> str | None:
     """Elimination equals the closed periodic formula, plus the step relation."""
-    for m in range(1, m_max + 1):
-        direct = det_reduced_direct(m)
+    dets = [det_reduced_direct(m) for m in range(1, m_max + 1)]
+    for m, direct in enumerate(dets, 1):
         formula = det_reduced_formula(m)
         if direct != formula:
             return f"m={m}: elimination {direct} != formula {formula}"
     for parity in (0, 1):
-        dets = [det_reduced_direct(2 * k - parity) for k in range(1, m_max // 2 + 1)]
-        for i in range(2, len(dets)):
-            if dets[i] != dets[i - 1] - dets[i - 2]:
+        # m = 2k - parity for k = 1..m_max // 2
+        track = dets[1 - parity::2][:m_max // 2]
+        for i in range(2, len(track)):
+            if track[i] != track[i - 1] - track[i - 2]:
                 return f"parity {parity} k={i + 1}: step relation fails"
     return None
 
 
-def verify_window_determinants(m_max: int = 10, shift_max: int = 12) -> str | None:
+def verify_window_determinants(table: PathTable,
+                               shift_max: int = 12) -> str | None:
     """window_det matches det_reduced ** shift (checked internally)."""
-    for m in range(1, m_max + 1):
-        k = (m + 1) // 2
-        table = build_table(m, shift_max + k)
-        for shift in range(0, shift_max + 1):
-            try:
-                window_det(table, shift)
-            except InternalInconsistencyError as exc:
-                return str(exc)
+    for shift in range(0, shift_max + 1):
+        try:
+            window_det(table, shift)
+        except InternalInconsistencyError as exc:
+            return str(exc)
     return None
 
 
@@ -576,21 +565,19 @@ def verify_charpoly_recursion(m_max: int = 24) -> str | None:
     return None
 
 
-def verify_minimality(m_max: int = 10) -> str | None:
+def verify_minimality(table: PathTable) -> str | None:
     """No recurrence of order below k fits the first row.
 
     For each candidate order below k, the shift matrix built from the first
-    row must have full column rank; a rank drop would admit a shorter
-    recurrence.
+    3k cells of the first row must have full column rank; a rank drop would
+    admit a shorter recurrence.
     """
-    for m in range(1, m_max + 1):
-        k = (m + 1) // 2
-        table = build_table(m, 3 * k + 3)
-        seq = table.row(1)
-        for kp in range(1, k):
-            rows = [seq[n - 1: n + kp] for n in range(1, kp + k + 3)]
-            if len(_gauss_jordan(rows)[1]) != kp + 1:
-                return f"m={m}: rank drop at candidate order {kp}"
+    k = table.k
+    for kp in range(1, k):
+        rows = [[table.cell(n + j, 1) for j in range(kp + 1)]
+                for n in range(1, kp + k + 3)]
+        if len(_gauss_jordan(rows)[1]) != kp + 1:
+            return f"m={table.m}: rank drop at candidate order {kp}"
     return None
 
 

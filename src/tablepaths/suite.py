@@ -1,4 +1,5 @@
-"""The named identity-check suite behind the CLI's verify command."""
+"""The named identity-check suite behind the CLI's verify command; it
+builds one table per m and hands it to every table check."""
 
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ def run_suite(m_max: int, n_max: int,
               node_budget: int | None = None) -> VerifyReport:
     """Run every identity check; table checks scale with m_max and n_max.
 
+    One table per m = 1..m_max, as wide as any table check reads, goes to
+    every table check whose m range covers m and that has not failed yet.
     Operator-level identities do not depend on a table, so they always run
     over their standard parameter ranges.  node_budget caps the brute-force
     enumeration behind the path-oracle check.
@@ -40,57 +43,56 @@ def run_suite(m_max: int, n_max: int,
     if m_max < 1 or n_max < 1:
         raise DomainError("m_max and n_max must be >= 1")
     budget = pathtable.DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    registry: list[tuple[str, object]] = [
-        ("path-oracle",
-         lambda: pathtable.verify_oracle(min(m_max, 6), min(n_max, 10),
-                                         node_budget=budget)),
-        ("closed-forms", lambda: deltaops.verify_closed_forms(40)),
-        ("addition-theorem", lambda: deltaops.verify_addition_theorem(12)),
-        ("action-theorem", lambda: deltaops.verify_action_theorem(12)),
-        ("product-theorem", lambda: deltaops.verify_product_theorem(8)),
-        ("compose-factorization",
-         lambda: deltaops.verify_compose_factorization(10, 64)),
-        ("uniform-factorization",
-         lambda: deltaops.verify_uniform_factorization(40)),
-        ("bridge-lemma", lambda: deltaops.verify_bridge_lemma(40)),
-        ("partial-sums", lambda: deltaops.verify_partial_sums(40)),
-        ("congruence", lambda: deltaops.verify_congruence(12)),
-        ("classical-polynomials", lambda: deltaops.verify_classical(20)),
-        ("transfer-matrix", lambda: recurrence.verify_transfer(m_max, n_max)),
-        ("annihilation", lambda: recurrence.verify_annihilation(m_max, n_max)),
-        ("column-sum-bridge",
-         lambda: recurrence.verify_column_sum_bridge(m_max, n_max)),
-        ("row-equivalence",
-         lambda: recurrence.verify_row_equivalence(m_max, min(n_max, 25))),
-        ("table-action",
-         lambda: recurrence.verify_table_action(m_max, min(n_max, 25))),
-        ("column-sum-formulas",
-         lambda: recurrence.verify_column_sum_formulas(m_max, min(n_max, 25))),
-        ("determinant-lemma", lambda: recurrence.verify_determinants(max(m_max, 48))),
-        ("window-determinants",
-         lambda: recurrence.verify_window_determinants(min(m_max, 10), 12)),
-        ("polynomial-equivalence",
-         lambda: recurrence.verify_polynomial_equivalence(m_max)),
-        ("charpoly-recursion",
-         lambda: recurrence.verify_charpoly_recursion(max(m_max, 24))),
-        ("recurrence-minimality",
-         lambda: recurrence.verify_minimality(min(m_max, 10))),
-        ("constant-combinations",
-         lambda: recurrence.verify_constant_combinations(min(m_max, 13))),
+    # (name, last m of its tables or 0 for a check without one, check, *args)
+    registry = [
+        ("path-oracle", min(m_max, 6), pathtable.verify_oracle, min(n_max, 10), budget),
+        ("closed-forms", 0, deltaops.verify_closed_forms, 40),
+        ("addition-theorem", 0, deltaops.verify_addition_theorem, 12),
+        ("action-theorem", 0, deltaops.verify_action_theorem, 12),
+        ("product-theorem", 0, deltaops.verify_product_theorem, 8),
+        ("compose-factorization", 0, deltaops.verify_compose_factorization, 10, 64),
+        ("uniform-factorization", 0, deltaops.verify_uniform_factorization, 40),
+        ("bridge-lemma", 0, deltaops.verify_bridge_lemma, 40),
+        ("partial-sums", 0, deltaops.verify_partial_sums, 40),
+        ("congruence", 0, deltaops.verify_congruence, 12),
+        ("classical-polynomials", 0, deltaops.verify_classical, 20),
+        ("transfer-matrix", m_max, recurrence.verify_transfer, n_max),
+        ("annihilation", m_max, recurrence.verify_annihilation, n_max),
+        ("column-sum-bridge", m_max, recurrence.verify_column_sum_bridge, n_max),
+        ("row-equivalence", m_max, recurrence.verify_row_equivalence, min(n_max, 25)),
+        ("table-action", m_max, recurrence.verify_table_action, min(n_max, 25)),
+        ("column-sum-formulas", m_max, recurrence.verify_column_sum_formulas,
+         min(n_max, 25)),
+        ("determinant-lemma", 0, recurrence.verify_determinants, max(m_max, 48)),
+        ("window-determinants", min(m_max, 10), recurrence.verify_window_determinants,
+         12),
+        ("polynomial-equivalence", 0, recurrence.verify_polynomial_equivalence, m_max),
+        ("charpoly-recursion", 0, recurrence.verify_charpoly_recursion, max(m_max, 24)),
+        ("recurrence-minimality", min(m_max, 10), recurrence.verify_minimality),
+        ("constant-combinations", 0, recurrence.verify_constant_combinations,
+         min(m_max, 13)),
     ]
-    start_all = time.perf_counter()
-    results = []
-    for name, fn in registry:
+    details: dict[str, str | None] = {}
+    elapsed: dict[str, float] = {}
+
+    def run(name, fn, *args) -> None:
         start = time.perf_counter()
         try:
-            detail = fn()
+            details[name] = fn(*args)
         except BudgetExceededError as exc:
-            detail = str(exc)
-        results.append(CheckResult(
-            name=name,
-            passed=detail is None,
-            detail=detail,
-            elapsed=time.perf_counter() - start,
-        ))
-    return VerifyReport(m_max, n_max, tuple(results),
+            details[name] = str(exc)
+        elapsed[name] = elapsed.get(name, 0.0) + time.perf_counter() - start
+
+    start_all = time.perf_counter()
+    for m in range(1, m_max + 1):
+        table = pathtable.build_table(m, max(n_max, 12) + (m + 1) // 2)
+        for name, m_last, fn, *args in registry:
+            if m <= m_last and details.get(name) is None:
+                run(name, fn, table, *args)
+    for name, m_last, fn, *args in registry:
+        if not m_last:
+            run(name, fn, *args)
+    results = tuple(CheckResult(name, details[name] is None, details[name],
+                                elapsed[name]) for name, *_ in registry)
+    return VerifyReport(m_max, n_max, results,
                         elapsed=time.perf_counter() - start_all)

@@ -46,9 +46,9 @@ def _report(num, name, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_01_enumeration_oracle():
+def test_criterion_01_enumeration_oracle(first_failure):
     start = time.perf_counter()
-    disagreement = verify_oracle(m_max=6, x_max=10)
+    disagreement = first_failure(verify_oracle, 6, 10, 10)
     elapsed = time.perf_counter() - start
     _report(1, "table equals direct path enumeration",
             disagreement is None and elapsed < 60,
@@ -63,7 +63,7 @@ def test_criterion_02_seven_row_figure():
     _report(2, "m=7 table opens 1,2,5,13,35 / 1,3,8,22 / 1,3,9", ok)
 
 
-def test_criterion_03_minimal_recurrences():
+def test_criterion_03_minimal_recurrences(first_failure):
     rec3 = minimal_recurrence(3)
     rec5 = minimal_recurrence(5)
     ok = (str(rec3) == "a(n+2)=2a(n+1)+a(n)"
@@ -77,7 +77,7 @@ def test_criterion_03_minimal_recurrences():
         ok = ok and rows_ok and sums_ok
         if not (rows_ok and sums_ok):
             detail = f"m={m} fails to annihilate"
-    shorter = verify_minimality(10)
+    shorter = first_failure(verify_minimality, 10, 0)
     ok = ok and shorter is None
     _report(3, "minimal recurrences for m=3 and m=5, no shorter exists",
             ok, detail or shorter or "annihilates rows and sums to n=30")
@@ -89,8 +89,8 @@ def test_criterion_04_determinant_lemma():
             failure is None, failure or "")
 
 
-def test_criterion_05_window_determinants():
-    failure = verify_window_determinants(10, 12)
+def test_criterion_05_window_determinants(first_failure):
+    failure = first_failure(verify_window_determinants, 10, 12, 12)
     _report(5, "k consecutive reduced columns have determinant det^n",
             failure is None, failure or "m<=10 n<=12")
 

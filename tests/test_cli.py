@@ -216,6 +216,15 @@ def test_verify_matches_benchmark_golden(capsys, entry):
         entry["exit"], entry["bytes"], entry["sha256"])
 
 
+def test_verify_json_matches_frozen_digest(capsys):
+    # Frozen before the suite built one table per m.
+    frozen = json.loads((DATA / "verify_sha256.json").read_text())
+    code, out, _ = run_cli(capsys, "--format", "json", "verify",
+                           "--m-max", "40", "--n-max", "120")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == frozen["json 40 120"]
+
+
 TABLE_SHA256 = json.loads((DATA / "table_sha256.json").read_text())
 
 

@@ -49,6 +49,13 @@ ROWS = json.loads(render_document(row_constant_combinations(2)))
 REC = json.loads(render_document(recurrence_report(3)))
 
 
+def _scan_with_factorization(**fields):
+    first = SCAN["entries"][0]
+    factorization = dict(first["factorization"], **fields)
+    return dict(SCAN, entries=[dict(first, factorization=factorization),
+                               *SCAN["entries"][1:]])
+
+
 def test_unbroken_documents_parse():
     for doc in (TABLE, SCAN, SUITE, ROWS):
         parse_document(json.dumps(doc))
@@ -97,6 +104,12 @@ def test_unbroken_documents_parse():
     dict(TABLE, cells=[row + ["1"] for row in TABLE["cells"]],
          column_sums=TABLE["column_sums"] + ["3"]),
     dict(TABLE, cells=TABLE["cells"][:-1], column_sums=["2", "5"]),
+    _scan_with_factorization(value="31", factors=[["3", 1]]),
+    _scan_with_factorization(value="14", factors=[["2", 1]], cofactor="7"),
+    _scan_with_factorization(value="2", cofactor="7"),
+    _scan_with_factorization(value="2", factors=[["2", 1]], complete=False),
+    _scan_with_factorization(value="2", factors=[["2", 10**9]]),
+    _scan_with_factorization(value="0", factors=[["2", 10**9]]),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):

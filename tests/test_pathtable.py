@@ -77,7 +77,15 @@ def test_count_agrees_with_direct_enumeration(m, x):
 
 
 def test_oracle_sweep_reports_no_disagreement():
-    assert verify_oracle(m_max=4, x_max=8) is None
+    for m in range(1, 5):
+        assert verify_oracle(build_table(m, 8), x_max=8) is None
+
+
+def test_oracle_fails_where_a_wrong_cell_is():
+    cells = [list(row) for row in build_table(3, 14).rows]
+    cells[0][2] += 1
+    table = PathTable(3, 14, tuple(map(tuple, cells)))
+    assert verify_oracle(table, 10) == "m=3 cell(3,1): table 6 != enumeration 5"
 
 
 def test_enumeration_budget_is_enforced():
@@ -91,11 +99,11 @@ def test_node_budget_caps_the_walks_of_one_strip():
     table = build_table(6, 10)
     walks = sum(map(sum, table.rows))
     assert walks == 90814
-    assert verify_oracle(6, 10, node_budget=walks) is None
+    assert verify_oracle(table, 10, node_budget=walks) is None
     assert enumerate_paths(6, (10, 3), node_budget=walks) == table.cell(10, 3)
     with pytest.raises(BudgetExceededError, match=(
             "^node budget 90813 exceeded in strip m=6 up to column 10$")):
-        verify_oracle(6, 10, node_budget=walks - 1)
+        verify_oracle(table, 10, node_budget=walks - 1)
     with pytest.raises(BudgetExceededError):
         enumerate_paths(6, (10, 3), node_budget=walks - 1)
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tablepaths import recurrence
 from tablepaths.deltaops import DeltaPoly, Family, format_poly, multiplier
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
@@ -25,6 +24,7 @@ from tablepaths.recurrence import (
     row_constant_combinations,
     verify_annihilation,
     verify_charpoly_recursion,
+    verify_column_sum_bridge,
     verify_column_sum_formulas,
     verify_constant_combinations,
     verify_determinants,
@@ -154,10 +154,10 @@ def test_determinant_sweep():
     assert verify_determinants(48) is None
 
 
-def test_window_determinants():
+def test_window_determinants(first_failure):
     assert window_det(build_table(3, 10), 1) == -1
     assert window_det(build_table(5, 10), 2) == 4
-    assert verify_window_determinants(8, 10) is None
+    assert first_failure(verify_window_determinants, 8, 10, 10) is None
 
 
 # -- characteristic polynomial / recurrence ---------------------------------------
@@ -211,35 +211,42 @@ def test_operator_polynomial_route_is_shift_composed():
     assert poly.coeffs == charpoly(reduced_matrix(5))
 
 
-def test_annihilation_and_transfer_sweeps():
-    assert verify_transfer(10, 20) is None
-    assert verify_annihilation(10, 20) is None
-    assert verify_minimality(8) is None
+def test_annihilation_and_transfer_sweeps(first_failure):
+    assert first_failure(verify_transfer, 10, 20, 20) is None
+    assert first_failure(verify_annihilation, 10, 20, 20) is None
+    assert first_failure(verify_column_sum_bridge, 10, 20, 20) is None
+    assert first_failure(verify_minimality, 8, 0) is None
+
+
+def test_minimality_rejects_a_table_shorter_than_3k():
+    with pytest.raises(DomainError, match="column 9 outside 1..8"):
+        verify_minimality(build_table(5, 8))
 
 
 @pytest.mark.parametrize("m, x, y, details", [
-    (7, 5, 2, ("m=7 row 2 n=1: not annihilated",
+    (7, 5, 2, ("m=7 n=4: (35, 61, 75, 79) != (35, 62, 75, 79)",
+               "m=7 row 2 n=1: not annihilated",
+               "m=7 n=4: bridge identity fails",
                "m=7 a=1 b=2 n=2: family transport fails",
                "m=7 a=1 b=1 n=5: split fails",
-               "m=7 a=1 n=2: partial-sum form fails")),
-    (3, 3, 1, ("m=3 row 1 n=1: not annihilated",
+               "m=7 a=1 n=2: partial-sum form fails",
+               "window determinant at m=7 shift=1: 2 != -1")),
+    (3, 3, 1, ("m=3 n=2: (5, 7) != (6, 7)",
+               "m=3 row 1 n=1: not annihilated",
+               "m=3 n=2: bridge identity fails",
                "m=3 a=1 b=2 n=2: prime transport fails",
                "m=3 a=1 b=1 n=2: split fails",
-               "m=3 a=1 n=2: partial-sum form fails")),
+               "m=3 a=1 n=2: partial-sum form fails",
+               "window determinant at m=3 shift=1: -4 != -1")),
 ])
-def test_table_checks_fail_where_a_wrong_cell_is(monkeypatch, m, x, y, details):
-    def with_wrong_cell(rows, n_max):
-        table = build_table(rows, n_max)
-        if rows != m:
-            return table
-        cells = [list(row) for row in table.rows]
-        cells[y - 1][x - 1] += 1
-        return PathTable(rows, n_max, tuple(map(tuple, cells)))
-
-    monkeypatch.setattr(recurrence, "build_table", with_wrong_cell)
-    checks = (verify_annihilation, verify_row_equivalence, verify_table_action,
-              verify_column_sum_formulas)
-    assert tuple(check(9, 12) for check in checks) == details
+def test_table_checks_fail_where_a_wrong_cell_is(m, x, y, details):
+    cells = [list(row) for row in build_table(m, 12 + (m + 1) // 2).rows]
+    cells[y - 1][x - 1] += 1
+    table = PathTable(m, len(cells[0]), tuple(map(tuple, cells)))
+    checks = (verify_transfer, verify_annihilation, verify_column_sum_bridge,
+              verify_row_equivalence, verify_table_action,
+              verify_column_sum_formulas, verify_window_determinants)
+    assert tuple(check(table, 12) for check in checks) == details
 
 
 def test_recurrence_report_round_trip():
@@ -249,8 +256,8 @@ def test_recurrence_report_round_trip():
     assert render_document(parse_document(doc)) == doc
 
 
-def test_column_sum_formula_sweep():
-    assert verify_column_sum_formulas(10, 20) is None
+def test_column_sum_formula_sweep(first_failure):
+    assert first_failure(verify_column_sum_formulas, 10, 20, 20) is None
 
 
 # -- constant row combinations ------------------------------------------------------
