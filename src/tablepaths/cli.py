@@ -16,6 +16,7 @@ json (deterministic structured documents), csv.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -219,7 +220,7 @@ def _load_fixture(path: str) -> dict[int, str]:
                     raise DomainError(
                         f"{path}:{lineno}: unknown verdict {verdict!r}")
                 expected[n] = verdict
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read fixture {path}: {exc}") from exc
     if not expected:
         raise DomainError(f"fixture {path} contains no expectations")
@@ -330,9 +331,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at its first use rather than at
+    import; ``parse_args`` leaves it unchanged, so every call can share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, sys.stdout)
     except DomainError as exc:

@@ -14,8 +14,12 @@ returned incomplete and order checks report UNKNOWN rather than guessing.
 
 Orders are decided on the characteristic polynomial f of a template: its
 order mod q is the order of x in GF(q)[x]/(f), powered in pure Python with
-each residue packed into one integer.  ``GFMatrix`` keeps the plain matrix
-route as a reference.
+each residue packed into one integer, one slot per coefficient.  A slot is
+one byte when 2n(q-1)**2 < 256 (q=2 up to n=127, q=3 up to n=31, q=5 up to
+n=7); products in such rings are reduced by Barrett reduction with a
+``bytes.translate`` taking every slot mod q, and products in wider rings by
+folding the high slots through a table of x**k mod f.  ``GFMatrix`` keeps
+the plain matrix route as a reference.
 
 The module is a leaf: it imports only ``errors`` from the package.  The
 templates' characteristic polynomials and the scan over a range of sizes
@@ -201,7 +205,7 @@ def _brent_rho(n: int, c: int, max_steps: int) -> tuple[int | None, int]:
             chunk = min(batch, r - k)
             for _ in range(chunk):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             steps += chunk
             g = gcd(q, n)
             k += chunk
@@ -211,7 +215,7 @@ def _brent_rho(n: int, c: int, max_steps: int) -> tuple[int | None, int]:
         for _ in range(max_steps - steps if max_steps > steps else batch):
             ys = (ys * ys + c) % n
             steps += 1
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
             if g > 1:
                 break
     if g in (1, n):
@@ -367,14 +371,32 @@ class GFMatrix:
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def _barrett_mu(f: list[int], q: int) -> list[int]:
+    """Ascending coefficients of x**(2n-2) // f over GF(q), for a monic f of
+    degree n >= 2: the power series 1 / rev(f) to n-1 terms, reversed."""
+    n = len(f) - 1
+    tail = [-c % q for c in f[-2::-1]]
+    g = [1]
+    for k in range(1, n - 1):
+        g.append(sum(map(mul, tail[:k], g[::-1])) % q)
+    return g[::-1]
+
+
 class _Residues:
     """GF(q)[x]/(f) for a monic f of degree n >= 1, residues packed in ints.
 
     A residue's n coefficients fill one int, ``width`` bytes each (Kronecker
     substitution), so a product is one big-int multiply.  A slot holds
     2n(q-1)**2, which bounds each slot of a product and of its reduction.
-    Degrees n..2n-2 fold back through a table of packed x**k mod f, and
-    every power of x is a product of the cached squarings x**(2**i).
+    Every power of x is a product of the cached squarings x**(2**i).
+
+    A product of degree <= 2n-2 is reduced by one of two routes, chosen by
+    the slot width.  With one-byte slots and n >= 2, Barrett reduction: the
+    quotient is the top n-1 slots of (p >> n slots) * mu, where
+    mu = x**(2n-2) // f, and the remainder is p + quotient * (-f) below x**n;
+    after each of the three multiplies one ``bytes.translate`` takes every
+    slot mod q.  Wider slots fold degrees n..2n-2 back through a table of
+    packed x**k mod f, one slot at a time.
     """
 
     def __init__(self, f: list[int], q: int):
@@ -387,12 +409,19 @@ class _Residues:
         self.structs = code and {k: Struct(f"<{k}{code}") for k in (n - 1, n)}
         self.shift = self.bits * n
         self.low = (1 << self.shift) - 1
-        self.table = []
-        row = [0] * (n - 1) + [1]
-        for _ in range(n - 1):
-            top = row[-1]
-            row = [(v - top * c) % q for v, c in zip([0] + row[:-1], f)]
-            self.table.append(self.pack(row))
+        if width == 1 and n > 1:
+            self.modq = bytes(v % q for v in range(256))
+            self.mu = self.pack(_barrett_mu(f, q) + [0])
+            self.minus_f = self.pack([-c % q for c in f[:-1]])
+            self.times = self._barrett_times
+        else:
+            self.table = []
+            row = [0] * (n - 1) + [1]
+            for _ in range(n - 1):
+                top = row[-1]
+                row = [(v - top * c) % q for v, c in zip([0] + row[:-1], f)]
+                self.table.append(self.pack(row))
+            self.times = self._fold_times
         x = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0] % q]
         self.squares = [self.pack(x)]
 
@@ -408,12 +437,22 @@ class _Residues:
         mask = (1 << self.bits) - 1
         return [value >> i * self.bits & mask for i in range(count)]
 
-    def times(self, a: int, b: int) -> int:
+    def _fold_times(self, a: int, b: int) -> int:
         q = self.q
         p = a * b
         high = self.unpack(p >> self.shift, self.n - 1)
         r = sum([v % q * t for v, t in zip(high, self.table)], p & self.low)
         return self.pack([v % q for v in self.unpack(r, self.n)])
+
+    def _barrett_times(self, a: int, b: int) -> int:
+        n, modq = self.n, self.modq
+        p = int.from_bytes(
+            (a * b).to_bytes(2 * n - 1, "little").translate(modq), "little")
+        quotient = int.from_bytes(
+            ((p >> self.shift) * self.mu >> 8 * (n - 2))
+            .to_bytes(n - 1, "little").translate(modq), "little")
+        r = (p & self.low) + (quotient * self.minus_f & self.low)
+        return int.from_bytes(r.to_bytes(n, "little").translate(modq), "little")
 
     def power_of_x(self, e: int) -> int:
         """x**e mod f for e >= 1."""

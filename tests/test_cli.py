@@ -1,17 +1,21 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from tablepaths.cli import main
+from tablepaths import cli
+from tablepaths.cli import build_parser, main
 from tablepaths.docs import parse_document, render_document
 from tablepaths.pathtable import build_table
 
 DATA = Path(__file__).parent / "data"
+GOLDENS = Path(__file__).parents[1] / "perfbench" / "goldens"
 
 
 def run_cli(capsys, *argv):
@@ -201,19 +205,40 @@ def test_json_matches_frozen_bytes(capsys, command, m_max):
     assert "".join(outs).encode() == frozen
 
 
-VERIFY_GOLDENS = json.loads(
-    (Path(__file__).parents[1] / "perfbench" / "goldens" / "verify-suite.json")
-    .read_text())["entries"]
+def golden_entries(workload):
+    return json.loads((GOLDENS / f"{workload}.json").read_text())["entries"]
+
+
+def replay(capsys, entry):
+    """(exit code, byte count, sha256) of one golden request, and the same
+    fields of the golden."""
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    data = out.encode()
+    return ((code, len(data), hashlib.sha256(data).hexdigest()),
+            (entry["exit"], entry["bytes"], entry["sha256"]))
+
+
+# Every singer golden of the benchmark, n up to 90 over GF(2): one-byte slots
+# reach n = 127 at q = 2, past the n = 40 of the frozen scans above.
+@pytest.mark.parametrize("workload", ["singer-gf2", "singer-gf3"])
+def test_singer_benchmark_goldens_replay(capsys, workload):
+    mismatched = []
+    for entry in golden_entries(workload):
+        got, want = replay(capsys, entry)
+        if got != want:
+            mismatched.append((entry["argv"], got, want))
+    assert mismatched == []
+
+
+VERIFY_GOLDENS = golden_entries("verify-suite")
 
 
 @pytest.mark.parametrize(
     "entry", sorted(VERIFY_GOLDENS, key=lambda e: e["cost_s"])[:2],
     ids=lambda e: " ".join(e["argv"][-4:]))
 def test_verify_matches_benchmark_golden(capsys, entry):
-    code, out, _ = run_cli(capsys, *entry["argv"])
-    data = out.encode()
-    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
-        entry["exit"], entry["bytes"], entry["sha256"])
+    got, want = replay(capsys, entry)
+    assert got == want
 
 
 def test_verify_json_matches_frozen_digest(capsys):
@@ -296,6 +321,81 @@ def test_missing_fixture_file_rejected(capsys, tmp_path):
                            str(tmp_path / "nope.txt"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_fixture_that_is_not_utf8_rejected(capsys, tmp_path):
+    fixture = tmp_path / "utf16.txt"
+    fixture.write_bytes(b"\xff\xfe2\x00,\x00")
+    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
+                             "--n", "1..4", "--fixture", str(fixture))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read fixture {fixture}: ")
+    assert err.count("\n") == 1
+
+
+# -- the shared parser -----------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drops the process's parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert run_cli(capsys, "--format", "csv", "singer", "--family", "E",
+                   "--q", "2", "--n", "3")[:2] == (0, "3,FULL_ORDER\n")
+    assert run_cli(capsys, "rows", "--m", "5")[0] == 0
+    assert builds == [1]
+
+
+def test_usage_error_leaves_the_shared_parser_usable(capsys, fresh_parser):
+    with pytest.raises(SystemExit) as exc:
+        main(["singer", "--family", "E", "--q", "two", "--n", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    entry = golden_entries("singer-gf2")[-1]
+    got, want = replay(capsys, entry)
+    assert got == want
+
+
+def test_shared_parser_parses_alike_in_threads():
+    argvs = [["--format", fmt, "singer", "--family", family, "--q", q,
+              "--n", f"1..{i}", "--budget", str(100 * i)]
+             for i, (fmt, family, q) in enumerate(
+                 itertools.product(("json", "csv"), "EO", ("2", "3")), start=1)]
+    want = [build_parser().parse_args(argv) for argv in argvs]
+    shared = cli._parser()
+    got = [[] for _ in argvs]
+
+    def parse(i):
+        for _ in range(200):
+            got[i].append(shared.parse_args(argvs[i]))
+
+    threads = [threading.Thread(target=parse, args=(i,))
+               for i in range(len(argvs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, namespaces in enumerate(got):
+        assert namespaces == [want[i]] * 200, argvs[i]
 
 
 # -- environment -----------------------------------------------------------------

@@ -1,4 +1,7 @@
 import ast
+import random
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -325,3 +328,115 @@ def test_gfmatrix_imports_only_errors():
     local = [node.module for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level]
     assert local == ["errors"]
+
+
+# -- Brent rho -----------------------------------------------------------------
+
+
+def brent_rho_with_abs(n, c, max_steps):
+    """The rho loop as it was before it dropped abs(); kept as the reference
+    that pins factors and step counts."""
+    y, r, q = 2, 1, 1
+    g = 1
+    steps = 0
+    x = ys = y
+    batch = 128
+    while g == 1 and steps < max_steps:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            chunk = min(batch, r - k)
+            for _ in range(chunk):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            steps += chunk
+            g = gcd(q, n)
+            k += chunk
+        r *= 2
+    if g == n:
+        g = 1
+        for _ in range(max_steps - steps if max_steps > steps else batch):
+            ys = (ys * ys + c) % n
+            steps += 1
+            g = gcd(abs(x - ys), n)
+            if g > 1:
+                break
+    if g in (1, n):
+        return None, steps
+    return g, steps
+
+
+def test_brent_rho_matches_the_abs_reference():
+    rng = random.Random(40_000)
+    small = [n for n in range(4, 1300) if not is_prime(n)]
+    semiprimes = [p * q for p, q in zip(
+        (101, 1009, 10007, 65537, 99991, 104729, 7919, 31337),
+        (103, 1013, 10009, 65539, 100003, 1299709, 15485863, 2**31 - 1))]
+    composites = small + semiprimes
+    assert len(composites) > 1000
+    for n in composites:
+        for c in (1, 2, 3):
+            for cap in (1, rng.randrange(2, 200), 40_000):
+                want = brent_rho_with_abs(n, c, cap)
+                assert gfmatrix._brent_rho(n, c, cap) == want, (n, c, cap)
+    # Small n cycle to g == n: 49 and 55 then find a factor in the backtrack
+    # loop, and 4 finds none.
+    assert gfmatrix._brent_rho(49, 1, 40_000) == (7, 7)
+    assert gfmatrix._brent_rho(55, 1, 40_000) == (5, 7)
+    assert gfmatrix._brent_rho(4, 1, 40_000) == (None, 3)
+
+
+# -- residue rings -----------------------------------------------------------------
+
+
+def list_reduce(coeffs, f, q):
+    """coeffs mod the monic f over GF(q), one leading coefficient at a time."""
+    n = len(f) - 1
+    coeffs = list(coeffs)
+    for d in range(len(coeffs) - 1, n - 1, -1):
+        c = coeffs[d] % q
+        if c:
+            coeffs[d - n:d] = [v - c * w for v, w in zip(coeffs[d - n:d], f)]
+    return [v % q for v in coeffs[:n]]
+
+
+def list_square(a):
+    n = len(a)
+    rev = a[::-1]
+    return [sum(map(mul, a[max(0, k - n + 1):k + 1],
+                    rev[max(0, n - 1 - k):2 * n - 1 - k]))
+            for k in range(2 * n - 1)]
+
+
+def list_power_of_x(f, q, e):
+    """x**e mod f over GF(q) by left-to-right squaring, on coefficient lists."""
+    result = [1] + [0] * (len(f) - 2)
+    for bit in bin(e)[2:]:
+        result = list_reduce(list_square(result), f, q)
+        if bit == "1":
+            result = list_reduce([0] + result, f, q)
+    return result
+
+
+# Sizes on both sides of the one-byte slot bound 2n(q-1)**2 < 256, and the
+# smallest n, where the quotient has at most one slot.
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 3), (2, 126), (2, 127),
+                                  (2, 128), (3, 31), (3, 32), (5, 7), (5, 8),
+                                  (7, 3), (7, 4), (11, 1), (11, 2)])
+def test_power_of_x_matches_list_arithmetic(q, n):
+    rng = random.Random(q * 1000 + n)
+    f = [rng.randrange(q) for _ in range(n)] + [1]
+    ring = gfmatrix._Residues(f, q)
+    assert (ring.width == 1) == (2 * n * (q - 1) ** 2 < 256)
+    mask = 256**ring.width - 1
+    for e in (1, n - 1, n, 2 * n, q**n - 1, rng.randrange(1, q**n)):
+        if e < 1:
+            continue
+        got = ring.power_of_x(e)
+        slots = [got >> 8 * ring.width * i & mask for i in range(n)]
+        assert slots == list_power_of_x(f, q, e), e
+        assert got >> 8 * ring.width * n == 0, e
