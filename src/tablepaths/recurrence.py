@@ -8,9 +8,9 @@ row k - 1 for odd m.  This module builds those matrices,
 computes their determinants and characteristic polynomials exactly, derives
 each table's minimal linear column recurrence, analyses which constant
 linear combinations of full rows exist, and scans the templates' orders over
-prime fields.  Each identity check over tables reads one table and takes m
+prime fields.  Each m-indexed identity check reads one table and takes m
 from it, so that ``suite.run_suite`` can build one table per m and hand it
-to every check.
+to every such check, the recurrence and row-combination checks included.
 
 All linear algebra here is exact and runs through one fraction-free
 (Bareiss) Gauss-Jordan elimination over the integers: determinants, the
@@ -219,15 +219,18 @@ class Recurrence:
 def minimal_recurrence(m: int) -> Recurrence:
     """Minimal linear recurrence advancing the reduced columns of the table.
 
-    Solves [col(1) ... col(k)] alpha = col(k+1) exactly on the top k rows,
-    which are that system's augmented matrix; the theory
+    Solves [col(1) ... col(k)] alpha = col(k+1) exactly on the top k rows
+    of the first k + 1 columns, that system's augmented matrix; the theory
     guarantees integer coefficients with alphas[0] != 0, and both facts are
     asserted rather than assumed.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    k = (m + 1) // 2
-    a, pivots, scale, _ = _gauss_jordan(build_table(m, k + 1).rows[:k])
+    return _table_recurrence(build_table(m, (m + 1) // 2 + 1))
+
+
+def _table_recurrence(table: PathTable) -> Recurrence:
+    k = table.k
+    a, pivots, scale, _ = _gauss_jordan(
+        [[table.cell(x, y) for x in range(1, k + 2)] for y in range(1, k + 1)])
     if pivots != list(range(k)):
         raise InternalInconsistencyError("singular system in recurrence solve")
     for row in a:
@@ -237,7 +240,7 @@ def minimal_recurrence(m: int) -> Recurrence:
     alphas = tuple(row[k] // scale for row in a)
     if alphas[0] == 0:
         raise InternalInconsistencyError(
-            f"leading recurrence coefficient vanished at m={m}")
+            f"leading recurrence coefficient vanished at m={table.m}")
     return Recurrence(k, alphas)
 
 
@@ -261,11 +264,13 @@ class EquivalenceReport:
 
 def equivalence_report(m: int) -> EquivalenceReport:
     """Characteristic, shifted-operator and recurrence polynomials for m."""
-    k = (m + 1) // 2
+    return _equivalence(m, minimal_recurrence(m))
+
+
+def _equivalence(m: int, rec: Recurrence) -> EquivalenceReport:
     family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
-    return EquivalenceReport(m, k, charpoly(reduced_matrix(m)),
-                             family_charpoly(family, k),
-                             minimal_recurrence(m).poly())
+    return EquivalenceReport(m, rec.k, charpoly(reduced_matrix(m)),
+                             family_charpoly(family, rec.k), rec.poly())
 
 
 @dataclass(frozen=True)
@@ -278,17 +283,15 @@ class RecurrenceReport:
 
 
 def recurrence_report(m: int) -> RecurrenceReport:
-    return RecurrenceReport(m, minimal_recurrence(m), equivalence_report(m))
+    rec = minimal_recurrence(m)
+    return RecurrenceReport(m, rec, _equivalence(m, rec))
 
 
 # -- window determinants -----------------------------------------------------
 
 
 def window_det(table: PathTable, shift: int) -> int:
-    """Determinant of k consecutive reduced columns starting at shift + 1.
-
-    Cross-checked against det_reduced(m) ** shift before returning.
-    """
+    """Determinant of k consecutive reduced columns starting at shift + 1."""
     if shift < 0:
         raise DomainError(f"shift must be >= 0, got {shift}")
     k = table.k
@@ -297,13 +300,7 @@ def window_det(table: PathTable, shift: int) -> int:
             f"window needs columns up to {shift + k}, table has {table.n_max}")
     rows = [[table.cell(shift + 1 + j, i + 1) for j in range(k)]
             for i in range(k)]
-    d = det_bareiss(rows)
-    expected = det_reduced(table.m) ** shift
-    if d != expected:
-        raise InternalInconsistencyError(
-            f"window determinant at m={table.m} shift={shift}: "
-            f"{d} != {expected}")
-    return d
+    return det_bareiss(rows)
 
 
 # -- constant combinations of rows -------------------------------------------
@@ -359,7 +356,11 @@ def row_constant_combinations(m: int, n_probe: int | None = None) -> RowComboRep
         n_probe = m + 5
     if n_probe < m + 2:
         raise DomainError(f"n_probe must be at least m + 2 = {m + 2}")
-    table = build_table(m, n_probe)
+    return _table_combinations(build_table(m, n_probe), n_probe)
+
+
+def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
+    m = table.m
     diff = [[table.cell(n + 1, i) - table.cell(n, i) for i in range(1, m + 1)]
             for n in range(1, n_probe)]
     basis = _nullspace(diff, m)
@@ -532,22 +533,21 @@ def verify_determinants(m_max: int = 48) -> str | None:
 
 def verify_window_determinants(table: PathTable,
                                shift_max: int = 12) -> str | None:
-    """window_det matches det_reduced ** shift (checked internally)."""
+    """window_det matches det_reduced ** shift."""
+    base = det_reduced(table.m)
     for shift in range(0, shift_max + 1):
-        try:
-            window_det(table, shift)
-        except InternalInconsistencyError as exc:
-            return str(exc)
+        if (d := window_det(table, shift)) != base ** shift:
+            return (f"window determinant at m={table.m} shift={shift}: "
+                    f"{d} != {base ** shift}")
     return None
 
 
-def verify_polynomial_equivalence(m_max: int = 24) -> str | None:
+def verify_polynomial_equivalence(table: PathTable) -> str | None:
     """Characteristic, operator and recurrence polynomials coincide."""
-    for m in range(1, m_max + 1):
-        report = equivalence_report(m)
-        if not report.equal:
-            return (f"m={m}: {report.charpoly} vs {report.operator_poly} "
-                    f"vs {report.recurrence_poly}")
+    report = _equivalence(table.m, _table_recurrence(table))
+    if not report.equal:
+        return (f"m={table.m}: {report.charpoly} vs {report.operator_poly} "
+                f"vs {report.recurrence_poly}")
     return None
 
 
@@ -581,17 +581,17 @@ def verify_minimality(table: PathTable) -> str | None:
     return None
 
 
-def verify_constant_combinations(m_max: int = 13) -> str | None:
-    """Nontrivial constant combinations exist exactly for m = 1 (mod 4)."""
-    for m in range(1, m_max + 1):
-        report = row_constant_combinations(m)
-        if report.exists != (m % 4 == 1):
-            return f"m={m}: exists={report.exists}"
-        want_dim = m // 2 + (1 if m % 4 == 1 else 0)
-        if report.nullspace_dim != want_dim:
-            return f"m={m}: nullspace dimension {report.nullspace_dim} != {want_dim}"
-        if report.trivial_dim != m // 2:
-            return f"m={m}: trivial dimension {report.trivial_dim} != {m // 2}"
+def verify_constant_combinations(table: PathTable) -> str | None:
+    """On the first m + 5 columns: nontrivial combinations iff m = 1 (mod 4)."""
+    m = table.m
+    report = _table_combinations(table, m + 5)
+    if report.exists != (m % 4 == 1):
+        return f"m={m}: exists={report.exists}"
+    want_dim = m // 2 + (1 if m % 4 == 1 else 0)
+    if report.nullspace_dim != want_dim:
+        return f"m={m}: nullspace dimension {report.nullspace_dim} != {want_dim}"
+    if report.trivial_dim != m // 2:
+        return f"m={m}: trivial dimension {report.trivial_dim} != {m // 2}"
     return None
 
 

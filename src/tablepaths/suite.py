@@ -1,5 +1,5 @@
 """The named identity-check suite behind the CLI's verify command; it
-builds one table per m and hands it to every table check."""
+builds one table per m and hands it to every m-indexed check."""
 
 from __future__ import annotations
 
@@ -66,11 +66,11 @@ def run_suite(m_max: int, n_max: int,
         ("determinant-lemma", 0, recurrence.verify_determinants, max(m_max, 48)),
         ("window-determinants", min(m_max, 10), recurrence.verify_window_determinants,
          12),
-        ("polynomial-equivalence", 0, recurrence.verify_polynomial_equivalence, m_max),
+        ("polynomial-equivalence", m_max, recurrence.verify_polynomial_equivalence),
         ("charpoly-recursion", 0, recurrence.verify_charpoly_recursion, max(m_max, 24)),
         ("recurrence-minimality", min(m_max, 10), recurrence.verify_minimality),
-        ("constant-combinations", 0, recurrence.verify_constant_combinations,
-         min(m_max, 13)),
+        ("constant-combinations", min(m_max, 13),
+         recurrence.verify_constant_combinations),
     ]
     details: dict[str, str | None] = {}
     elapsed: dict[str, float] = {}

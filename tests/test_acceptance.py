@@ -95,8 +95,8 @@ def test_criterion_05_window_determinants(first_failure):
             failure is None, failure or "m<=10 n<=12")
 
 
-def test_criterion_06_three_polynomials():
-    failure = verify_polynomial_equivalence(24)
+def test_criterion_06_three_polynomials(first_failure):
+    failure = first_failure(verify_polynomial_equivalence, 24, 0)
     _report(6, "charpoly = shifted operator polynomial = recurrence polynomial",
             failure is None, failure or "m<=24")
 
@@ -129,8 +129,8 @@ def test_criterion_09_classical_polynomials():
             failure is None, failure or "")
 
 
-def test_criterion_10_rows_theorem():
-    failure = verify_constant_combinations(13)
+def test_criterion_10_rows_theorem(first_failure):
+    failure = first_failure(verify_constant_combinations, 13, 5)
     witness = row_constant_combinations(5, n_probe=30)
     witness_ok = (witness.exists
                   and witness.alphas == (1, 0, -1, 0, 1)

@@ -241,13 +241,23 @@ def test_verify_matches_benchmark_golden(capsys, entry):
     assert got == want
 
 
-def test_verify_json_matches_frozen_digest(capsys):
-    # Frozen before the suite built one table per m.
-    frozen = json.loads((DATA / "verify_sha256.json").read_text())
-    code, out, _ = run_cli(capsys, "--format", "json", "verify",
-                           "--m-max", "40", "--n-max", "120")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == frozen["json 40 120"]
+VERIFY_SHA256 = json.loads((DATA / "verify_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("key", VERIFY_SHA256)
+def test_verify_json_matches_frozen_digest(capsys, key):
+    # Keys are "format m_max n_max [node_budget]".  "json 40 120" was frozen
+    # before the suite built one table per m, the others before every
+    # m-indexed check read the suite's tables.  13 x 1 gives the narrowest
+    # table that constant-combinations reads; a node budget of 5000 starves
+    # the path oracle, so that run exits 1.
+    fmt, m_max, n_max, *budget = key.split()
+    argv = ["--format", fmt, "verify", "--m-max", m_max, "--n-max", n_max]
+    if budget:
+        argv += ["--node-budget", *budget]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (1 if budget else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[key]
 
 
 TABLE_SHA256 = json.loads((DATA / "table_sha256.json").read_text())

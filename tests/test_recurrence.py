@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tablepaths import pathtable, recurrence
 from tablepaths.deltaops import DeltaPoly, Family, format_poly, multiplier
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
@@ -36,6 +37,7 @@ from tablepaths.recurrence import (
     verify_window_determinants,
     window_det,
 )
+from tablepaths.suite import run_suite
 
 # -- matrix templates -----------------------------------------------------------
 
@@ -197,12 +199,12 @@ def test_recurrence_satisfied_by_rows_and_sums():
     assert not rec.satisfied_by((1, 1, 2, 9, 9, 9), 3)
 
 
-def test_three_polynomials_agree():
+def test_three_polynomials_agree(first_failure):
     for m in (1, 2, 3, 5, 8, 11):
         report = equivalence_report(m)
         assert report.equal, m
         assert report.charpoly == report.operator_poly == report.recurrence_poly
-    assert verify_polynomial_equivalence(20) is None
+    assert first_failure(verify_polynomial_equivalence, 20, 0) is None
 
 
 def test_operator_polynomial_route_is_shift_composed():
@@ -230,14 +232,18 @@ def test_minimality_rejects_a_table_shorter_than_3k():
                "m=7 a=1 b=2 n=2: family transport fails",
                "m=7 a=1 b=1 n=5: split fails",
                "m=7 a=1 n=2: partial-sum form fails",
-               "window determinant at m=7 shift=1: 2 != -1")),
+               "window determinant at m=7 shift=1: 2 != -1",
+               "m=7: (-1, 4, 2, -4, 1) vs (-1, 4, 2, -4, 1) vs (2, 0, 3, -4, 1)",
+               "m=7: nullspace dimension 2 != 3")),
     (3, 3, 1, ("m=3 n=2: (5, 7) != (6, 7)",
                "m=3 row 1 n=1: not annihilated",
                "m=3 n=2: bridge identity fails",
                "m=3 a=1 b=2 n=2: prime transport fails",
                "m=3 a=1 b=1 n=2: split fails",
                "m=3 a=1 n=2: partial-sum form fails",
-               "window determinant at m=3 shift=1: -4 != -1")),
+               "window determinant at m=3 shift=1: -4 != -1",
+               "m=3: (-1, -2, 1) vs (-1, -2, 1) vs (-4, -1, 1)",
+               "m=3: nullspace dimension 0 != 1")),
 ])
 def test_table_checks_fail_where_a_wrong_cell_is(m, x, y, details):
     cells = [list(row) for row in build_table(m, 12 + (m + 1) // 2).rows]
@@ -246,7 +252,9 @@ def test_table_checks_fail_where_a_wrong_cell_is(m, x, y, details):
     checks = (verify_transfer, verify_annihilation, verify_column_sum_bridge,
               verify_row_equivalence, verify_table_action,
               verify_column_sum_formulas, verify_window_determinants)
-    assert tuple(check(table, 12) for check in checks) == details
+    got = tuple(check(table, 12) for check in checks) + (
+        verify_polynomial_equivalence(table), verify_constant_combinations(table))
+    assert got == details
 
 
 def test_recurrence_report_round_trip():
@@ -258,6 +266,33 @@ def test_recurrence_report_round_trip():
 
 def test_column_sum_formula_sweep(first_failure):
     assert first_failure(verify_column_sum_formulas, 10, 20, 20) is None
+
+
+def test_tables_and_reduced_eliminations_are_computed_once(monkeypatch):
+    window_table = build_table(9, 12 + 5)
+    calls = {"build_table": 0, "det_bareiss": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in ((pathtable, "build_table"), (recurrence, "build_table"),
+                         (recurrence, "det_bareiss")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # Every m-indexed check reads the suite's one table per m; m_max = 14
+    # runs past constant-combinations' last m, 13.  det_bareiss: 48 for the
+    # determinant lemma, then per window table one reduced matrix and 13
+    # windows.
+    assert run_suite(14, 20).passed
+    assert calls == {"build_table": 14, "det_bareiss": 48 + 10 * 14}
+    calls.update(build_table=0, det_bareiss=0)
+    recurrence_report(5)
+    assert calls["build_table"] == 1
+    calls.update(build_table=0, det_bareiss=0)
+    assert verify_window_determinants(window_table, 12) is None
+    assert calls == {"build_table": 0, "det_bareiss": 14}
 
 
 # -- constant row combinations ------------------------------------------------------
@@ -309,8 +344,8 @@ def test_row_combo_report_round_trip():
         assert parse_document(doc) == report
 
 
-def test_constant_combination_sweep():
-    assert verify_constant_combinations(13) is None
+def test_constant_combination_sweep(first_failure):
+    assert first_failure(verify_constant_combinations, 13, 5) is None
 
 
 # -- rendering helpers -----------------------------------------------------------
