@@ -7,6 +7,12 @@ the index shift E.  Since D = E - 1, p(D) is evaluated as p(E - 1): the
 shift coefficients of p(x - 1) are computed once per polynomial and each
 value is their dot product with a window of the sequence.
 
+Products and compositions run on packed ints (Kronecker substitution): a
+polynomial becomes one int with one fixed-width slot per coefficient, wide
+enough that every result coefficient fits in the lower half of its slot.  A
+product is then one big-int multiply, a composition is Horner's rule on the
+packed inner polynomial, and one balanced decode reads either result back.
+
 Three operator families drive everything else in this package.  All share
 the recursion
 
@@ -32,7 +38,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from operator import mul
+from operator import add, mul, neg, sub
+from struct import pack, unpack
 
 from .errors import DomainError
 from .gfmatrix import factor
@@ -49,6 +56,62 @@ def _trim(coeffs) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(int(v) for v in c)
+
+
+# -- Kronecker substitution --------------------------------------------------
+#
+# A polynomial with ascending coefficients c_i packs into the one int
+# sum c_i * 2**(8*w*i): a slot of w bytes per coefficient, each coefficient
+# smaller in size than a half slot.  Flipping the top bit of every slot of
+# their two's complement bytes adds a half slot to each, so packing reads
+# the bytes as one unsigned int and subtracts the half slots; decoding adds
+# them back, which leaves no borrow between slots, flips the top bits again
+# and reads the two's complement slots from one to_bytes.  Slots up to 8
+# bytes are rounded up to a struct width and move through one struct call.
+
+# struct codes of little-endian signed slots, keyed by slot width in bytes.
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _slot_width(bits: int) -> int:
+    """Bytes per slot for slots of ``bits`` bits, sign included."""
+    width = (bits + 7) // 8
+    return next((w for w in _SLOT_CODES if width <= w), width)
+
+
+def _half_slots(width: int, count: int) -> int:
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs, width: int) -> int:
+    code = _SLOT_CODES.get(width)
+    if code:
+        raw = pack(f"<{len(coeffs)}{code}", *coeffs)
+    else:
+        raw = b"".join([c.to_bytes(width, "little", signed=True)
+                        for c in coeffs])
+    half = _half_slots(width, len(coeffs))
+    return (int.from_bytes(raw, "little") ^ half) - half
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    half = _half_slots(width, count)
+    raw = ((value + half) ^ half).to_bytes(count * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code:
+        return list(unpack(f"<{count}{code}", raw))
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, len(raw), width)]
+
+
+def _poly(coeffs: list[int]) -> DeltaPoly:
+    """A ring result of plain ints: trims trailing zeros and skips the
+    public constructor's int() pass."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    poly = object.__new__(DeltaPoly)
+    object.__setattr__(poly, "coeffs", tuple(coeffs))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -80,50 +143,69 @@ class DeltaPoly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return DeltaPoly(tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)))
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly([*map(add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 
     def __neg__(self) -> "DeltaPoly":
-        return DeltaPoly(tuple(-c for c in self.coeffs))
+        return _poly(list(map(neg, self.coeffs)))
 
     def __sub__(self, other) -> "DeltaPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        return _poly([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
 
     def __rsub__(self, other) -> "DeltaPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "DeltaPoly":
+        """One big-int product of the packed operands.  A slot of
+        bitlen(max|a|) + bitlen(max|b|) + bitlen(min(len)) + 1 bits holds
+        every product coefficient in its lower half."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return DeltaPoly(tuple(out))
+        bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                + min(len(a), len(b)).bit_length() + 1)
+        width = _slot_width(bits)
+        return _poly(_unpack(_pack(a, width) * _pack(b, width), width,
+                             len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
     def compose(self, inner: "DeltaPoly") -> "DeltaPoly":
-        """Substitute ``inner`` for D in self (Horner evaluation)."""
-        result = ZERO
-        for c in reversed(self.coeffs):
-            result = result * inner + c
-        return result
+        """Substitute ``inner`` for D in self by Kronecker substitution.
+
+        ``inner`` is packed once, i.e. evaluated at 2**(8 * width); Horner's
+        rule runs on that plain int and one decode reads the result.  With
+        S = sum |inner|, every result coefficient is at most
+        B = sum |c_i| * S**i, and the slot holds B in its lower half; for a
+        non-constant self, B also bounds every coefficient of ``inner``.
+        """
+        c, g = self.coeffs, inner.coeffs
+        if len(c) < 2:
+            return self
+        size = sum(map(abs, g))
+        bound = 0
+        for v in reversed(c):
+            bound = bound * size + abs(v)
+        width = _slot_width(bound.bit_length() + 1)
+        x = _pack(g, width)
+        value = 0
+        for v in reversed(c):
+            value = value * x + v
+        count = (len(c) - 1) * max(len(g) - 1, 0) + 1
+        return _poly(_unpack(value, width, count))
 
     def divmod_monic(self, divisor: "DeltaPoly") -> tuple["DeltaPoly", "DeltaPoly"]:
         """Exact quotient and remainder by a monic divisor over the integers."""

@@ -179,8 +179,10 @@ def _iroot(n: int, e: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
-    """Largest e with n = r**e; returns (r, e), e = 1 when n is no power."""
-    for e in range(n.bit_length(), 1, -1):
+    """Largest prime e with n = r**e; returns (r, e), e = 1 when n is no
+    power.  A composite exponent is never needed: r is then a power itself,
+    and ``factor`` reduces it again when it pops r from its stack."""
+    for e in reversed(_sieve(n.bit_length())):
         r = _iroot(n, e)
         if r > 1 and r**e == n:
             return r, e

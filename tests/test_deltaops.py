@@ -1,6 +1,7 @@
 import sys
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,106 @@ def test_integer_scalars_coerce(a, k):
 def test_compose_on_square():
     odd2 = DeltaPoly((-2, 0, 1))
     assert odd2.compose(odd2) == DeltaPoly((2, 0, -4, 0, 1))
+
+
+# -- packed products and compositions against the schoolbook routes -----------
+
+
+def schoolbook_product(a, b):
+    """The product as it was before packed products: one multiply-add per
+    coefficient pair.  Kept as the reference route."""
+    x, y = a.coeffs, b.coeffs
+    if not x or not y:
+        return ZERO
+    out = [0] * (len(x) + len(y) - 1)
+    for i, cx in enumerate(x):
+        for j, cy in enumerate(y):
+            out[i + j] += cx * cy
+    return DeltaPoly(tuple(out))
+
+
+def horner_compose(outer, inner):
+    """The composition as it was before packed compositions: Horner's rule
+    with one schoolbook product per step.  Kept as the reference route."""
+    result = ZERO
+    for c in reversed(outer.coeffs):
+        step = schoolbook_product(result, inner).coeffs or (0,)
+        result = DeltaPoly((step[0] + c,) + step[1:])
+    return result
+
+
+def assert_canonical(p):
+    """A trimmed tuple of plain ints, the same value and hash as the
+    polynomial built through the public constructor."""
+    assert type(p.coeffs) is tuple
+    assert all(type(c) is int for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    twin = DeltaPoly(p.coeffs)
+    assert p == twin
+    assert hash(p) == hash(twin)
+
+
+huge_polys = st.one_of(
+    st.just(ZERO),
+    st.integers(-2**200, 2**200).map(lambda c: DeltaPoly((c,))),
+    st.lists(st.integers(-2**200, 2**200), max_size=9).map(
+        lambda cs: DeltaPoly(tuple(cs))),
+)
+
+
+@given(a=huge_polys, b=huge_polys)
+@settings(max_examples=300)
+def test_packed_product_matches_schoolbook(a, b):
+    got = a * b
+    assert got == schoolbook_product(a, b)
+    assert_canonical(got)
+
+
+@given(outer=huge_polys, inner=st.one_of(huge_polys, polys))
+@settings(max_examples=200)
+def test_packed_compose_matches_horner(outer, inner):
+    got = outer.compose(inner)
+    assert got == horner_compose(outer, inner)
+    assert_canonical(got)
+
+
+@given(a=huge_polys, b=huge_polys, k=st.integers(-2**70, 2**70))
+def test_ring_results_are_canonical(a, b, k):
+    for got, want in ((a + b, map(sum, zip_longest(a.coeffs, b.coeffs,
+                                                    fillvalue=0))),
+                      (a - b, (x - y for x, y in zip_longest(
+                          a.coeffs, b.coeffs, fillvalue=0))),
+                      (-a, (-x for x in a.coeffs)),
+                      (k - a, (x - y for x, y in zip_longest(
+                          (k,), a.coeffs, fillvalue=0))),
+                      (a - a, ()), (a * k, (k * x for x in a.coeffs))):
+        assert got == DeltaPoly(tuple(want))
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33,
+                                  63, 64, 65, 127, 128, 129, 200])
+def test_packed_routes_at_slot_boundaries(bits):
+    edge = (1 << bits) - 1
+    for a, b in [((edge, -edge, edge), (-edge, 1)), ((-edge,) * 5, (-edge,)),
+                 ((edge,) * 9, (edge,) * 9), ((-edge,) * 8, (edge,) * 12),
+                 ((1 << bits, -(1 << bits)), (edge, edge, -1)),
+                 ((0, 0, -edge), (-1, 0, 0, edge))]:
+        a, b = DeltaPoly(a), DeltaPoly(b)
+        assert a * b == schoolbook_product(a, b)
+        assert a.compose(b) == horner_compose(a, b)
+        assert b.compose(a) == horner_compose(b, a)
+
+
+def test_compose_with_zero_and_constant_inner():
+    p = DeltaPoly((5, -3, 0, 2))
+    assert p.compose(ZERO) == DeltaPoly((5,))
+    assert p.compose(DeltaPoly((2,))) == DeltaPoly((5 - 6 + 16,))
+    assert DeltaPoly((0, 1, 1)).compose(DeltaPoly((-1,))) == ZERO
+    assert DeltaPoly((7,)).compose(DeltaPoly((2**300, -1))) == DeltaPoly((7,))
+    assert ZERO.compose(p) == ZERO
+    for got in (p.compose(ZERO), DeltaPoly((0, 1, 1)).compose(DeltaPoly((-1,)))):
+        assert_canonical(got)
 
 
 @given(a=polys, b=polys)

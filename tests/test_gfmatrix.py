@@ -390,6 +390,61 @@ def test_brent_rho_matches_the_abs_reference():
     assert gfmatrix._brent_rho(4, 1, 40_000) == (None, 3)
 
 
+# -- perfect powers --------------------------------------------------------------
+
+
+def largest_exponent_power(n):
+    """The perfect-power search as it was before it tried only prime
+    exponents: every e from n.bit_length() down to 2, the largest that fits
+    first.  Kept as the reference that pins factorizations and rho steps."""
+    for e in range(n.bit_length(), 1, -1):
+        r = gfmatrix._iroot(n, e)
+        if r > 1 and r**e == n:
+            return r, e
+    return n, 1
+
+
+@pytest.mark.parametrize("n, budget", [
+    (6**36, None),
+    (3**40 * 5**40, None),
+    ((2**61 - 1)**4, None),
+    ((10007 * 10009)**6 * (2**31 - 1)**9, None),
+    (7**5 * ((2**31 - 1) * (2**61 - 1))**12, None),
+    (((2**61 - 1) * (2**89 - 1))**6, 5000),
+])
+def test_factor_on_perfect_powers_matches_the_largest_exponent_search(
+        monkeypatch, n, budget):
+    rho, prime_exponents = gfmatrix._brent_rho, gfmatrix._perfect_power
+
+    def run(helper):
+        calls = []
+
+        def counted(value, c, cap):
+            found, used = rho(value, c, cap)
+            calls.append((value, c, used))
+            return found, used
+
+        monkeypatch.setattr(gfmatrix, "_brent_rho", counted)
+        monkeypatch.setattr(gfmatrix, "_perfect_power", helper)
+        return gfmatrix.factor(n, budget), calls
+
+    assert run(prime_exponents) == run(largest_exponent_power)
+
+
+def test_perfect_power_takes_the_largest_prime_exponent():
+    for r in (2, 3, 6, 10, 2**13 - 1, 10007 * 10009):
+        for e in range(1, 41):
+            root, exp = gfmatrix._perfect_power(r**e)
+            want_root, want_exp = largest_exponent_power(r**e)
+            assert root**exp == r**e
+            if want_exp == 1:
+                assert (root, exp) == (r**e, 1)
+            else:
+                assert gfmatrix.is_prime(exp) and want_exp % exp == 0
+                assert all(not gfmatrix.is_prime(p) or want_exp % p
+                           for p in range(exp + 1, want_exp + 1))
+
+
 # -- residue rings -----------------------------------------------------------------
 
 

@@ -244,6 +244,17 @@ def test_minimality_rejects_a_table_shorter_than_3k():
                "window determinant at m=3 shift=1: -4 != -1",
                "m=3: (-1, -2, 1) vs (-1, -2, 1) vs (-4, -1, 1)",
                "m=3: nullspace dimension 0 != 1")),
+    # A wrong cell in lower row 6, which then differs from its mirror row 2:
+    # only checks that read the lower rows see it.
+    (7, 5, 6, (None,
+               "m=7 row 6 n=1: not annihilated",
+               "m=7 n=4: bridge identity fails",
+               None,
+               None,
+               "m=7 a=1 n=2: partial-sum form fails",
+               None,
+               None,
+               "m=7: nullspace dimension 2 != 3")),
 ])
 def test_table_checks_fail_where_a_wrong_cell_is(m, x, y, details):
     cells = [list(row) for row in build_table(m, 12 + (m + 1) // 2).rows]
