@@ -235,17 +235,17 @@ def _cmd_singer(args, out) -> int:
     except ValueError:
         raise DomainError(f"family must be E or O, got {args.family!r}") from None
     budget = _factor_budget(args)
+    # The fixture is read and checked before the scan, which may take long.
+    expected = (sorted(_load_fixture(args.fixture).items())
+                if args.fixture else [])
+    for n, _ in expected:
+        if not lo <= n <= hi:
+            raise DomainError(
+                f"fixture index {n} outside scanned range {lo}..{hi}")
     report = singer_scan(family, args.q, lo, hi, budget)
-    mismatches: list[str] = []
-    if args.fixture:
-        expected = _load_fixture(args.fixture)
-        for n, verdict in sorted(expected.items()):
-            if not lo <= n <= hi:
-                raise DomainError(
-                    f"fixture index {n} outside scanned range {lo}..{hi}")
-            got = report.entry(n).verdict.value
-            if got != verdict:
-                mismatches.append(f"n={n}: expected {verdict}, got {got}")
+    mismatches = [f"n={n}: expected {verdict}, got {got}"
+                  for n, verdict in expected
+                  if (got := report.entry(n).verdict.value) != verdict]
     status = 1 if mismatches else 0
     if args.format == "json":
         out.write(render_document(report))

@@ -5,13 +5,17 @@ operator D defined by (D a)(n) = a(n+1) - a(n).  Applied to an integer
 sequence, such a polynomial yields another integer sequence; D + 1 acts as
 the index shift E.  Since D = E - 1, p(D) is evaluated as p(E - 1): the
 shift coefficients of p(x - 1) are computed once per polynomial and each
-value is their dot product with a window of the sequence.
+value is their dot product with a stretch of the sequence.
 
-Products and compositions run on packed ints (Kronecker substitution): a
-polynomial becomes one int with one fixed-width slot per coefficient, wide
-enough that every result coefficient fits in the lower half of its slot.  A
-product is then one big-int multiply, a composition is Horner's rule on the
-packed inner polynomial, and one balanced decode reads either result back.
+Products, compositions and evaluations run on packed ints (Kronecker
+substitution): a polynomial or a sequence becomes one int with one
+fixed-width slot per coefficient or value, wide enough that every result
+fits in the lower half of its slot.  A product is then one big-int
+multiply, a composition is Horner's rule on the packed inner polynomial,
+and one balanced decode reads either result back.  ``Windows`` evaluates a
+polynomial at n = 1..N of a sequence as one product of the packed sequence
+with the packed reversed shift coefficients, and compares such windows as
+ints without decoding them; ``DeltaPoly.apply`` is its one-point case.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -37,8 +41,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import comb
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from struct import pack, unpack
 
 from .errors import DomainError
@@ -248,17 +253,19 @@ class DeltaPoly:
         sequence value at index 1.  Requires values up to n + degree, i.e.
         len(seq) >= n + degree.  With D = E - 1 for the index shift E, the
         value is p(E - 1) applied at n: the dot product of ``shift_coeffs``
-        with seq(n), ..., seq(n + degree).
+        with seq(n), ..., seq(n + degree), taken as the one-point window of
+        ``Windows`` on that stretch of the sequence.
         """
         if n < 1:
             raise DomainError(f"index must be >= 1, got {n}")
-        if not (c := self.shift_coeffs):
+        if self.is_zero:
             return 0
-        end = n - 1 + len(c)
+        end = n + self.degree
         if end > len(seq):
             raise DomainError(
                 f"need sequence values up to index {end}, have {len(seq)}")
-        return sum(map(mul, c, seq[n - 1:end]))
+        windows = Windows(1, (seq[n - 1:end],), (self,))
+        return windows.values(windows.apply(self, windows.seqs[0]))[0]
 
     # -- text form ---------------------------------------------------------
 
@@ -277,6 +284,80 @@ def _coerce(value):
 ZERO = DeltaPoly(())
 ONE = DeltaPoly((1,))
 DELTA = DeltaPoly((0, 1))
+
+
+# -- windowed evaluation -----------------------------------------------------
+
+
+class Windows:
+    """Values of Δ-polynomials at n = 1..count of integer sequences, one
+    big-int product per polynomial and sequence.
+
+    The sequences are packed once, each cut to the count + d values the
+    windows read (d the largest degree in ``polys``; the zero polynomial
+    reads none), at one slot width that holds ``weight`` times their
+    largest value times the largest sum of |shift_coeffs| in ``polys`` in
+    the lower half of a slot.  Packed sequences add and scale like the
+    sequences they pack while the values stay within ``weight`` times that
+    largest value.
+
+    ``apply(p, packed)`` multiplies a packed sequence by p's shift
+    coefficients packed in reverse order: slot n - 1 + degree of the
+    product is their dot product with seq(n), ..., seq(n + degree), the
+    value at n.  The window is those count slots with half a slot added to
+    each, so no slot borrows from the next, and two windows are equal ints
+    exactly when their values are.
+    """
+
+    def __init__(self, count: int, seqs, polys, weight: int = 1):
+        if count < 0:
+            raise DomainError(f"window length must be >= 0, got {count}")
+        length = max((count + p.degree for p in polys if p.coeffs), default=0)
+        for seq in seqs:
+            if len(seq) < length:
+                raise DomainError(f"need sequence values up to index "
+                                  f"{length}, have {len(seq)}")
+        seqs = [seq[:length] for seq in seqs]
+        bound = weight * max(map(abs, chain.from_iterable(seqs)), default=0)
+        reach = max(sum(map(abs, p.shift_coeffs)) for p in polys)
+        width = _slot_width(bound.bit_length() + reach.bit_length() + 1)
+        self.width, self.count = width, count
+        self._slot_bits = 8 * width
+        self._mask = (1 << self._slot_bits * count) - 1
+        # The window whose values are all zero.
+        self.zero = _half_slots(width, count)
+        # poly -> (packed reversed shift coefficients, bit offset of its
+        # window, half slots up to the window's end)
+        self._polys = {}
+        for p in polys:
+            d = max(p.degree, 0)
+            self._polys[p] = (_pack(p.shift_coeffs[::-1], width),
+                              self._slot_bits * d,
+                              _half_slots(width, count + d))
+        self.seqs = [_pack(seq, width) for seq in seqs]
+
+    def apply(self, poly: DeltaPoly, packed: int) -> int:
+        """The window of ``poly``, one of the constructor's polynomials,
+        applied to a packed sequence."""
+        coeffs, offset, half = self._polys[poly]
+        return ((packed * coeffs + half) >> offset) & self._mask
+
+    def values(self, window: int) -> list[int]:
+        """The values at n = 1..count held in a window."""
+        return _unpack(window - self.zero, self.width, self.count)
+
+    def first_difference(self, pairs) -> tuple[int, int] | None:
+        """(n, i) for the first index n at which a pair of windows differs,
+        and the first pair i that differs at n; None when every pair is
+        equal.  The lowest bit in which the two windows differ lies in
+        slot n - 1."""
+        found = None
+        for i, (left, right) in enumerate(pairs):
+            if diff := left ^ right:
+                n = ((diff & -diff).bit_length() - 1) // self._slot_bits + 1
+                if found is None or n < found[0]:
+                    found = (n, i)
+        return found
 
 
 # -- pretty printing ---------------------------------------------------------

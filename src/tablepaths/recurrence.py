@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .deltaops import DeltaPoly, Family, multiplier, parity_family
+from .deltaops import (ONE, DeltaPoly, Family, Windows, multiplier,
+                       parity_family)
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
@@ -411,14 +412,19 @@ def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
 
 
 def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
-    """Reduced matrix advances reduced columns."""
+    """Reduced matrix advances reduced columns: on rows, the shift E sends
+    row y to the combination of rows 1..k in row y of the matrix."""
     mat = reduced_matrix(table.m)
-    for n in range(1, n_max + 1):
-        col = table.column(n)
-        got = tuple(sum(map(mul, r, col)) for r in mat)
-        want = table.column(n + 1)[:len(mat)]
-        if got != want:
-            return f"m={table.m} n={n}: {got} != {want}"
+    shift = DeltaPoly((1, 1))
+    w = Windows(n_max, table.rows[:len(mat)], (ONE, shift),
+                weight=max(map(sum, mat)))
+    got = [w.apply(ONE, sum(map(mul, r, w.seqs))) for r in mat]
+    want = [w.apply(shift, row) for row in w.seqs]
+    if hit := w.first_difference(zip(got, want)):
+        n = hit[0]
+        got_n = tuple(w.values(v)[n - 1] for v in got)
+        want_n = tuple(w.values(v)[n - 1] for v in want)
+        return f"m={table.m} n={n}: {got_n} != {want_n}"
     return None
 
 
@@ -426,66 +432,69 @@ def verify_annihilation(table: PathTable, n_max: int = 30) -> str | None:
     """The index-k family member sends every row and the column sums to 0."""
     m, k = table.m, table.k
     poly = multiplier(parity_family(m), k)
-    rows = [table.row(y) for y in range(1, m + 1)]
-    # A lower row y > k equal to its mirror m + 1 - y has values already
-    # checked at the same n, so only lower rows that differ are applied.
-    checked = [(y, row) for y, row in enumerate(rows, 1)
-               if y <= k or row != rows[m - y]]
-    sums = table.column_sums()
-    for n in range(1, n_max + 1):
-        for y, row in checked:
-            if poly.apply(row, n) != 0:
-                return f"m={m} row {y} n={n}: not annihilated"
-        if poly.apply(sums, n) != 0:
-            return f"m={m} sums n={n}: not annihilated"
+    rows = table.rows
+    # A lower row y > k equal to its mirror m + 1 - y has the same values,
+    # so only lower rows that differ are applied.
+    checked = [y for y in range(1, m + 1)
+               if y <= k or rows[y - 1] != rows[m - y]]
+    w = Windows(n_max, [*(rows[y - 1] for y in checked), table.column_sums()],
+                (poly,))
+    if hit := w.first_difference((w.apply(poly, seq), w.zero)
+                                 for seq in w.seqs):
+        n, i = hit
+        where = f"row {checked[i]}" if i < len(checked) else "sums"
+        return f"m={m} {where} n={n}: not annihilated"
     return None
 
 
 def verify_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
     """(2 - D) applied to the column sums equals twice the first row."""
-    two_minus_delta = DeltaPoly((2, -1))
-    sums = table.column_sums()
-    for n in range(1, n_max + 1):
-        if two_minus_delta.apply(sums, n) != 2 * table.cell(n, 1):
-            return f"m={table.m} n={n}: bridge identity fails"
+    two_minus_delta, two = DeltaPoly((2, -1)), DeltaPoly((2,))
+    w = Windows(n_max, (table.column_sums(), table.row(1)),
+                (two_minus_delta, two))
+    sums, first = w.seqs
+    if hit := w.first_difference([(w.apply(two_minus_delta, sums),
+                                   w.apply(two, first))]):
+        return f"m={table.m} n={hit[0]}: bridge identity fails"
     return None
 
 
 def verify_row_equivalence(table: PathTable, n_max: int = 25) -> str | None:
     """Any row determines any other through the two transport identities."""
     m, k = table.m, table.k
-    fam = parity_family(m)
-    rows = {a: table.row(a) for a in range(1, k + 1)}
+    family = [multiplier(parity_family(m), j) for j in range(k)]
+    prime = [multiplier(Family.PRIME, j) for j in range(k)]
+    w = Windows(n_max, table.rows[:k], family + prime)
+    rows = w.seqs
     # The pair (b, a) compares the two sequences that (a, b) compares, and
     # (a, a) compares a sequence with itself, so the pairs a < b, taken in
-    # order, meet the first failure and compute each transported sequence
-    # once.
+    # order, meet the first failure and compute each window once.
     for a in range(1, k + 1):
         for b in range(a + 1, k + 1):
-            pa = multiplier(fam, k - b)
-            pb = multiplier(fam, k - a)
-            qa = multiplier(Family.PRIME, b - 1)
-            qb = multiplier(Family.PRIME, a - 1)
-            for n in range(1, n_max + 1):
-                if pa.apply(rows[a], n) != pb.apply(rows[b], n):
-                    return f"m={m} a={a} b={b} n={n}: family transport fails"
-                if qa.apply(rows[a], n) != qb.apply(rows[b], n):
-                    return f"m={m} a={a} b={b} n={n}: prime transport fails"
+            row_a, row_b = rows[a - 1], rows[b - 1]
+            hit = w.first_difference((
+                (w.apply(family[k - b], row_a), w.apply(family[k - a], row_b)),
+                (w.apply(prime[b - 1], row_a), w.apply(prime[a - 1], row_b))))
+            if hit:
+                n, i = hit
+                return (f"m={m} a={a} b={b} n={n}: "
+                        f"{('family', 'prime')[i]} transport fails")
     return None
 
 
 def verify_table_action(table: PathTable, n_max: int = 25) -> str | None:
     """Odd(b) applied to row a splits into rows a-b and a+b."""
     k = table.k
+    odd = [multiplier(Family.ODD, b) for b in range(k // 2 + 1)]
+    w = Windows(n_max, table.rows[:k], (ONE, *odd), weight=2)
+    rows = w.seqs
     for a in range(1, k + 1):
-        row_a = table.row(a)
         for b in range(0, min(a, k - a) + 1):
-            poly = multiplier(Family.ODD, b)
-            for n in range(1, n_max + 1):
-                low = table.cell(n, a - b) if a - b >= 1 else 0
-                want = low + table.cell(n, a + b)
-                if poly.apply(row_a, n) != want:
-                    return f"m={table.m} a={a} b={b} n={n}: split fails"
+            low = rows[a - b - 1] if a - b >= 1 else 0
+            want = w.apply(ONE, low + rows[a + b - 1])
+            if hit := w.first_difference([(w.apply(odd[b], rows[a - 1]),
+                                           want)]):
+                return f"m={table.m} a={a} b={b} n={hit[0]}: split fails"
     return None
 
 
@@ -494,10 +503,11 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     m, k = table.m, table.k
     fam = parity_family(m)
     base = 2 if m % 2 else 1
-    sums = table.column_sums()
-    sum_members = sum((multiplier(fam, j) for j in range(1, k)), DeltaPoly((1,)))
-    combined = (multiplier(Family.PRIME, k - 1)
-                + (base - 1) * multiplier(Family.PRIME, k - 2))
+    # Twice the partial sum of the family, and twice its closed form.
+    twice_members = 2 * sum((multiplier(fam, j) for j in range(1, k)),
+                            DeltaPoly((1,)))
+    twice_combined = 2 * (multiplier(Family.PRIME, k - 1)
+                          + (base - 1) * multiplier(Family.PRIME, k - 2))
     if m % 2:
         prime_side = (multiplier(Family.PRIME, k - 1)
                       + 2 * sum((multiplier(Family.PRIME, j)
@@ -505,18 +515,22 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     else:
         prime_side = 2 * sum((multiplier(Family.PRIME, j)
                               for j in range(k)), DeltaPoly(()))
-    for a in range(1, k + 1):
-        row_a = table.row(a)
-        lhs_poly = multiplier(fam, k - a)
-        prime_lhs = multiplier(Family.PRIME, a - 1)
-        for n in range(1, n_max + 1):
-            lhs = lhs_poly.apply(sums, n)
-            if lhs != 2 * sum_members.apply(row_a, n):
-                return f"m={m} a={a} n={n}: partial-sum form fails"
-            if lhs != 2 * combined.apply(row_a, n):
-                return f"m={m} a={a} n={n}: combined form fails"
-            if prime_lhs.apply(sums, n) != prime_side.apply(row_a, n):
-                return f"m={m} a={a} n={n}: prime form fails"
+    lhs_polys = [multiplier(fam, k - a) for a in range(1, k + 1)]
+    prime_lhs = [multiplier(Family.PRIME, a - 1) for a in range(1, k + 1)]
+    w = Windows(n_max, [*table.rows[:k], table.column_sums()],
+                (*lhs_polys, *prime_lhs, twice_members, twice_combined,
+                 prime_side))
+    *rows, sums = w.seqs
+    for a, row_a in enumerate(rows, 1):
+        lhs = w.apply(lhs_polys[a - 1], sums)
+        hit = w.first_difference((
+            (lhs, w.apply(twice_members, row_a)),
+            (lhs, w.apply(twice_combined, row_a)),
+            (w.apply(prime_lhs[a - 1], sums), w.apply(prime_side, row_a))))
+        if hit:
+            n, i = hit
+            return (f"m={m} a={a} n={n}: "
+                    f"{('partial-sum', 'combined', 'prime')[i]} form fails")
     return None
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablepaths import cli
 from tablepaths.cli import build_parser, main
@@ -171,6 +176,95 @@ def test_single_size_accepted(capsys):
                            "--family", "E", "--q", "2", "--n", "3")
     assert code == 0
     assert out.strip() == "3,FULL_ORDER"
+
+
+# -- generated command lines ---------------------------------------------------------
+
+
+def near(ceiling):
+    """Sizes just below, at and just past a ceiling."""
+    return st.integers(ceiling - 1, ceiling + 2)
+
+
+def flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+small = st.integers(-1, 3)
+table_argv = st.one_of(
+    st.tuples(near(cli.M_CEILING), small),
+    st.tuples(st.integers(-1, 1), near(cli.N_CEILING)),
+).map(lambda mn: ["table", "--m", str(mn[0]), "--n", str(mn[1])])
+recurrence_argv = flag("--m", st.one_of(near(cli.M_CEILING), small)).map(
+    lambda a: ["recurrence", *a])
+# An m-max at the ceiling runs for seconds, so only sizes past it are drawn.
+verify_argv = st.tuples(
+    st.one_of(st.tuples(st.integers(cli.M_CEILING + 1, cli.M_CEILING + 2), small),
+              st.tuples(st.integers(0, 3), st.integers(0, 6)),
+              st.tuples(st.integers(-1, 1), near(cli.N_CEILING))),
+    st.sampled_from([[], ["--node-budget", "-1"], ["--node-budget", "0"],
+                     ["--node-budget", "5000"]]),
+).map(lambda t: ["verify", "--m-max", str(t[0][0]), "--n-max", str(t[0][1]),
+                 *t[1]])
+rows_argv = st.one_of(
+    st.tuples(flag("--m", st.one_of(near(cli.M_CEILING), small)),
+              st.just([])),
+    st.tuples(flag("--m", st.integers(-1, 9)),
+              flag("--n-probe", st.one_of(small, st.integers(4, 12),
+                                          near(cli.N_CEILING)))),
+).map(lambda t: ["rows", *t[0], *t[1]])
+singer_sizes = st.one_of(
+    st.tuples(st.just("2"), near(cli.SINGER_N_CEILING).flatmap(
+        lambda hi: st.sampled_from([str(hi), f"{hi - 2}..{hi}"]))),
+    st.tuples(st.sampled_from(["2", "3", "4", "0", "-7", "65521"]),
+              st.sampled_from(["1", "3..6", "5..2", "x", "1..8", "0..2"])),
+)
+verdict_lines = st.tuples(
+    st.integers(-1, cli.SINGER_N_CEILING + 2),
+    st.sampled_from(["FULL_ORDER", "NOT_FULL", "UNKNOWN", "WHAT"]),
+).map(lambda t: f"{t[0]},{t[1]}")
+fixture_bytes = st.one_of(
+    st.binary(max_size=24),
+    st.lists(st.one_of(verdict_lines,
+                       st.sampled_from(["", "# note", "1,2,3", "x,NOT_FULL"])),
+             max_size=4).map(lambda lines: "\n".join(lines).encode()),
+)
+singer_argv = st.tuples(
+    st.sampled_from(["E", "O", "X"]), singer_sizes,
+    st.sampled_from([[], ["--budget", "-1"], ["--budget", "0"],
+                     ["--budget", "100"]]),
+).map(lambda t: ["singer", "--family", t[0], "--q", t[1][0], "--n", t[1][1],
+                 *t[2]])
+
+
+@given(fmt=st.sampled_from(["plain", "json", "csv"]),
+       argv=st.one_of(table_argv, recurrence_argv, verify_argv, rows_argv,
+                      singer_argv),
+       fixture=st.one_of(st.none(), fixture_bytes))
+@settings(max_examples=60, deadline=None)
+def test_generated_command_lines_exit_cleanly(fmt, argv, fixture):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "singer" and fixture is not None:
+            path = Path(tmp, "fixture.txt")
+            path.write_bytes(fixture)
+            argv = [*argv, "--fixture", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--format", fmt, *argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    if code == 1:
+        # Only a failed check or a fixture mismatch exits 1.
+        assert (argv[0] in ("verify", "recurrence")
+                or "fixture mismatch: " in err), err
+        assert "internal inconsistency" not in err
+    if fmt == "json":
+        assert render_document(parse_document(out)) == out
 
 
 # -- fixtures ----------------------------------------------------------------------
@@ -341,6 +435,33 @@ def test_fixture_that_is_not_utf8_rejected(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot read fixture {fixture}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read fixture {path}: "),
+    (b"", "fixture {path} contains no expectations"),
+    (b"2,WHAT\n", "{path}:1: unknown verdict 'WHAT'"),
+    (b"# header\nx,FULL_ORDER\n", "{path}:2: bad index 'x'"),
+    (b"1,FULL_ORDER,2\n", "{path}:1: expected 'n,verdict', got '1,FULL_ORDER,2'"),
+    (b"\xff\xfe2\x00,\x00", "cannot read fixture {path}: "),
+    (b"70,FULL_ORDER\n170,FULL_ORDER\n",
+     "fixture index 170 outside scanned range 60..110"),
+])
+def test_bad_fixture_exits_before_the_scan(capsys, monkeypatch, tmp_path,
+                                           content, message):
+    def no_scan(*args):
+        raise AssertionError("singer_scan ran on a bad fixture")
+
+    monkeypatch.setattr(cli, "singer_scan", no_scan)
+    path = tmp_path / "fixture.txt"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "3",
+                             "--n", "60..110", "--fixture", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message.format(path=path))
     assert err.count("\n") == 1
 
 

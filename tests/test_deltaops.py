@@ -14,6 +14,7 @@ from tablepaths.deltaops import (
     ZERO,
     DeltaPoly,
     Family,
+    Windows,
     base_constant,
     chebyshev_t,
     closed_form,
@@ -241,6 +242,100 @@ def test_apply_matches_the_difference_triangle(p, data):
     for n in range(0, len(seq) - d + 2):
         assert (_outcome(p.apply, seq, n)
                 == _outcome(difference_triangle_apply, p, seq, n)), n
+
+
+# Values at slot-width edges: 2^k - 1 is the largest with k bits, 2^k the
+# smallest with k + 1.
+edge_values = st.integers(0, 140).flatmap(
+    lambda k: st.sampled_from((2**k - 1, 2**k, 1 - 2**k, -2**k)))
+window_values = st.one_of(seq_values, edge_values)
+window_polys = st.one_of(
+    st.just(ZERO),
+    st.lists(st.one_of(st.integers(-50, 50), edge_values),
+             min_size=1, max_size=17).map(lambda cs: DeltaPoly(tuple(cs))))
+
+
+def window_values_of(windows, poly, packed):
+    return windows.values(windows.apply(poly, packed))
+
+
+@given(p=window_polys, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_windows_and_apply_match_the_difference_triangle(p, data):
+    d = max(p.degree, 0)
+    seq = tuple(data.draw(st.lists(window_values, min_size=d + 1,
+                                   max_size=d + 12)))
+    longest = len(seq) - d
+    want = [difference_triangle_apply(p, seq, n) for n in range(1, longest + 1)]
+    for count in (1, data.draw(st.integers(1, longest)), longest):
+        windows = Windows(count, (seq,), (p,))
+        assert window_values_of(windows, p, windows.seqs[0]) == want[:count]
+    for n in range(0, longest + 2):
+        assert (_outcome(p.apply, seq, n)
+                == _outcome(difference_triangle_apply, p, seq, n)), n
+    # One index past the longest window fails with the reference's message;
+    # the zero polynomial reads no values and has no longest window.
+    if p.is_zero:
+        windows = Windows(longest + 1, (seq,), (p,))
+        assert window_values_of(windows, p, windows.seqs[0]) == [0] * (longest + 1)
+    else:
+        with pytest.raises(DomainError) as windowed:
+            Windows(longest + 1, (seq,), (p,))
+        with pytest.raises(DomainError) as reference:
+            difference_triangle_apply(p, seq, longest + 1)
+        assert str(windowed.value) == str(reference.value)
+
+
+@given(polys=st.lists(window_polys, min_size=1, max_size=4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_windows_share_one_width_and_find_the_first_difference(polys, data):
+    d = max(max(p.degree for p in polys), 0)
+    count = data.draw(st.integers(1, 8))
+    seqs = data.draw(st.lists(
+        st.lists(window_values, min_size=count + d, max_size=count + d + 3),
+        min_size=1, max_size=3))
+    # weight: the sum of all the sequences is evaluated too.
+    windows = Windows(count, seqs, polys, weight=len(seqs))
+    total = [sum(column) for column in zip(*seqs)]
+    got, want = [], []
+    for p in polys:
+        for seq, packed in zip([*seqs, total], [*windows.seqs, sum(windows.seqs)]):
+            got.append(windows.apply(p, packed))
+            want.append([difference_triangle_apply(p, seq, n)
+                         for n in range(1, count + 1)])
+            assert windows.values(got[-1]) == want[-1]
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(got) - 1),
+                                         st.integers(0, len(got) - 1))))
+    first = None
+    for i, (a, b) in enumerate(pairs):
+        assert (got[a] == got[b]) == (want[a] == want[b])
+        if want[a] != want[b]:
+            n = next(n for n, (x, y) in enumerate(zip(want[a], want[b]), 1)
+                     if x != y)
+            if first is None or n < first[0]:
+                first = (n, i)
+    assert windows.first_difference((got[a], got[b]) for a, b in pairs) == first
+
+
+@pytest.mark.parametrize("bits", range(60, 82))
+def test_windows_hold_weighted_sums_at_slot_width_edges(bits):
+    # Three sequences at 2^bits - 1 or -2^bits add up to past the slot
+    # width of one of them; weight 3 makes room for their sum.
+    for edge in ((1 << bits) - 1, -(1 << bits)):
+        seqs = [(edge, -edge, edge, edge)] * 3
+        windows = Windows(3, seqs, (ONE, DELTA), weight=3)
+        total = sum(windows.seqs)
+        assert window_values_of(windows, ONE, total) == [3 * edge, -3 * edge,
+                                                          3 * edge]
+        assert window_values_of(windows, DELTA, total) == [-6 * edge,
+                                                            6 * edge, 0]
+
+
+def test_windows_reject_a_negative_length():
+    with pytest.raises(DomainError, match=r"^window length must be >= 0, got -1$"):
+        Windows(-1, ((1, 2),), (ONE,))
+    windows = Windows(0, ((1, 2),), (DELTA,))
+    assert windows.values(windows.apply(DELTA, windows.seqs[0])) == []
 
 
 @given(p=wide_polys)

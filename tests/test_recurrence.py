@@ -1,11 +1,13 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablepaths import pathtable, recurrence
-from tablepaths.deltaops import DeltaPoly, Family, format_poly, multiplier
+from tablepaths.deltaops import (DeltaPoly, Family, format_poly, multiplier,
+                                 parity_family)
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.pathtable import PathTable, build_table
@@ -266,6 +268,169 @@ def test_table_checks_fail_where_a_wrong_cell_is(m, x, y, details):
     got = tuple(check(table, 12) for check in checks) + (
         verify_polynomial_equivalence(table), verify_constant_combinations(table))
     assert got == details
+
+
+# -- the per-n reference routes of the windowed table checks -------------------
+#
+# The six checks that apply Δ-polynomials to rows and column sums evaluate
+# whole packed windows.  These reference routes run the same checks one
+# index n at a time through DeltaPoly.apply, in the order (a, b, n) that
+# fixes which failure is reported first.
+
+
+def reference_transfer(table: PathTable, n_max: int = 30) -> str | None:
+    """Reduced matrix advances reduced columns."""
+    mat = reduced_matrix(table.m)
+    for n in range(1, n_max + 1):
+        col = table.column(n)
+        got = tuple(sum(map(mul, r, col)) for r in mat)
+        want = table.column(n + 1)[:len(mat)]
+        if got != want:
+            return f"m={table.m} n={n}: {got} != {want}"
+    return None
+
+
+def reference_annihilation(table: PathTable, n_max: int = 30) -> str | None:
+    """The index-k family member sends every row and the column sums to 0."""
+    m, k = table.m, table.k
+    poly = multiplier(parity_family(m), k)
+    rows = [table.row(y) for y in range(1, m + 1)]
+    # A lower row y > k equal to its mirror m + 1 - y has values already
+    # checked at the same n, so only lower rows that differ are applied.
+    checked = [(y, row) for y, row in enumerate(rows, 1)
+               if y <= k or row != rows[m - y]]
+    sums = table.column_sums()
+    for n in range(1, n_max + 1):
+        for y, row in checked:
+            if poly.apply(row, n) != 0:
+                return f"m={m} row {y} n={n}: not annihilated"
+        if poly.apply(sums, n) != 0:
+            return f"m={m} sums n={n}: not annihilated"
+    return None
+
+
+def reference_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
+    """(2 - D) applied to the column sums equals twice the first row."""
+    two_minus_delta = DeltaPoly((2, -1))
+    sums = table.column_sums()
+    for n in range(1, n_max + 1):
+        if two_minus_delta.apply(sums, n) != 2 * table.cell(n, 1):
+            return f"m={table.m} n={n}: bridge identity fails"
+    return None
+
+
+def reference_row_equivalence(table: PathTable, n_max: int = 25) -> str | None:
+    """Any row determines any other through the two transport identities."""
+    m, k = table.m, table.k
+    fam = parity_family(m)
+    rows = {a: table.row(a) for a in range(1, k + 1)}
+    # The pair (b, a) compares the two sequences that (a, b) compares, and
+    # (a, a) compares a sequence with itself, so the pairs a < b, taken in
+    # order, meet the first failure and compute each transported sequence
+    # once.
+    for a in range(1, k + 1):
+        for b in range(a + 1, k + 1):
+            pa = multiplier(fam, k - b)
+            pb = multiplier(fam, k - a)
+            qa = multiplier(Family.PRIME, b - 1)
+            qb = multiplier(Family.PRIME, a - 1)
+            for n in range(1, n_max + 1):
+                if pa.apply(rows[a], n) != pb.apply(rows[b], n):
+                    return f"m={m} a={a} b={b} n={n}: family transport fails"
+                if qa.apply(rows[a], n) != qb.apply(rows[b], n):
+                    return f"m={m} a={a} b={b} n={n}: prime transport fails"
+    return None
+
+
+def reference_table_action(table: PathTable, n_max: int = 25) -> str | None:
+    """Odd(b) applied to row a splits into rows a-b and a+b."""
+    k = table.k
+    for a in range(1, k + 1):
+        row_a = table.row(a)
+        for b in range(0, min(a, k - a) + 1):
+            poly = multiplier(Family.ODD, b)
+            for n in range(1, n_max + 1):
+                low = table.cell(n, a - b) if a - b >= 1 else 0
+                want = low + table.cell(n, a + b)
+                if poly.apply(row_a, n) != want:
+                    return f"m={table.m} a={a} b={b} n={n}: split fails"
+    return None
+
+
+def reference_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
+    """Column sums are determined by any single row, three ways."""
+    m, k = table.m, table.k
+    fam = parity_family(m)
+    base = 2 if m % 2 else 1
+    sums = table.column_sums()
+    sum_members = sum((multiplier(fam, j) for j in range(1, k)), DeltaPoly((1,)))
+    combined = (multiplier(Family.PRIME, k - 1)
+                + (base - 1) * multiplier(Family.PRIME, k - 2))
+    if m % 2:
+        prime_side = (multiplier(Family.PRIME, k - 1)
+                      + 2 * sum((multiplier(Family.PRIME, j)
+                                 for j in range(k - 1)), DeltaPoly(())))
+    else:
+        prime_side = 2 * sum((multiplier(Family.PRIME, j)
+                              for j in range(k)), DeltaPoly(()))
+    for a in range(1, k + 1):
+        row_a = table.row(a)
+        lhs_poly = multiplier(fam, k - a)
+        prime_lhs = multiplier(Family.PRIME, a - 1)
+        for n in range(1, n_max + 1):
+            lhs = lhs_poly.apply(sums, n)
+            if lhs != 2 * sum_members.apply(row_a, n):
+                return f"m={m} a={a} n={n}: partial-sum form fails"
+            if lhs != 2 * combined.apply(row_a, n):
+                return f"m={m} a={a} n={n}: combined form fails"
+            if prime_lhs.apply(sums, n) != prime_side.apply(row_a, n):
+                return f"m={m} a={a} n={n}: prime form fails"
+    return None
+
+
+WINDOWED_CHECKS = (
+    (verify_transfer, reference_transfer),
+    (verify_annihilation, reference_annihilation),
+    (verify_column_sum_bridge, reference_column_sum_bridge),
+    (verify_row_equivalence, reference_row_equivalence),
+    (verify_table_action, reference_table_action),
+    (verify_column_sum_formulas, reference_column_sum_formulas),
+)
+
+
+@pytest.mark.parametrize("m, n_max", [*((m, 7) for m in range(1, 10)), (20, 3)])
+def test_windowed_checks_report_what_the_per_n_routes_report(m, n_max):
+    # n_max + k columns: the last one is the end of the annihilation window,
+    # the widest any of the six checks reads.  Every cell of every row, the
+    # mirrored lower rows included, is corrupted by +1 and by -2 in turn.
+    cells = [list(row) for row in build_table(m, n_max + (m + 1) // 2).rows]
+    table = PathTable(m, len(cells[0]), tuple(map(tuple, cells)))
+    for check, reference in WINDOWED_CHECKS:
+        assert check(table, n_max) is reference(table, n_max) is None
+    failures = 0
+    for y, row in enumerate(cells, 1):
+        for x in range(1, len(row) + 1):
+            for delta in (1, -2):
+                row[x - 1] += delta
+                table = PathTable(m, len(row), tuple(map(tuple, cells)))
+                row[x - 1] -= delta
+                for check, reference in WINDOWED_CHECKS:
+                    want = reference(table, n_max)
+                    assert check(table, n_max) == want, (check.__name__, x, y)
+                    failures += want is not None
+    assert failures
+
+
+@pytest.mark.parametrize("bits", range(60, 74))
+def test_windowed_checks_report_what_the_per_n_routes_report_at_edges(bits):
+    # Tables whose cells sit at slot-width edges, so that the sums of rows
+    # the transfer and action checks form need wider slots than a cell.
+    for m in range(1, 8):
+        for edge in ((1 << bits) - 1, -(1 << bits)):
+            width = 5 + (m + 1) // 2
+            table = PathTable(m, width, ((edge,) * width,) * m)
+            for check, reference in WINDOWED_CHECKS:
+                assert check(table, 5) == reference(table, 5), check.__name__
 
 
 def test_recurrence_report_round_trip():
