@@ -324,6 +324,20 @@ def test_singer_benchmark_goldens_replay(capsys, workload):
     assert mismatched == []
 
 
+# Every singer-bigq golden that recorded at most 10 ms: 704 of 1200, prime q
+# up to 65419 and n = 2..14, all in residue rings with multi-byte slots.  The
+# costlier rest spends its time in Brent rho, not in the rings.
+def test_singer_bigq_benchmark_goldens_replay(capsys):
+    entries = [e for e in golden_entries("singer-bigq") if e["cost_s"] <= 0.01]
+    assert len(entries) == 704
+    mismatched = []
+    for entry in entries:
+        got, want = replay(capsys, entry)
+        if got != want:
+            mismatched.append((entry["argv"], got, want))
+    assert mismatched == []
+
+
 VERIFY_GOLDENS = golden_entries("verify-suite")
 
 
