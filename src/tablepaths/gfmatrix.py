@@ -14,11 +14,12 @@ returned incomplete and order checks report UNKNOWN rather than guessing.
 
 Orders are decided on the characteristic polynomial f of a template: its
 order mod q is the order of x in GF(q)[x]/(f), powered in pure Python with
-each residue packed into one integer, one slot per coefficient.  A slot is
-one byte when 2n(q-1)**2 < 256 (q=2 up to n=127, q=3 up to n=31, q=5 up to
-n=7); products in such rings are reduced by Barrett reduction with a
-``bytes.translate`` taking every slot mod q, and products in wider rings by
-folding the high slots through a table of x**k mod f.  ``GFMatrix`` keeps
+each residue packed into one integer, one slot per coefficient.  Every
+product is reduced mod f by Barrett reduction, three big-int multiplies,
+each followed by one step that takes every slot mod q.  That step is a
+``bytes.translate`` when a slot is one byte, which holds while
+2n(q-1)**2 < 256 (q=2 up to n=127, q=3 up to n=31, q=5 up to n=7), and a
+multiply by a packed reciprocal of q in wider slots.  ``GFMatrix`` keeps
 the plain matrix route as a reference.
 
 The module is a leaf: it imports only ``errors`` from the package.  The
@@ -34,7 +35,6 @@ from enum import Enum
 from functools import reduce
 from math import gcd, isqrt, prod
 from operator import mul
-from struct import Struct
 
 from .errors import DomainError, InternalInconsistencyError
 
@@ -236,10 +236,12 @@ def _checked_budget(budget: int | None) -> int:
 def factor(n: int, budget: int | None = None) -> PrimeFactorization:
     """Factor n within a deterministic effort budget.
 
-    ``budget`` caps the total number of Pollard-rho iterations; trial
-    division and primality certification are not charged against it.  The
-    default is sized for inputs around 140 bits; a negative budget is a
-    DomainError.
+    ``budget`` counts Pollard-rho iterations; trial division and primality
+    certification are not charged against it.  It is not a hard cap: a rho
+    attempt checks what is left of it only between its doubling rounds, so
+    the last attempt can run past it (on (2**61 - 1)(2**89 - 1) a budget of
+    5000 spends 8190 steps).  The default is sized for inputs around 140
+    bits; a negative budget is a DomainError.
     """
     if n < 1:
         raise DomainError(f"factor needs n >= 1, got {n}")
@@ -369,9 +371,6 @@ class GFMatrix:
 
 # -- powers of x modulo a polynomial over GF(q) --------------------------------
 
-# struct codes of little-endian unsigned slots, keyed by slot width in bytes.
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
 
 def _barrett_mu(f: list[int], q: int) -> list[int]:
     """Ascending coefficients of x**(2n-2) // f over GF(q), for a monic f of
@@ -388,73 +387,73 @@ class _Residues:
     """GF(q)[x]/(f) for a monic f of degree n >= 1, residues packed in ints.
 
     A residue's n coefficients fill one int, ``width`` bytes each (Kronecker
-    substitution), so a product is one big-int multiply.  A slot holds
-    2n(q-1)**2, which bounds each slot of a product and of its reduction.
-    Every power of x is a product of the cached squarings x**(2**i).
+    substitution), so a product is one big-int multiply.  Every slot of a
+    product and of its reduction stays below B = 2n(q-1)**2.  Every power of
+    x is a product of the cached squarings x**(2**i).  For n = 1 a residue is
+    one coefficient, and a product is a * b % q.
 
-    A product of degree <= 2n-2 is reduced by one of two routes, chosen by
-    the slot width.  With one-byte slots and n >= 2, Barrett reduction: the
-    quotient is the top n-1 slots of (p >> n slots) * mu, where
-    mu = x**(2n-2) // f, and the remainder is p + quotient * (-f) below x**n;
-    after each of the three multiplies one ``bytes.translate`` takes every
-    slot mod q.  Wider slots fold degrees n..2n-2 back through a table of
-    packed x**k mod f, one slot at a time.
+    For n >= 2 a product p of degree <= 2n-2 is reduced by Barrett
+    reduction: the quotient is the top n-1 slots of (p >> n slots) * mu,
+    where mu = x**(2n-2) // f, and the remainder is p + quotient * (-f)
+    below x**n.  After each of the three multiplies every slot is taken mod
+    q at once, in one of two ways:
+
+    - one-byte slots (B < 256) go through one ``bytes.translate``;
+    - wider slots use a packed reciprocal.  With a = B.bit_length(),
+      s = a + q.bit_length() and m = ceil(2**s / q), floor(v * m / 2**s) =
+      floor(v / q) for every v < 2**a (Granlund and Montgomery, 1994), so
+      p - q * ((p * m >> s) & qmask) holds every slot mod q.  Slots are
+      ceil((2a + 1) / 8) bytes wide, so no v * m carries into the next slot,
+      and qmask keeps the low 8 * width - s bits of each slot.
+
+    Each way has its own ``times``, so that neither pays a call per pass.
     """
 
     def __init__(self, f: list[int], q: int):
         n = len(f) - 1
         bound = 2 * n * (q - 1) ** 2
-        width = next((w for w in _SLOT_CODES if bound < 256**w),
-                     (bound.bit_length() + 7) // 8)
-        code = _SLOT_CODES.get(width)
+        a = bound.bit_length()
+        width = 1 if bound < 256 else (2 * a + 8) // 8
         self.n, self.q, self.width, self.bits = n, q, width, 8 * width
-        self.structs = code and {k: Struct(f"<{k}{code}") for k in (n - 1, n)}
-        self.shift = self.bits * n
+        if n == 1:
+            self.squares = [-f[0] % q]
+            self.times = lambda u, v: u * v % q
+            return
+        self.squares = [1 << self.bits]
+        self.shift, self.high = self.bits * n, self.bits * (n - 2)
         self.low = (1 << self.shift) - 1
-        if width == 1 and n > 1:
+        self.mu = self.pack(_barrett_mu(f, q))
+        self.minus_f = self.pack([-c % q for c in f[:-1]])
+        if width == 1:
             self.modq = bytes(v % q for v in range(256))
-            self.mu = self.pack(_barrett_mu(f, q) + [0])
-            self.minus_f = self.pack([-c % q for c in f[:-1]])
-            self.times = self._barrett_times
+            self.times = self._translate_times
         else:
-            self.table = []
-            row = [0] * (n - 1) + [1]
-            for _ in range(n - 1):
-                top = row[-1]
-                row = [(v - top * c) % q for v, c in zip([0] + row[:-1], f)]
-                self.table.append(self.pack(row))
-            self.times = self._fold_times
-        x = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0] % q]
-        self.squares = [self.pack(x)]
+            self.s = a + q.bit_length()
+            self.m = -(-(1 << self.s) // q)
+            self.qmask = self.pack([(1 << self.bits - self.s) - 1] * (2 * n - 1))
+            self.times = self._reciprocal_times
 
     def pack(self, coeffs: list[int]) -> int:
-        if self.structs:
-            return int.from_bytes(self.structs[self.n].pack(*coeffs), "little")
         return sum(c << i * self.bits for i, c in enumerate(coeffs))
 
-    def unpack(self, value: int, count: int):
-        if self.structs:
-            raw = value.to_bytes(count * self.width, "little")
-            return self.structs[count].unpack(raw)
-        mask = (1 << self.bits) - 1
-        return [value >> i * self.bits & mask for i in range(count)]
-
-    def _fold_times(self, a: int, b: int) -> int:
-        q = self.q
-        p = a * b
-        high = self.unpack(p >> self.shift, self.n - 1)
-        r = sum([v % q * t for v, t in zip(high, self.table)], p & self.low)
-        return self.pack([v % q for v in self.unpack(r, self.n)])
-
-    def _barrett_times(self, a: int, b: int) -> int:
+    def _translate_times(self, a: int, b: int) -> int:
         n, modq = self.n, self.modq
         p = int.from_bytes(
             (a * b).to_bytes(2 * n - 1, "little").translate(modq), "little")
         quotient = int.from_bytes(
-            ((p >> self.shift) * self.mu >> 8 * (n - 2))
+            ((p >> self.shift) * self.mu >> self.high)
             .to_bytes(n - 1, "little").translate(modq), "little")
         r = (p & self.low) + (quotient * self.minus_f & self.low)
         return int.from_bytes(r.to_bytes(n, "little").translate(modq), "little")
+
+    def _reciprocal_times(self, a: int, b: int) -> int:
+        q, m, s, qmask = self.q, self.m, self.s, self.qmask
+        p = a * b
+        p -= q * (p * m >> s & qmask)
+        quotient = (p >> self.shift) * self.mu >> self.high
+        quotient -= q * (quotient * m >> s & qmask)
+        r = (p & self.low) + (quotient * self.minus_f & self.low)
+        return r - q * (r * m >> s & qmask)
 
     def power_of_x(self, e: int) -> int:
         """x**e mod f for e >= 1."""

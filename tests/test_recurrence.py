@@ -444,6 +444,27 @@ def test_column_sum_formula_sweep(first_failure):
     assert first_failure(verify_column_sum_formulas, 10, 20, 20) is None
 
 
+@pytest.mark.parametrize("m", [1, 2, 9, 10])
+def test_column_sum_formulas_compare_the_closed_form_as_a_polynomial(
+        monkeypatch, m):
+    # The closed form 2 (Prime(k-1) + (base-1) Prime(k-2)) is one polynomial
+    # with twice the partial sum of the family; a Prime member one off makes
+    # them differ before any row window is read.
+    k = (m + 1) // 2
+    table = build_table(m, 12 + k)
+    assert verify_column_sum_formulas(table, 12) is None
+
+    def skewed(family, n):
+        poly = multiplier(family, n)
+        if (family, n) == (Family.PRIME, k - 1):
+            return poly + DeltaPoly((1,))
+        return poly
+
+    monkeypatch.setattr(recurrence, "multiplier", skewed)
+    assert verify_column_sum_formulas(table, 12) == (
+        f"m={m}: combined form differs from the partial-sum form")
+
+
 def test_tables_and_reduced_eliminations_are_computed_once(monkeypatch):
     window_table = build_table(9, 12 + 5)
     calls = {"build_table": 0, "det_bareiss": 0}
