@@ -219,6 +219,8 @@ def _load_fixture(path: str) -> dict[int, str]:
                 if verdict not in Verdict.__members__:
                     raise DomainError(
                         f"{path}:{lineno}: unknown verdict {verdict!r}")
+                if n in expected:
+                    raise DomainError(f"{path}:{lineno}: duplicate index {n}")
                 expected[n] = verdict
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read fixture {path}: {exc}") from exc

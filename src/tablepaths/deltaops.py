@@ -15,7 +15,8 @@ multiply, a composition is Horner's rule on the packed inner polynomial,
 and one balanced decode reads either result back.  ``Windows`` evaluates a
 polynomial at n = 1..N of a sequence as one product of the packed sequence
 with the packed reversed shift coefficients, and compares such windows as
-ints without decoding them; ``DeltaPoly.apply`` is its one-point case.
+ints without decoding them; ``DeltaPoly.apply`` takes the dot product at
+one n directly and is the windows' independent reference.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -43,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import comb
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from struct import pack, unpack
 
 from .errors import DomainError
@@ -253,8 +254,7 @@ class DeltaPoly:
         sequence value at index 1.  Requires values up to n + degree, i.e.
         len(seq) >= n + degree.  With D = E - 1 for the index shift E, the
         value is p(E - 1) applied at n: the dot product of ``shift_coeffs``
-        with seq(n), ..., seq(n + degree), taken as the one-point window of
-        ``Windows`` on that stretch of the sequence.
+        with seq(n), ..., seq(n + degree).
         """
         if n < 1:
             raise DomainError(f"index must be >= 1, got {n}")
@@ -264,8 +264,7 @@ class DeltaPoly:
         if end > len(seq):
             raise DomainError(
                 f"need sequence values up to index {end}, have {len(seq)}")
-        windows = Windows(1, (seq[n - 1:end],), (self,))
-        return windows.values(windows.apply(self, windows.seqs[0]))[0]
+        return sum(map(mul, self.shift_coeffs, seq[n - 1:end]))
 
     # -- text form ---------------------------------------------------------
 
@@ -467,10 +466,9 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
 def _prime_image(family: Family, p: int, current: DeltaPoly,
                  base: DeltaPoly) -> DeltaPoly:
     """Image of ``current``, the index-n member of ``family``, under the
-    index-multiplying prime map; ``base`` is the odd member of index n.
-
-    The result is the index p*n member; iterating prime maps over the
-    factorization of any index rebuilds that member from the index-1 seed.
+    map that multiplies the index by p >= 1; ``base`` is the odd member of
+    index n.  Iterating the prime maps over the factorization of any index
+    rebuilds that member from the index-1 seed.
     """
     left = multiplier(Family.PRIME, p - 1).compose(base) * current
     right = multiplier(Family.PRIME, p - 2).compose(base) * base_constant(family)
@@ -523,14 +521,12 @@ def verify_action_theorem(limit: int = 12) -> str | None:
 
 def verify_product_theorem(limit: int = 8) -> str | None:
     """X(a*b) from composing prime-family members with Odd(b)."""
-    pf = Family.PRIME
     for family in Family:
         for a in range(1, limit + 1):
             for b in range(1, limit + 1):
-                base = multiplier(Family.ODD, b)
                 lhs = multiplier(family, a * b)
-                rhs = (multiplier(pf, a - 1).compose(base) * multiplier(family, b)
-                       - multiplier(pf, a - 2).compose(base) * base_constant(family))
+                rhs = _prime_image(family, a, multiplier(family, b),
+                                   multiplier(Family.ODD, b))
                 if lhs != rhs:
                     return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
     return None
@@ -613,40 +609,34 @@ def verify_congruence(k_max: int = 12) -> str | None:
 # -- classical polynomial families, as DeltaPoly coefficients in x ----------
 
 
+def _two_term(first, x, combine, k: int) -> tuple[int, ...]:
+    """Term k of the sequence t(i+2) = combine(x * t(i+1), t(i)) whose
+    terms 0 and 1 are ``first`` and D."""
+    terms = [first, DELTA]
+    while len(terms) <= k:
+        terms.append(combine(x * terms[-1], terms[-2]))
+    return terms[k].coeffs
+
+
 def chebyshev_t(n: int) -> tuple[int, ...]:
     """Chebyshev polynomial of the first kind, ascending coefficients."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    prev, cur = ONE, DELTA
-    if n == 0:
-        return prev.coeffs
-    for _ in range(n - 1):
-        prev, cur = cur, DeltaPoly((0, 2)) * cur - prev
-    return cur.coeffs
+    return _two_term(ONE, DeltaPoly((0, 2)), sub, n)
 
 
 def fibonacci_poly(n: int) -> tuple[int, ...]:
     """Fibonacci polynomial F_n with F_1 = 1, F_2 = x."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    prev, cur = ONE, DELTA
-    if n == 1:
-        return prev.coeffs
-    for _ in range(n - 2):
-        prev, cur = cur, DELTA * cur + prev
-    return cur.coeffs
+    return _two_term(ONE, DELTA, add, n - 1)
 
 
 def lucas_poly(n: int) -> tuple[int, ...]:
     """Lucas polynomial L_n with L_0 = 2, L_1 = x."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    prev, cur = DeltaPoly((2,)), DELTA
-    if n == 0:
-        return prev.coeffs
-    for _ in range(n - 1):
-        prev, cur = cur, DELTA * cur + prev
-    return cur.coeffs
+    return _two_term(DeltaPoly((2,)), DELTA, add, n)
 
 
 def verify_classical(n_max: int = 20) -> str | None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .deltaops import (ONE, DeltaPoly, Family, Windows, multiplier,
-                       parity_family)
+from .deltaops import (ONE, DeltaPoly, Family, Windows, base_constant,
+                       multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
@@ -502,7 +502,7 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     """Column sums are determined by any single row, three ways."""
     m, k = table.m, table.k
     fam = parity_family(m)
-    base = 2 if m % 2 else 1
+    base = base_constant(fam)
     # Twice the partial sum of the family equals twice its closed form (the
     # partial-sums identity), so the two are compared once, not per row.
     twice_members = 2 * sum((multiplier(fam, j) for j in range(1, k)),
@@ -510,7 +510,7 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     if twice_members != 2 * (multiplier(Family.PRIME, k - 1)
                              + (base - 1) * multiplier(Family.PRIME, k - 2)):
         return f"m={m}: combined form differs from the partial-sum form"
-    if m % 2:
+    if fam is Family.ODD:
         prime_side = (multiplier(Family.PRIME, k - 1)
                       + 2 * sum((multiplier(Family.PRIME, j)
                                  for j in range(k - 1)), DeltaPoly(())))

@@ -461,6 +461,7 @@ def test_fixture_that_is_not_utf8_rejected(capsys, tmp_path):
     (b"\xff\xfe2\x00,\x00", "cannot read fixture {path}: "),
     (b"70,FULL_ORDER\n170,FULL_ORDER\n",
      "fixture index 170 outside scanned range 60..110"),
+    (b"3,NOT_FULL\n3,FULL_ORDER\n", "{path}:2: duplicate index 3"),
 ])
 def test_bad_fixture_exits_before_the_scan(capsys, monkeypatch, tmp_path,
                                            content, message):

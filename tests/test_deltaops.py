@@ -371,6 +371,22 @@ def test_zero_polynomial_applies_to_zero_without_a_window():
             ZERO.apply((), n)
 
 
+def test_apply_is_a_dot_product_without_windows(monkeypatch):
+    def no_windows(*args, **kwargs):
+        raise AssertionError("DeltaPoly.apply built a Windows")
+
+    monkeypatch.setattr(deltaops, "Windows", no_windows)
+    seqs = ((1, 2, 5, 13, 35, 96, 267, 750),
+            (2**70, -3, 2**64 - 1, -2**90, 7, 0, 1 - 2**63, 5, 11))
+    polys = (ZERO, ONE, DELTA, DeltaPoly((-2, 0, 1)), multiplier(Family.ODD, 6),
+             DeltaPoly((10**6, -1, 0, 2**65, -7)), DeltaPoly((0,) * 7 + (3,)))
+    for p in polys:
+        for seq in seqs:
+            for n in range(-1, len(seq) + 2):
+                assert (_outcome(p.apply, seq, n)
+                        == _outcome(difference_triangle_apply, p, seq, n)), (p, n)
+
+
 # -- format --------------------------------------------------------------------
 
 
@@ -495,6 +511,51 @@ def test_fibonacci_and_lucas_seeds():
     assert lucas_poly(1) == (0, 1)
     assert lucas_poly(2) == (2, 0, 1)
     assert lucas_poly(3) == (0, 3, 0, 1)
+
+
+def reference_chebyshev_t(n):
+    """Chebyshev T_n by the pair-swapping loop: T_0 = 1, T_1 = x."""
+    prev, cur = ONE, DELTA
+    if n == 0:
+        return prev.coeffs
+    for _ in range(n - 1):
+        prev, cur = cur, DeltaPoly((0, 2)) * cur - prev
+    return cur.coeffs
+
+
+def reference_fibonacci_poly(n):
+    """Fibonacci F_n by the pair-swapping loop: F_1 = 1, F_2 = x."""
+    prev, cur = ONE, DELTA
+    if n == 1:
+        return prev.coeffs
+    for _ in range(n - 2):
+        prev, cur = cur, DELTA * cur + prev
+    return cur.coeffs
+
+
+def reference_lucas_poly(n):
+    """Lucas L_n by the pair-swapping loop: L_0 = 2, L_1 = x."""
+    prev, cur = DeltaPoly((2,)), DELTA
+    if n == 0:
+        return prev.coeffs
+    for _ in range(n - 1):
+        prev, cur = cur, DELTA * cur + prev
+    return cur.coeffs
+
+
+def test_classical_polynomials_match_their_pair_swapping_loops():
+    for n in range(41):
+        assert chebyshev_t(n) == reference_chebyshev_t(n), n
+        assert lucas_poly(n) == reference_lucas_poly(n), n
+        if n:
+            assert fibonacci_poly(n) == reference_fibonacci_poly(n), n
+
+
+def test_classical_polynomials_reject_indices_below_their_seeds():
+    for fn, lowest in ((chebyshev_t, 0), (fibonacci_poly, 1), (lucas_poly, 0)):
+        with pytest.raises(DomainError,
+                           match=f"^n must be >= {lowest}, got {lowest - 1}$"):
+            fn(lowest - 1)
 
 
 def test_odd_member_halved_at_doubled_argument_is_chebyshev():
