@@ -609,41 +609,48 @@ def verify_congruence(k_max: int = 12) -> str | None:
 # -- classical polynomial families, as DeltaPoly coefficients in x ----------
 
 
-def _two_term(first, x, combine, k: int) -> tuple[int, ...]:
-    """Term k of the sequence t(i+2) = combine(x * t(i+1), t(i)) whose
+def _two_term(first, x, combine, k: int) -> list[DeltaPoly]:
+    """Terms 0..k of the sequence t(i+2) = combine(x * t(i+1), t(i)) whose
     terms 0 and 1 are ``first`` and D."""
     terms = [first, DELTA]
     while len(terms) <= k:
         terms.append(combine(x * terms[-1], terms[-2]))
-    return terms[k].coeffs
+    return terms[:k + 1]
+
+
+# (term 0, x, combine) of each classical family, in the variable D.
+_CHEBYSHEV = (ONE, DeltaPoly((0, 2)), sub)
+_FIBONACCI = (ONE, DELTA, add)
+_LUCAS = (DeltaPoly((2,)), DELTA, add)
 
 
 def chebyshev_t(n: int) -> tuple[int, ...]:
     """Chebyshev polynomial of the first kind, ascending coefficients."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    return _two_term(ONE, DeltaPoly((0, 2)), sub, n)
+    return _two_term(*_CHEBYSHEV, n)[n].coeffs
 
 
 def fibonacci_poly(n: int) -> tuple[int, ...]:
     """Fibonacci polynomial F_n with F_1 = 1, F_2 = x."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _two_term(ONE, DELTA, add, n - 1)
+    return _two_term(*_FIBONACCI, n - 1)[n - 1].coeffs
 
 
 def lucas_poly(n: int) -> tuple[int, ...]:
     """Lucas polynomial L_n with L_0 = 2, L_1 = x."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    return _two_term(DeltaPoly((2,)), DELTA, add, n)
+    return _two_term(*_LUCAS, n)[n].coeffs
 
 
 def verify_classical(n_max: int = 20) -> str | None:
     """Match the families against Chebyshev, Fibonacci and Lucas polynomials.
 
     Checked coefficientwise; a mismatch reports the first differing
-    coefficient.  The comparisons are:
+    coefficient.  Each classical sequence is built once, up to n_max.  The
+    comparisons are:
 
       * half of Odd(n) evaluated at 2x equals T_n(x);
       * |coefficients of Prime(n)| equal those of F_{n+1}(x);
@@ -651,24 +658,28 @@ def verify_classical(n_max: int = 20) -> str | None:
       * |coefficients of Even(n)| equal those of F_{n+1}(x) + F_n(x),
         the same Fibonacci recursion run from seeds 1 and x + 1.
     """
+    chebyshev = _two_term(*_CHEBYSHEV, n_max)
+    # fibonacci[n] is F_n, with F_0 = 0.
+    fibonacci = [ZERO] + _two_term(*_FIBONACCI, n_max)
+    lucas = _two_term(*_LUCAS, n_max)
     for n in range(n_max + 1):
         odd = multiplier(Family.ODD, n).coeffs
         halved = [Fraction(c * 2**i, 2) for i, c in enumerate(odd)]
-        cheb = [Fraction(c) for c in chebyshev_t(n)]
+        cheb = [Fraction(c) for c in chebyshev[n].coeffs]
         msg = _first_diff("chebyshev", n, halved, cheb)
         if msg:
             return msg
         prime_abs = [abs(c) for c in multiplier(Family.PRIME, n).coeffs]
-        msg = _first_diff("fibonacci", n, prime_abs, list(fibonacci_poly(n + 1)))
+        msg = _first_diff("fibonacci", n, prime_abs,
+                          list(fibonacci[n + 1].coeffs))
         if msg:
             return msg
         odd_abs = [abs(c) for c in odd]
-        msg = _first_diff("lucas", n, odd_abs, list(lucas_poly(n)))
+        msg = _first_diff("lucas", n, odd_abs, list(lucas[n].coeffs))
         if msg:
             return msg
         even_abs = [abs(c) for c in multiplier(Family.EVEN, n).coeffs]
-        fib_pair = list((DeltaPoly(fibonacci_poly(n + 1))
-                         + DeltaPoly(fibonacci_poly(n) if n >= 1 else ())).coeffs)
+        fib_pair = list((fibonacci[n + 1] + fibonacci[n]).coeffs)
         msg = _first_diff("fibonacci-pair", n, even_abs, fib_pair)
         if msg:
             return msg

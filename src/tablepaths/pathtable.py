@@ -10,9 +10,11 @@ with zero terms outside the strip, and the first column is all ones.
 
 ``build_table`` fills the grid by dynamic programming with arbitrary
 precision integers.  The brute-force cross-check, deliberately independent
-of the recurrence, is one depth-first enumeration per strip: each state it
-visits is one walk and counts once for the cell where that walk ends, and
-the node budget caps the states visited in one strip.
+of the recurrence, enumerates every walk of a strip, one character per walk
+(the walk's end row), column by column: one ``str.translate`` moves a block
+of walks one column on and ``str.count`` counts the walks ending in each
+cell.  Every walk counts once for the cell where it ends, and the node
+budget caps the walks enumerated in one strip.
 
 ``table_strings`` is where table text comes from.  It runs the same
 recurrence on the k = ceil(m/2) independent rows (rows y and m+1-y are
@@ -49,6 +51,8 @@ _CHECK_MODULUS = 10**9
 # to about 64 x 2900 cells; beyond that some are converted twice, which
 # keeps 64 x 10000 (1.5 G digits) well under 1 GB.
 _KEPT_CHARS = 2**26
+# Walks per block of the enumeration; a column's walks beyond it are split.
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def _check_residues(what: str, strings, residues) -> None:
 
 def enumerate_paths(m: int, target: tuple[int, int],
                     node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Count walks ending at ``target`` by explicit depth-first search.
+    """Count walks ending at ``target`` by enumerating them one by one.
 
     The count is read from one enumeration of the strip up to the target's
     column, so ``node_budget`` caps the walks of that whole strip: more
@@ -222,32 +226,46 @@ def enumerate_paths(m: int, target: tuple[int, int],
 
 def _walk_counts(m: int, x_max: int, node_budget: int) -> list[list[int]]:
     """Entry [y - 1][x - 1] counts the walks of the m-row strip that end at
-    (x, y), x <= x_max.  The search starts at every first-column cell; each
-    state it visits is one walk and adds 1 to the cell where the walk ends.
+    (x, y), x <= x_max.
+
+    A walk is the character chr(y - 1) of its end row.  Column 1 holds one
+    walk per row; translating a string of walks replaces each by its one to
+    three successors in the next column.  Blocks of at most _BLOCK walks are
+    taken depth-first, so at most about 3 * _BLOCK * x_max characters wait
+    at any time, whatever the budget.  Every column holds at least m walks,
+    so a budget below m * x_max fails before any enumeration.
     """
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
-    # State x * m + y is the cell in 0-based column x and row y.
-    children = [tuple(s + m + dy for dy in STEPS if 0 <= s % m + dy < m)
-                for s in range((x_max - 1) * m)] + [()] * m
-    counts = [0] * (x_max * m)
-    stack = list(range(m))
-    visited = 0
-    while stack:
-        s = stack.pop()
-        visited += 1
-        if visited > node_budget:
-            raise BudgetExceededError(f"node budget {node_budget} exceeded "
-                                      f"in strip m={m} up to column {x_max}")
-        counts[s] += 1
-        stack.extend(children[s])
-    return [counts[y::m] for y in range(m)]
+    exceeded = BudgetExceededError(f"node budget {node_budget} exceeded "
+                                   f"in strip m={m} up to column {x_max}")
+    if m * x_max > node_budget:
+        raise exceeded
+    rows = [chr(y) for y in range(m)]
+    successors = ["".join(rows[y + dy] for dy in STEPS if 0 <= y + dy < m)
+                  for y in range(m)]
+    columns = [[0] * m for _ in range(x_max)]
+    pending = [("".join(rows), 0)]
+    walks = 0
+    while pending:
+        block, x = pending.pop()
+        walks += len(block)
+        if walks > node_budget:
+            raise exceeded
+        column = columns[x]
+        for y, row in enumerate(rows):
+            column[y] += block.count(row)
+        if x + 1 < x_max:
+            block = block.translate(successors)
+            pending += [(block[i:i + _BLOCK], x + 1)
+                        for i in range(0, len(block), _BLOCK)]
+    return [list(row) for row in zip(*columns)]
 
 
 def verify_oracle(table: PathTable, x_max: int = 10,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> str | None:
     """Compare the table's first x_max columns against one walk enumeration
-    of its strip, with ``node_budget`` capping the states visited.  Returns
+    of its strip, with ``node_budget`` capping the walks enumerated.  Returns
     None when they agree, else a description of the first disagreement."""
     counts = _walk_counts(table.m, x_max, node_budget)
     for x in range(1, x_max + 1):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .deltaops import (ONE, DeltaPoly, Family, Windows, base_constant,
-                       multiplier, parity_family)
+from .deltaops import (ONE, DeltaPoly, Family, Windows, _pack, _slot_width,
+                       _unpack, base_constant, multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
@@ -160,22 +160,35 @@ def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
 
 def charpoly(rows) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - A), ascending coefficients,
-    by Faddeev-LeVerrier; every division is exact for integer matrices."""
+    by Faddeev-LeVerrier; every division is exact for integer matrices.
+
+    Each row of the work matrix is one packed int, so a row of A times the
+    work matrix is a sum of packed rows, one per nonzero entry of A.  The
+    work matrices are M(1) = I and M(s+1) = A M(s) + c(k-s) I, that is
+    M(s) = sum over j < s of c(k-j) A^(s-1-j).  With N the largest absolute
+    row sum of A (at least 1), every eigenvalue has modulus at most N, so
+    |c(k-j)| <= C(k, j) N^j and the row-sum norm of M(s) is at most
+    2^k N^(s-1); every entry of A M(s) is then at most 2^k N^k in size,
+    and slots that hold 2^k N^k in their lower half hold every entry.
+    """
     k = len(rows)
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    work = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    if any(len(r) != k for r in rows):
+        raise DomainError("characteristic polynomial needs a square matrix")
+    norm = max([sum(map(abs, r)) for r in rows] + [1])
+    width = _slot_width((2**k * norm**k).bit_length() + 1)
+    unit = [_pack([int(i == j) for j in range(k)], width) for i in range(k)]
+    terms = [[(a, j) for j, a in enumerate(r) if a] for r in rows]
+    coeffs = [0] * k + [1]
+    work = unit
     for step in range(1, k + 1):
-        cols = list(zip(*work))
-        work = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-        trace = sum(work[i][i] for i in range(k))
+        work = [sum([a * work[j] for a, j in row]) for row in terms]
+        trace = sum([_unpack(w, width, k)[i] for i, w in enumerate(work)])
         if trace % step:
             raise InternalInconsistencyError(
                 f"non-integral trace division at step {step}")
         c = -trace // step
         coeffs[k - step] = c
-        for i in range(k):
-            work[i][i] += c
+        work = [w + c * u for w, u in zip(work, unit)]
     return tuple(coeffs)
 
 

@@ -2,6 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import zip_longest
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -544,6 +545,8 @@ def reference_lucas_poly(n):
 
 
 def test_classical_polynomials_match_their_pair_swapping_loops():
+    for k in range(4):
+        assert len(deltaops._two_term(*deltaops._LUCAS, k)) == k + 1
     for n in range(41):
         assert chebyshev_t(n) == reference_chebyshev_t(n), n
         assert lucas_poly(n) == reference_lucas_poly(n), n
@@ -569,3 +572,18 @@ def test_odd_member_halved_at_doubled_argument_is_chebyshev():
 
 def test_classical_comparison_sweep():
     assert verify_classical(16) is None
+
+
+@pytest.mark.parametrize("name, skewed, detail", [
+    ("_CHEBYSHEV", (ONE, DeltaPoly((0, 2)), add),
+     "chebyshev n=2: coefficient of x^0 differs, got -1, want 1"),
+    ("_FIBONACCI", (ONE, DELTA, sub),
+     "fibonacci n=2: coefficient of x^0 differs, got 1, want -1"),
+    ("_LUCAS", (DeltaPoly((2,)), DELTA, sub),
+     "lucas n=2: coefficient of x^0 differs, got 2, want -2"),
+])
+def test_classical_comparison_reports_a_skewed_sequence(monkeypatch, name,
+                                                        skewed, detail):
+    # verify_classical builds each sequence once from these seeds.
+    monkeypatch.setattr(deltaops, name, skewed)
+    assert verify_classical(20) == detail

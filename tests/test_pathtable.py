@@ -8,7 +8,9 @@ from tablepaths import pathtable
 from tablepaths.errors import (BudgetExceededError, DomainError,
                                InternalInconsistencyError)
 from tablepaths.pathtable import (
+    STEPS,
     PathTable,
+    _walk_counts,
     build_table,
     enumerate_paths,
     table_strings,
@@ -106,6 +108,74 @@ def test_node_budget_caps_the_walks_of_one_strip():
         verify_oracle(table, 10, node_budget=walks - 1)
     with pytest.raises(BudgetExceededError):
         enumerate_paths(6, (10, 3), node_budget=walks - 1)
+
+
+def reference_walk_counts(m, x_max, node_budget):
+    """The depth-first search the level enumeration replaced: one stack
+    state per walk, each adding 1 to the cell where its walk ends."""
+    # State x * m + y is the cell in 0-based column x and row y.
+    children = [tuple(s + m + dy for dy in STEPS if 0 <= s % m + dy < m)
+                for s in range((x_max - 1) * m)] + [()] * m
+    counts = [0] * (x_max * m)
+    stack = list(range(m))
+    visited = 0
+    while stack:
+        s = stack.pop()
+        visited += 1
+        if visited > node_budget:
+            raise BudgetExceededError(f"node budget {node_budget} exceeded "
+                                      f"in strip m={m} up to column {x_max}")
+        counts[s] += 1
+        stack.extend(children[s])
+    return [counts[y::m] for y in range(m)]
+
+
+@given(m=st.integers(1, 8), x_max=st.integers(1, 10))
+@settings(deadline=None, max_examples=40)
+def test_walk_counts_match_the_depth_first_search(m, x_max):
+    assert (_walk_counts(m, x_max, 10**6)
+            == reference_walk_counts(m, x_max, 10**6))
+
+
+@given(x_max=st.integers(1, 4))
+@settings(deadline=None, max_examples=4)
+def test_walk_counts_past_one_byte_rows(x_max):
+    # Rows from 256 on are characters above U+00FF.
+    assert (_walk_counts(300, x_max, 10**6)
+            == reference_walk_counts(300, x_max, 10**6))
+
+
+@given(m=st.integers(1, 8), x_max=st.integers(1, 9))
+@settings(deadline=None, max_examples=40)
+def test_node_budget_boundary_is_exact(m, x_max):
+    rows = [list(r) for r in build_table(m, x_max).rows]
+    walks = sum(map(sum, rows))
+    message = (f"^node budget {walks - 1} exceeded in strip m={m} "
+               f"up to column {x_max}$")
+    for count in (_walk_counts, reference_walk_counts):
+        assert count(m, x_max, walks) == rows
+        with pytest.raises(BudgetExceededError, match=message):
+            count(m, x_max, walks - 1)
+
+
+def test_walks_split_into_blocks_past_the_block_size(monkeypatch):
+    # m = 6 up to column 10 has 90814 walks; 7-walk blocks split every
+    # column past the first.
+    monkeypatch.setattr(pathtable, "_BLOCK", 7)
+    assert _walk_counts(6, 10, 90814) == reference_walk_counts(6, 10, 90814)
+    with pytest.raises(BudgetExceededError):
+        _walk_counts(6, 10, 90813)
+
+
+def test_budget_below_one_walk_per_cell_fails_before_enumerating():
+    # Every column holds m walks or more, so m * x_max > budget fails at
+    # once, without a table of x_max columns.
+    for x in (10**6, 10**8):
+        with pytest.raises(BudgetExceededError, match=(
+                f"^node budget 5 exceeded in strip m=1 up to column {x}$")):
+            enumerate_paths(1, (x, 1), node_budget=5)
+    with pytest.raises(BudgetExceededError):
+        enumerate_paths(3, (4, 1), node_budget=11)
 
 
 def test_negative_node_budget_is_rejected():

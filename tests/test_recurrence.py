@@ -2,7 +2,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablepaths import pathtable, recurrence
@@ -171,6 +171,52 @@ def test_charpoly_of_small_templates():
     assert charpoly(reduced_matrix(3)) == (-1, -2, 1)
     assert charpoly(reduced_matrix(5)) == (2, 0, -3, 1)
     assert charpoly(reduced_matrix(6)) == (1, 3, -4, 1)
+
+
+def reference_charpoly(rows):
+    """Faddeev-LeVerrier on lists of ints, one dot product per entry of
+    each work matrix: the route the packed rows replaced."""
+    k = len(rows)
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    work = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    for step in range(1, k + 1):
+        cols = list(zip(*work))
+        work = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        trace = sum(work[i][i] for i in range(k))
+        assert trace % step == 0
+        c = -trace // step
+        coeffs[k - step] = c
+        for i in range(k):
+            work[i][i] += c
+    return tuple(coeffs)
+
+
+@st.composite
+def square_matrices(draw):
+    k = draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([1, 3, 10**6]))
+    entry = st.integers(-bound, bound)
+    return [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(k)]
+
+
+@given(rows=square_matrices())
+@example(rows=[[10**6] * 10] * 10)
+@example(rows=[[-10**6] * 10] * 10)
+@example(rows=[[(-1) ** (i + j) * 10**6 for j in range(10)] for i in range(10)])
+@example(rows=[[0] * 10] * 10)
+@settings(deadline=None, max_examples=60)
+def test_charpoly_matches_the_list_route(rows):
+    got = charpoly(rows)
+    assert got == reference_charpoly(rows)
+    assert got[0] == (-1) ** len(rows) * det_bareiss(rows)
+
+
+def test_charpoly_needs_a_square_matrix():
+    assert charpoly([]) == (1,)
+    for rows in ([[1, 2]], [[1, 2], [3]], [[1], [2]], [[1, 2], [3, 4, 5]]):
+        with pytest.raises(DomainError, match="square"):
+            charpoly(rows)
 
 
 def test_charpoly_recursion_sweep():
