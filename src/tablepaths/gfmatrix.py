@@ -4,10 +4,11 @@ The question driving this module: reduced modulo a prime q, does the n x n
 template matrix generate the full cyclic group of order q**n - 1 (a Singer
 cycle)?  Answering it needs the factorization of q**n - 1, so the module
 carries the package's one exact integer factorization stack: trial division
-to a fixed bound, perfect-power reduction, then Brent's variant of Pollard rho
-with deterministic seeding, with primality certified by Miller-Rabin (a
-base set that is provably sufficient below 3.3e24) and, above that, tested
-by BPSW (Miller-Rabin to base 2, then a strong Lucas test).
+to a fixed bound (by the primes of one gcd with their product),
+perfect-power reduction, then Brent's variant of Pollard rho with
+deterministic seeding, with primality certified by Miller-Rabin (a base set
+that is provably sufficient below 3.3e24) and, above that, tested by BPSW
+(Miller-Rabin to base 2, then a strong Lucas test).
 
 Factoring is budgeted.  When the budget runs out the factorization is
 returned incomplete and order checks report UNKNOWN rather than guessing.
@@ -19,8 +20,15 @@ product is reduced mod f by Barrett reduction, three big-int multiplies,
 each followed by one step that takes every slot mod q.  That step is a
 ``bytes.translate`` when a slot is one byte, which holds while
 2n(q-1)**2 < 256 (q=2 up to n=127, q=3 up to n=31, q=5 up to n=7), and a
-multiply by a packed reciprocal of q in wider slots.  ``GFMatrix`` keeps
-the plain matrix route as a reference.
+multiply by a packed reciprocal of q in wider slots.
+
+x has order dividing N = q**n - 1 exactly when x**(q**n) = x, as x is a unit
+once q does not divide f(0).  For n <= q.bit_length() that power takes n
+applications of the q-power (Frobenius) map, which is GF(q)-linear on
+GF(q)[x]/(f) (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14);
+larger n keep binary powering.  The exact order then comes down a product
+tree over the prime powers of N (Sutherland, Order computations in generic
+groups, 2007).  ``GFMatrix`` keeps the plain matrix route as a reference.
 
 The module is a leaf: it imports only ``errors`` from the package.  The
 templates' characteristic polynomials and the scan over a range of sizes
@@ -32,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
+from itertools import accumulate
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -56,6 +65,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_BOUND)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -248,9 +258,19 @@ def factor(n: int, budget: int | None = None) -> PrimeFactorization:
     budget = _checked_budget(budget)
     counts: dict[int, int] = {}
     rem = n
+    # The primes below the trial bound that divide n are those of one gcd,
+    # a squarefree g: once p * p > g, what is left of g is 1 or a prime.
+    g = gcd(n, _SMALL_PRODUCT)
+    divisors = []
     for p in _SMALL_PRIMES:
-        if p * p > rem:
+        if p * p > g:
             break
+        if g % p == 0:
+            g //= p
+            divisors.append(p)
+    if g > 1:
+        divisors.append(g)
+    for p in divisors:
         while rem % p == 0:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
@@ -406,7 +426,19 @@ class _Residues:
       ceil((2a + 1) / 8) bytes wide, so no v * m carries into the next slot,
       and qmask keeps the low 8 * width - s bits of each slot.
 
-    Each way has its own ``times``, so that neither pays a call per pass.
+    Each way has its own ``times``, so that neither pays a call per pass,
+    and its own ``slots_mod_q`` for a single pass.
+
+    ``x_to_q_to_n`` takes one of two routes, the ring's only route choice:
+
+    - n <= q.bit_length(): n applications of the q-power map a -> a**q.  It
+      is GF(q)-linear, so with F_j = x**(jq) built once from x**q, it sends
+      a to the sum of a_j * F_j, whose slots stay below n(q-1)**2 < B, and
+      one slot-mod-q pass reduces that.  An application is n slot-by-residue
+      products, so its cost grows with n faster than a ring product's.
+    - n > q.bit_length() (every n >= 3 for q = 2 and 3):
+      ``power_of_x(q**n)``, which for q = 2 is n cached squarings and no
+      multiply.
     """
 
     def __init__(self, f: list[int], q: int):
@@ -426,12 +458,14 @@ class _Residues:
         self.minus_f = self.pack([-c % q for c in f[:-1]])
         if width == 1:
             self.modq = bytes(v % q for v in range(256))
-            self.times = self._translate_times
+            self.times, self.slots_mod_q = (self._translate_times,
+                                            self._translate_slots)
         else:
             self.s = a + q.bit_length()
             self.m = -(-(1 << self.s) // q)
             self.qmask = self.pack([(1 << self.bits - self.s) - 1] * (2 * n - 1))
-            self.times = self._reciprocal_times
+            self.times, self.slots_mod_q = (self._reciprocal_times,
+                                            self._reciprocal_slots)
 
     def pack(self, coeffs: list[int]) -> int:
         return sum(c << i * self.bits for i, c in enumerate(coeffs))
@@ -465,6 +499,40 @@ class _Residues:
         return reduce(self.times, [s for bit, s in zip(reversed(bin(e)), squares)
                                    if bit == "1"])
 
+    def power(self, a: int, e: int) -> int:
+        """a**e for e >= 1, by left-to-right binary powering."""
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.times(result, result)
+            if bit == "1":
+                result = self.times(result, a)
+        return result
+
+    def _translate_slots(self, v: int) -> int:
+        return int.from_bytes(
+            v.to_bytes(self.n, "little").translate(self.modq), "little")
+
+    def _reciprocal_slots(self, v: int) -> int:
+        return v - self.q * (v * self.m >> self.s & self.qmask)
+
+    def x_to_q_to_n(self) -> int:
+        """x**(q**n) mod f, by n applications of the q-power map when
+        n <= q.bit_length(), else by ``power_of_x``."""
+        n, q = self.n, self.q
+        if n > q.bit_length():
+            return self.power_of_x(q**n)
+        xq = self.power_of_x(q)
+        images = [1, xq]
+        while len(images) < n:
+            images.append(self.times(images[-1], xq))
+        bits = self.bits
+        mask, offsets = (1 << bits) - 1, range(0, n * bits, bits)
+        a = xq
+        for _ in range(n - 1):
+            a = self.slots_mod_q(sum([(a >> i & mask) * image
+                                      for i, image in zip(offsets, images)]))
+        return a
+
 
 # -- order verdicts ----------------------------------------------------------
 
@@ -491,10 +559,16 @@ def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
     are f has the order of x, and det = (-1)**n f(0): NOT_INVERTIBLE iff q | f(0).
 
     FULL_ORDER requires x**N = 1 with N = q**n - 1 and x**(N/p) != 1 for
-    every prime p dividing N.  When x**N != 1 the verdict is NOT_FULL even
-    if the factorization is incomplete; UNKNOWN is returned only when an
-    incomplete factorization actually blocks the decision.  The exact order
-    is included whenever the factorization allows computing it.
+    every prime p dividing N.  x**N = 1 is tested as x**(q**n) = x, the same
+    test for a unit x.  When it fails the verdict is NOT_FULL even if the
+    factorization is incomplete; UNKNOWN is returned only when an incomplete
+    factorization actually blocks the decision.  Otherwise the exact order
+    comes down a product tree: the sorted prime powers of N split into two
+    halves of about equal bits, x raised to one half's product leaves the
+    other half's part of the order, each half recurses on its element, and
+    at a leaf p**e the element is raised by p at most e - 1 times.  The root
+    powers x from its cached squares, and every node below it takes a plain
+    ring power.
     """
     if not is_prime(q):
         raise DomainError(f"q must be prime, got {q}")
@@ -507,20 +581,36 @@ def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
     n_group = q ** (len(f) - 1) - 1
     fact = factor(n_group, budget)
     ring = _Residues(f, q)
-    if ring.power_of_x(n_group) != 1:
+    if ring.x_to_q_to_n() != ring.power_of_x(1):
         return OrderResult(Verdict.NOT_FULL, None, fact)
     if not fact.complete:
         return OrderResult(Verdict.UNKNOWN, None, fact)
-    order = n_group
-    for p, e in fact.factors:
-        for _ in range(e):
-            candidate = order // p
-            if ring.power_of_x(candidate) == 1:
-                order = candidate
-            else:
-                break
+    order = _order(ring, ring.power_of_x, fact.factors)
     verdict = Verdict.FULL_ORDER if order == n_group else Verdict.NOT_FULL
     return OrderResult(verdict, order, fact)
+
+
+def _order(ring: _Residues, power, pieces) -> int:
+    """The order of g, given power(e) = g**e, when it divides the product
+    of the sorted prime powers ``pieces``."""
+    if len(pieces) > 1:
+        values = [p**e for p, e in pieces]
+        sizes = list(accumulate(v.bit_length() for v in values))
+        k = min(range(1, len(values)),
+                key=lambda i: abs(2 * sizes[i - 1] - sizes[-1]))
+        low, high = prod(values[:k]), prod(values[k:])
+        return (_order(ring, partial(ring.power, power(high)), pieces[:k])
+                * _order(ring, partial(ring.power, power(low)), pieces[k:]))
+    if not pieces:
+        return 1
+    (p, e), = pieces
+    g, order = power(1), 1
+    while g != 1:
+        order *= p
+        if order == p**e:
+            break
+        g = ring.power(g, p)
+    return order
 
 
 # -- scan reports ---------------------------------------------------------------

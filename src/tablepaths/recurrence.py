@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .deltaops import (ONE, DeltaPoly, Family, Windows, _pack, _slot_width,
-                       _unpack, base_constant, multiplier, parity_family)
+from .deltaops import (ONE, DeltaPoly, Family, Windows, _half_slots, _pack,
+                       _slot_width, base_constant, multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
@@ -180,9 +180,14 @@ def charpoly(rows) -> tuple[int, ...]:
     terms = [[(a, j) for j, a in enumerate(r) if a] for r in rows]
     coeffs = [0] * k + [1]
     work = unit
+    # Adding half to a packed row makes every slot c + 2**(bits-1), with no
+    # borrow between slots, so slot i is one shift and mask away.
+    bits, half = 8 * width, _half_slots(width, k)
+    mask, offset = (1 << bits) - 1, k << bits - 1
     for step in range(1, k + 1):
         work = [sum([a * work[j] for a, j in row]) for row in terms]
-        trace = sum([_unpack(w, width, k)[i] for i, w in enumerate(work)])
+        trace = sum([(w + half) >> i * bits & mask
+                     for i, w in enumerate(work)]) - offset
         if trace % step:
             raise InternalInconsistencyError(
                 f"non-integral trace division at step {step}")

@@ -278,11 +278,16 @@ def test_committed_fixture_matches(capsys):
     assert "all expectations met" in err
 
 
-@pytest.mark.parametrize("family", ["E", "O"])
-@pytest.mark.parametrize("q", ["2", "3"])
-def test_singer_json_matches_frozen_bytes(capsys, family, q):
+# q = 65521 and 1031 take the q-power map up to n = 16 and 11, and 19 of
+# their 24 entries have x**N = 1 and an order found down the product tree.
+@pytest.mark.parametrize("family, q, n_range", [
+    *(pytest.param(family, q, "1..40", id=f"{q}-{family}")
+      for q in ("2", "3") for family in ("E", "O")),
+    pytest.param("O", "65521", "1..10", id="65521-O"),
+    pytest.param("E", "1031", "1..14", id="1031-E")])
+def test_singer_json_matches_frozen_bytes(capsys, family, q, n_range):
     code, out, _ = run_cli(capsys, "--format", "json", "singer",
-                           "--family", family, "--q", q, "--n", "1..40")
+                           "--family", family, "--q", q, "--n", n_range)
     assert code == 0
     frozen = (DATA / f"singer_{family}_q{q}.json").read_bytes()
     assert out.encode() == frozen

@@ -1,6 +1,8 @@
 import ast
 import random
-from math import gcd
+from functools import lru_cache
+from itertools import product
+from math import gcd, prod
 from operator import mul
 from pathlib import Path
 
@@ -116,6 +118,41 @@ def test_negative_budget_is_rejected():
         factor(2**67 - 1, budget=-10)
     with pytest.raises(DomainError):
         order_is_full((0, 1), 2, budget=-1)
+
+
+def loop_factor(n, budget):
+    """``factor`` with its earlier trial division, one prime at a time up
+    to the square root of what is left, as the reference for the gcd route.
+    The rest goes to ``factor``, whose trial division then finds nothing: the
+    rest is 1, a prime, or has no prime factor below the trial bound."""
+    counts = {}
+    rem = n
+    for p in gfmatrix._SMALL_PRIMES:
+        if p * p > rem:
+            break
+        while rem % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            rem //= p
+    rest = factor(rem, budget)
+    for p, e in rest.factors:
+        counts[p] = counts.get(p, 0) + e
+    return gfmatrix.PrimeFactorization(n, tuple(sorted(counts.items())),
+                                       rest.complete, rest.cofactor)
+
+
+# Primes just below the trial bound 10**4, alone or squared, are what the
+# gcd's loop leaves in g at its end; primes above the bound stay for rho.
+NEAR_BOUND = [9929, 9931, 9941, 9949, 9967, 9973, 9973**2, 9967**2,
+              10007, 10009, 10037, 65537, 2**31 - 1, 2**61 - 1]
+
+
+@given(parts=st.lists(st.one_of(st.sampled_from(NEAR_BOUND),
+                                st.integers(1, 10**4)), max_size=6),
+       budget=st.sampled_from([0, 2000]))
+@settings(max_examples=150, deadline=None)
+def test_factor_matches_the_trial_division_loop(parts, budget):
+    n = prod(parts)
+    assert factor(n, budget) == loop_factor(n, budget)
 
 
 def test_budget_zero_leaves_a_cofactor():
@@ -265,13 +302,136 @@ def matrix_route(mat: GFMatrix) -> OrderResult:
 
 @pytest.mark.parametrize("family", list(MatrixFamily))
 @pytest.mark.parametrize("q, n_max", [(2, 12), (3, 12), (5, 12), (7, 12),
-                                      (2**31 - 1, 3)])
+                                      (1031, 6), (65521, 4), (2**31 - 1, 3)])
 def test_engine_matches_matrix_route(family, q, n_max):
-    # 2**31 - 1 needs slots wider than 8 bytes.
+    # 2**31 - 1 needs slots wider than 8 bytes; 1031 and 65521 take the
+    # q-power map up to n = 6 and 4, the 2**16 end of the benchmark's q range.
     parity = 1 if family is MatrixFamily.ODD else 0
     for n in range(1, n_max + 1):
         want = matrix_route(GFMatrix.from_rows(reduced_matrix(2 * n - parity), q))
         assert order_is_full(family_charpoly(family, n), q) == want, n
+
+
+factor_once = lru_cache(maxsize=None)(factor)
+
+
+def refine_route(f, q, budget=None) -> OrderResult:
+    """The order engine's earlier route, kept as its reference: x**N = 1 by
+    binary powering of x, then the order lowered one prime at a time, each
+    candidate a fresh power of x."""
+    f = [c % q for c in f]
+    if f[0] == 0:
+        return OrderResult(Verdict.NOT_INVERTIBLE, None, None)
+    n_group = q ** (len(f) - 1) - 1
+    fact = factor_once(n_group, budget)
+    ring = gfmatrix._Residues(f, q)
+    if ring.power_of_x(n_group) != 1:
+        return OrderResult(Verdict.NOT_FULL, None, fact)
+    if not fact.complete:
+        return OrderResult(Verdict.UNKNOWN, None, fact)
+    order = n_group
+    for p, e in fact.factors:
+        for _ in range(e):
+            if ring.power_of_x(order // p) != 1:
+                break
+            order //= p
+    verdict = Verdict.FULL_ORDER if order == n_group else Verdict.NOT_FULL
+    return OrderResult(verdict, order, fact)
+
+
+# Every monic f of each size.  (2, 1) has N = 1 and an empty factorization;
+# (2, 2) is the q-power map in one-byte slots; (3, 4) and (17, 2) have
+# N = 2**4 * 5 and 2**5 * 3**2; q = 3 and 5 take n = q.bit_length() and one
+# either side of it.  Together they take both routes in both slot passes.
+EVERY_F = [(2, 1), (2, 2), (2, 3), (2, 8), (3, 1), (3, 2), (3, 3), (3, 4),
+           (5, 2), (5, 3), (5, 4), (7, 3), (7, 4), (17, 2)]
+
+
+def test_every_f_cases_take_both_routes_in_both_slot_passes():
+    # (takes the q-power map, has one-byte slots)
+    assert {(n <= q.bit_length(), 2 * n * (q - 1) ** 2 < 256)
+            for q, n in EVERY_F} == {(True, True), (True, False),
+                                     (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("q, n", EVERY_F)
+def test_order_engine_matches_refine_route_on_every_f(q, n):
+    for low in product(range(q), repeat=n):
+        f = [*low, 1]
+        assert order_is_full(f, q) == refine_route(f, q), f
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (2, 140), (3, 2), (3, 3),
+                                  (3, 60), (5, 3), (5, 4), (1031, 11),
+                                  (1031, 12), (65521, 16), (65521, 17)])
+def test_x_to_q_to_n_takes_the_route_of_its_rule(q, n):
+    # n <= q.bit_length(): x**q, then x**(jq) for j = 2..n-1, and no other
+    # ring product; otherwise the products of power_of_x(q**n), which for
+    # q = 2 are n squarings.
+    f = [1] * (n + 1)
+    ring = gfmatrix._Residues(f, q)
+    products = []
+    times = ring.times
+
+    def counted(a, b):
+        products.append((a, b))
+        return times(a, b)
+
+    ring.times = counted
+    got = ring.x_to_q_to_n()
+    q_power_map = n <= q.bit_length()
+    e = q if q_power_map else q**n
+    images = n - 2 if q_power_map else 0
+    assert len(products) == e.bit_length() + bin(e).count("1") - 2 + images
+    slots = [got >> ring.bits * i & (1 << ring.bits) - 1 for i in range(n)]
+    assert slots == list_power_of_x(f, q, q**n)
+
+
+def poly_from_roots(roots, q):
+    f = [1]
+    for r in roots:
+        f = [(a - r * b) % q for a, b in zip([0, *f], [*f, 0])]
+    return f
+
+
+ORDER_QS = [2, 3, 5, 7, 1031, 65521, 2**31 - 1]
+
+
+@st.composite
+def monic_polys(draw):
+    """(q, f): f of degree n <= 16 mod q.  About half are products of
+    distinct x - r with r != 0, whose x**N = 1, so that the order is found
+    down the product tree."""
+    q = draw(st.sampled_from(ORDER_QS))
+    n = draw(st.integers(1, 16))
+    if n < q and draw(st.booleans()):
+        roots = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n,
+                              unique=True))
+        return q, poly_from_roots(roots, q)
+    return q, draw(st.lists(st.integers(0, q - 1), min_size=n,
+                            max_size=n)) + [1]
+
+
+@given(case=monic_polys())
+@settings(max_examples=150, deadline=None)
+def test_order_engine_matches_refine_route(case):
+    q, f = case
+    assert order_is_full(f, q, 20_000) == refine_route(f, q, 20_000)
+
+
+@pytest.mark.parametrize("q, n", [(1031, 2), (1031, 3), (1031, 4),
+                                  (65521, 2), (65521, 3)])
+def test_order_engine_finds_primitive_f(q, n):
+    # The first f that the reference finds primitive: every leaf of the
+    # product tree then sees an element that is not 1.
+    rng = random.Random(q * 100 + n)
+    while True:
+        f = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(n - 1)]
+        want = refine_route([*f, 1], q)
+        if want.verdict is Verdict.FULL_ORDER:
+            break
+    assert want.order == q**n - 1
+    assert order_is_full([*f, 1], q) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
