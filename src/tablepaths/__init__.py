@@ -5,87 +5,51 @@ derives the minimal linear recurrence satisfied by every row and by the
 column sums, manipulates the difference-operator polynomials that encode
 those recurrences, and scans the reduced transfer matrices for full
 multiplicative order over prime fields.
+
+Every public name loads on first use: ``import tablepaths`` imports only
+``errors``, and ``tablepaths.build_table`` (or ``from tablepaths import
+build_table``) imports the module that defines the name.  Submodules such
+as ``tablepaths.pathtable`` resolve the same way.
 """
 
-from .deltaops import (
-    DeltaPoly,
-    Family,
-    base_constant,
-    closed_form,
-    multiplier,
-    parity_family,
-)
-from .docs import parse_document, render_document
+from importlib import import_module
+
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
-from .gfmatrix import (
-    GFMatrix,
-    MatrixFamily,
-    OrderResult,
-    PrimeFactorization,
-    ScanEntry,
-    SingerReport,
-    Verdict,
-    factor,
-    is_prime,
-    order_is_full,
-)
-from .pathtable import PathTable, build_table, enumerate_paths
-from .recurrence import (
-    EquivalenceReport,
-    Recurrence,
-    RecurrenceReport,
-    RowComboReport,
-    det_reduced,
-    equivalence_report,
-    minimal_recurrence,
-    recurrence_report,
-    reduced_matrix,
-    row_constant_combinations,
-    singer_scan,
-    window_det,
-)
-from .suite import CheckResult, VerifyReport, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CheckResult",
-    "DeltaPoly",
-    "DomainError",
-    "EquivalenceReport",
-    "Family",
-    "GFMatrix",
-    "InternalInconsistencyError",
-    "MatrixFamily",
-    "OrderResult",
-    "PathTable",
-    "PrimeFactorization",
-    "Recurrence",
-    "RecurrenceReport",
-    "RowComboReport",
-    "ScanEntry",
-    "SingerReport",
-    "Verdict",
-    "VerifyReport",
-    "base_constant",
-    "build_table",
-    "closed_form",
-    "det_reduced",
-    "enumerate_paths",
-    "equivalence_report",
-    "factor",
-    "is_prime",
-    "minimal_recurrence",
-    "multiplier",
-    "order_is_full",
-    "parity_family",
-    "parse_document",
-    "recurrence_report",
-    "reduced_matrix",
-    "render_document",
-    "row_constant_combinations",
-    "run_suite",
-    "singer_scan",
-    "window_det",
-]
+# public name -> the module that defines it
+_HOMES = {name: module for module, names in {
+    "deltaops": "DeltaPoly Family base_constant closed_form multiplier "
+                "parity_family",
+    "docs": "parse_document render_document",
+    "errors": "BudgetExceededError DomainError InternalInconsistencyError",
+    "gfmatrix": "GFMatrix MatrixFamily OrderResult PrimeFactorization "
+                "ScanEntry SingerReport Verdict factor is_prime order_is_full",
+    "pathtable": "PathTable build_table enumerate_paths",
+    "recurrence": "EquivalenceReport Recurrence RecurrenceReport "
+                  "RowComboReport det_reduced equivalence_report "
+                  "minimal_recurrence recurrence_report reduced_matrix "
+                  "row_constant_combinations singer_scan window_det",
+    "suite": "CheckResult VerifyReport run_suite",
+}.items() for name in names.split()}
+
+_SUBMODULES = frozenset({"cli", *_HOMES.values()})
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import the module behind ``name`` and keep the name here."""
+    if name in _HOMES:
+        value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,11 @@ Subcommands:
 Exit codes: 0 when everything requested passed, 1 when a verification
 failed, 2 for configuration errors.  Output formats: plain text (default),
 json (deterministic structured documents), csv.
+
+Importing this module and building its parser loads no other module of the
+package than ``errors``.  Each command imports what it runs when it is
+called, so ``table`` loads only ``pathtable`` (and ``docs`` for json), and
+``--help`` or a usage error loads nothing more.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ import functools
 import os
 import sys
 
-from .deltaops import format_poly
-from .docs import path_table_chunks, render_document
 from .errors import DomainError, InternalInconsistencyError
-from .gfmatrix import MatrixFamily, Verdict
-from .pathtable import table_strings
-from .recurrence import (recurrence_report, row_constant_combinations,
-                         singer_scan)
-from .suite import run_suite
 
 M_CEILING = 64
 N_CEILING = 10_000
@@ -78,10 +76,12 @@ def _factor_budget(args) -> int | None:
 
 
 def _cmd_table(args, out) -> int:
+    from .pathtable import table_strings
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     _check_ceiling(args.n, N_CEILING, "n", args.force)
     sums, rows = table_strings(args.m, args.n)
     if args.format == "json":
+        from .docs import path_table_chunks
         for chunk in path_table_chunks(args.m, args.n, rows, sums):
             out.write(chunk)
         return 0
@@ -107,10 +107,13 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_recurrence(args, out) -> int:
+    from .deltaops import format_poly
+    from .recurrence import recurrence_report
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     report = recurrence_report(args.m)
     status = 0 if report.equivalence.equal else 1
     if args.format == "json":
+        from .docs import render_document
         out.write(render_document(report))
         return status
     if args.format == "csv":
@@ -137,11 +140,13 @@ def _cmd_recurrence(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .suite import run_suite
     _check_ceiling(args.m_max, M_CEILING, "m-max", args.force)
     _check_ceiling(args.n_max, N_CEILING, "n-max", args.force)
     report = run_suite(args.m_max, args.n_max, node_budget=args.node_budget)
     status = 0 if report.passed else 1
     if args.format == "json":
+        from .docs import render_document
         out.write(render_document(report))
         return status
     if args.format == "csv":
@@ -165,11 +170,13 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_rows(args, out) -> int:
+    from .recurrence import row_constant_combinations
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     if args.n_probe is not None:
         _check_ceiling(args.n_probe, N_CEILING, "n-probe", args.force)
     report = row_constant_combinations(args.m, args.n_probe)
     if args.format == "json":
+        from .docs import render_document
         out.write(render_document(report))
         return 0
     if args.format == "csv":
@@ -199,6 +206,7 @@ def _cmd_rows(args, out) -> int:
 
 
 def _load_fixture(path: str) -> dict[int, str]:
+    from .gfmatrix import Verdict
     expected: dict[int, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -230,6 +238,8 @@ def _load_fixture(path: str) -> dict[int, str]:
 
 
 def _cmd_singer(args, out) -> int:
+    from .gfmatrix import MatrixFamily
+    from .recurrence import singer_scan
     lo, hi = _parse_range(args.n)
     _check_ceiling(hi, SINGER_N_CEILING, "n", args.force)
     try:
@@ -250,6 +260,7 @@ def _cmd_singer(args, out) -> int:
                   if (got := report.entry(n).verdict.value) != verdict]
     status = 1 if mismatches else 0
     if args.format == "json":
+        from .docs import render_document
         out.write(render_document(report))
     elif args.format == "csv":
         for e in report.entries:

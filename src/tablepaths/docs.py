@@ -16,22 +16,28 @@ Rendering writes every integer string through ``decimal``, which the
 interpreter's int-to-str digit limit does not govern; parsing reads with
 ``int`` and so keeps that limit.  Nothing in the package changes it.
 Per-check timings are diagnostic and excluded from format and equality.
+Importing this module loads only ``errors`` and ``pathtable`` of the
+package: the encoder table is built at the first rendering of a report, and
+each decoder imports the types it builds, so writing a table never loads
+the report modules.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .gfmatrix import (MatrixFamily, PrimeFactorization, ScanEntry,
-                       SingerReport, Verdict, is_prime)
 from .pathtable import PathTable
-from .recurrence import (EquivalenceReport, Recurrence, RecurrenceReport,
-                         RowComboReport)
-from .suite import CheckResult, VerifyReport
+
+if TYPE_CHECKING:
+    from .gfmatrix import PrimeFactorization, SingerReport
+    from .recurrence import RecurrenceReport, RowComboReport
+    from .suite import VerifyReport
 
 
 def _optional(convert, value):
@@ -97,6 +103,7 @@ def _encode_factorization(f: PrimeFactorization) -> dict:
 
 
 def _decode_factorization(doc: dict) -> PrimeFactorization:
+    from .gfmatrix import PrimeFactorization
     f = PrimeFactorization(
         int(doc["value"]), tuple((int(p), int(e)) for p, e in doc["factors"]),
         bool(doc["complete"]), int(doc["cofactor"]))
@@ -123,6 +130,8 @@ def _encode_singer(r: SingerReport) -> dict:
 
 
 def _decode_singer(doc: dict) -> SingerReport:
+    from .gfmatrix import (MatrixFamily, ScanEntry, SingerReport, Verdict,
+                           is_prime)
     q, n_lo, n_hi = int(doc["q"]), int(doc["n_lo"]), int(doc["n_hi"])
     _at_least(1, n_lo=n_lo)
     _at_least(n_lo, n_hi=n_hi)
@@ -146,6 +155,7 @@ def _encode_recurrence(r: RecurrenceReport) -> dict:
 
 
 def _decode_recurrence(doc: dict) -> RecurrenceReport:
+    from .recurrence import EquivalenceReport, Recurrence, RecurrenceReport
     m, alphas = int(doc["m"]), _ints(doc["alphas"])
     _at_least(1, m=m)
     return RecurrenceReport(m, Recurrence(len(alphas), alphas), EquivalenceReport(
@@ -163,6 +173,7 @@ def _encode_row_combo(r: RowComboReport) -> dict:
 
 
 def _decode_row_combo(doc: dict) -> RowComboReport:
+    from .recurrence import RowComboReport
     m, n_probe = int(doc["m"]), int(doc["n_probe"])
     _at_least(1, m=m)
     _at_least(m + 2, n_probe=n_probe)
@@ -183,6 +194,7 @@ def _encode_verify(r: VerifyReport) -> dict:
 
 
 def _decode_verify(doc: dict) -> VerifyReport:
+    from .suite import CheckResult, VerifyReport
     checks = tuple(CheckResult(str(c["name"]), bool(c["passed"]),
                                _optional(str, c["detail"]))
                    for c in doc["checks"])
@@ -191,9 +203,15 @@ def _decode_verify(doc: dict) -> VerifyReport:
     return VerifyReport(m_max, n_max, checks)
 
 
-_ENCODERS = {RecurrenceReport: _encode_recurrence,
-             RowComboReport: _encode_row_combo, SingerReport: _encode_singer,
-             VerifyReport: _encode_verify}
+@functools.cache
+def _encoders() -> dict:
+    """Report type -> encoder, built at the first rendering of a report."""
+    from .gfmatrix import SingerReport
+    from .recurrence import RecurrenceReport, RowComboReport
+    from .suite import VerifyReport
+    return {RecurrenceReport: _encode_recurrence,
+            RowComboReport: _encode_row_combo, SingerReport: _encode_singer,
+            VerifyReport: _encode_verify}
 
 _DECODERS = {"path_table": _decode_table,
              "recurrence_report": _decode_recurrence,
@@ -213,14 +231,16 @@ def render_document(obj) -> str:
     integer fields written as JSON numbers (a singer report's ``q``, say)
     pass the interpreter's digit limit.
     """
-    if type(obj) is not PathTable and type(obj) not in _ENCODERS:
+    if type(obj) is PathTable:
+        encode = None
+    elif (encode := _encoders().get(type(obj))) is None:
         raise DomainError(f"no document kind for {type(obj).__name__}")
     try:
-        if type(obj) is PathTable:
+        if encode is None:
             return "".join(path_table_chunks(
                 obj.m, obj.n_max, map(_strs, obj.rows),
                 _strs(obj.column_sums())))
-        return _json_text(_ENCODERS[type(obj)](obj)) + "\n"
+        return _json_text(encode(obj)) + "\n"
     except ValueError as exc:
         raise DomainError(f"cannot write {type(obj).__name__}: {exc}") from exc
 

@@ -478,7 +478,7 @@ def test_bad_fixture_exits_before_the_scan(capsys, monkeypatch, tmp_path,
     def no_scan(*args):
         raise AssertionError("singer_scan ran on a bad fixture")
 
-    monkeypatch.setattr(cli, "singer_scan", no_scan)
+    monkeypatch.setattr("tablepaths.recurrence.singer_scan", no_scan)
     path = tmp_path / "fixture.txt"
     if content is not None:
         path.write_bytes(content)
@@ -623,6 +623,40 @@ def test_no_subcommand_is_usage_error():
         capture_output=True, text=True, check=False, env=MODULE_ENV)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+# Imports the CLI and builds its parser, runs main on the given arguments,
+# if any, and prints the package modules then loaded.
+FOOTPRINT = """\
+import contextlib, io, sys
+from tablepaths.cli import build_parser, main
+build_parser()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, code
+print(*sorted(name for name in sys.modules
+              if name.partition(".")[0] == "tablepaths"))
+"""
+
+
+@pytest.mark.parametrize("argv, added", [
+    ((), ()),
+    (("--help",), ()),
+    (("--format", "csv", "table", "--m", "3", "--n", "4"), ("pathtable",)),
+    (("--format", "json", "table", "--m", "3", "--n", "4"),
+     ("docs", "pathtable")),
+])
+def test_commands_import_only_what_they_run(argv, added):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=MODULE_ENV)
+    loaded = {"tablepaths", "tablepaths.cli", "tablepaths.errors",
+              *(f"tablepaths.{name}" for name in added)}
+    assert set(proc.stdout.split()) == loaded
 
 
 # Runs ``python -m tablepaths`` with the given arguments; afterwards reports

@@ -1,0 +1,63 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tablepaths
+
+PUBLIC = [
+    "BudgetExceededError", "CheckResult", "DeltaPoly", "DomainError",
+    "EquivalenceReport", "Family", "GFMatrix", "InternalInconsistencyError",
+    "MatrixFamily", "OrderResult", "PathTable", "PrimeFactorization",
+    "Recurrence", "RecurrenceReport", "RowComboReport", "ScanEntry",
+    "SingerReport", "Verdict", "VerifyReport", "base_constant", "build_table",
+    "closed_form", "det_reduced", "enumerate_paths", "equivalence_report",
+    "factor", "is_prime", "minimal_recurrence", "multiplier", "order_is_full",
+    "parity_family", "parse_document", "recurrence_report", "reduced_matrix",
+    "render_document", "row_constant_combinations", "run_suite",
+    "singer_scan", "window_det",
+]
+
+
+def test_all_lists_the_public_names_in_order():
+    assert tablepaths.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_is_its_defining_modules_object(name):
+    value = getattr(tablepaths, name)
+    home = importlib.import_module(value.__module__)
+    assert home.__name__.startswith("tablepaths.")
+    assert getattr(home, name) is value
+
+
+def test_dir_and_star_import_cover_the_public_names():
+    assert set(PUBLIC) <= set(dir(tablepaths))
+    namespace = {}
+    exec("from tablepaths import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(PUBLIC)
+    assert all(namespace[name] is getattr(tablepaths, name) for name in PUBLIC)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        tablepaths.nope
+    assert not hasattr(tablepaths, "__main__")
+
+
+def test_bare_import_resolves_submodules_on_first_use():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tablepaths\n"
+            "before = sorted(m for m in sys.modules if m.startswith('tablepaths'))\n"
+            "print(*before, tablepaths.pathtable.__name__,\n"
+            "      tablepaths.build_table.__module__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.split() == ["tablepaths", "tablepaths.errors",
+                                   "tablepaths.pathtable",
+                                   "tablepaths.pathtable"]
