@@ -9,8 +9,9 @@ Subcommands:
   singer      order scan of a template family over a prime field
 
 Exit codes: 0 when everything requested passed, 1 when a verification
-failed, 2 for configuration errors.  Output formats: plain text (default),
-json (deterministic structured documents), csv.
+failed, 2 for configuration errors, 141 when the reader of the output closed
+it early.  Output formats: plain text (default), json (deterministic
+structured documents), csv.
 
 Importing this module and building its parser loads no other module of the
 package than ``errors``.  Each command imports what it runs when it is
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -80,6 +82,8 @@ def _cmd_table(args, out) -> int:
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     _check_ceiling(args.n, N_CEILING, "n", args.force)
     sums, rows = table_strings(args.m, args.n)
+    # A row's joined cells, up to tens of MB, go out as a write of their
+    # own, never copied into a longer string.
     if args.format == "json":
         from .docs import path_table_chunks
         for chunk in path_table_chunks(args.m, args.n, rows, sums):
@@ -89,17 +93,18 @@ def _cmd_table(args, out) -> int:
         out.write(",".join(["row"] + [str(n) for n in range(1, args.n + 1)])
                   + "\n")
         for y, row in enumerate(rows, start=1):
-            out.write(",".join([str(y), *row]) + "\n")
-        out.write(",".join(["sum", *sums]) + "\n")
+            out.writelines((f"{y},", ",".join(row), "\n"))
+        out.writelines(("sum,", ",".join(sums), "\n"))
         return 0
     width = max(map(len, sums))
     label = max(len(f"y={args.m}"), len("sum"))
     out.write(f"m={args.m} n_max={args.n}\n")
-    for y, row in enumerate(rows, start=1):
-        out.write(f"{f'y={y}':<{label}} | "
-                  + " ".join(s.rjust(width) for s in row) + "\n")
-    out.write(f"{'sum':<{label}} | "
-              + " ".join(s.rjust(width) for s in sums) + "\n")
+    for name, row in itertools.chain(
+            ((f"y={y}", row) for y, row in enumerate(rows, start=1)),
+            [("sum", sums)]):
+        out.writelines((f"{name:<{label}} | ",
+                        " ".join(map(str.rjust, row, itertools.repeat(width))),
+                        "\n"))
     return 0
 
 
@@ -354,13 +359,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        status = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed the pipe.  Pointing stdout at devnull keeps the
+        # interpreter's final flush of what is still buffered quiet (the
+        # recipe in the signal module's documentation); 141 = 128 + SIGPIPE
+        # is the status a shell reports for a writer killed by the signal.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

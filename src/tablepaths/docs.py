@@ -6,8 +6,9 @@ unbounded integers are decimal strings while small counts are numbers, cells
 are written row-major, and some keys are derived rather than stored.
 Rendering is byte-deterministic.  A ``path_table`` document is not built as
 a dict: ``path_table_chunks`` writes the text of
-``json.dumps(..., sort_keys=True, indent=2)`` one row at a time, so the CLI
-can stream a table too large to hold as one string.  Parsing accepts exactly
+``json.dumps(..., sort_keys=True, indent=2)`` a row at a time, each row's
+joined cells a chunk of their own, so the CLI can stream a table too large
+to hold as one string without copying a row into a longer one.  Parsing accepts exactly
 what rendering writes: the decoder converts every field to its declared type,
 rejects the parameters that the producing function rejects, and the object
 must render back to the same JSON value (compared with ``json.dumps`` of the
@@ -64,27 +65,32 @@ def _at_least(low: int, **values: int) -> None:
 
 
 def _json_digit_list(items: Sequence[str], depth: int, before: str = "",
-                     after: str = "") -> str:
+                     after: str = "") -> Iterator[str]:
     """json.dumps(list(items), indent=2) nested ``depth`` levels deep, for
-    strings that need no escaping, between ``before`` and ``after``."""
+    strings that need no escaping, between ``before`` and ``after``: the
+    joined items are a chunk of their own, so they are never copied into a
+    longer string."""
     if not items:
-        return before + "[]" + after
+        yield before + "[]" + after
+        return
     pad = "\n" + "  " * (depth + 1)
-    return "".join((before, "[", pad, '"', f'",{pad}"'.join(items), '"\n',
-                    "  " * depth, "]", after))
+    yield f'{before}[{pad}"'
+    yield f'",{pad}"'.join(items)
+    yield f'"\n{"  " * depth}]{after}'
 
 
 def path_table_chunks(m: int, n_max: int, rows: Iterable[Sequence[str]],
                       column_sums: Sequence[str]) -> Iterator[str]:
-    """The path_table document as render_document writes it, one chunk per
-    row of cell strings; cells and sums are digit strings."""
+    """The path_table document as render_document writes it, in chunks:
+    each row's joined cell strings are one chunk, between the chunks of
+    the brackets around them; cells and sums are digit strings."""
     yield '{\n  "cells": '
     before = "[\n    "
     for row in rows:
-        yield _json_digit_list(row, 2, before)
+        yield from _json_digit_list(row, 2, before)
         before = ",\n    "
     yield ("[]" if before == "[\n    " else "\n  ]") + ',\n  "column_sums": '
-    yield _json_digit_list(
+    yield from _json_digit_list(
         column_sums, 1, after=f',\n  "kind": "path_table",\n  "m": '
                               f'{json.dumps(m)},\n  "n_max": '
                               f'{json.dumps(n_max)}\n}}\n')

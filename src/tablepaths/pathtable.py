@@ -22,8 +22,12 @@ equal) in ``decimal`` under an exact context, because converting an int to
 decimal digits takes quadratic time and converting a Decimal takes linear
 time.  Each cell is converted once, except that a mirror row past a fixed
 memory bound is converted again.  A second route, the unfolded recurrence
-on residues mod 10**9 in machine-size ints, checks every string it hands
-out.
+over all m rows on residues mod 10**9, checks every string it hands out.
+It packs each column into one int of m 64-bit slots, so a column costs a
+few big-int operations.  A converted row is checked by parsing the last
+nine digits of each cell; a mirror row that reuses its partner's strings,
+which have matched the partner's residues, by comparing the two rows'
+residues.
 
 Indices are 1-based throughout the public surface: columns run x = 1..n_max
 and rows y = 1..m.
@@ -31,10 +35,12 @@ and rows y = 1..m.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow,
                      Rounded, localcontext)
+from operator import itemgetter
 
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
 
@@ -47,6 +53,7 @@ DEFAULT_NODE_BUDGET = 10**8
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, Overflow])
 _CHECK_MODULUS = 10**9
+_LAST_9 = itemgetter(slice(-9, None))
 # Digits of converted rows kept for their mirror rows: every mirror row up
 # to about 64 x 2900 cells; beyond that some are converted twice, which
 # keeps 64 x 10000 (1.5 G digits) well under 1 GB.
@@ -164,26 +171,43 @@ def _decimal_top_rows(m: int, n_max: int
     return rows, sums
 
 
-def _residue_rows(m: int, n_max: int
-                  ) -> tuple[list[tuple[int, ...]], list[int]]:
+def _residue_rows(m: int, n_max: int) -> tuple[list[memoryview], list[int]]:
     """Every row and the column sums mod 10**9, by the unfolded recurrence:
-    the independent route that ``table_strings`` checks against."""
-    column = [1] * m
-    columns = [column]
+    the independent route that ``table_strings`` checks against.
+
+    A column is one int of m 64-bit slots, slot y holding row y + 1.  Its
+    successor is the column plus itself shifted one slot either way; each
+    slot then holds less than 3 * 10**9 < 2**32, so adding 2**40 - 10**9 to
+    it sets its bit 40 exactly when it is at least 10**9, and two such
+    conditional subtractions reduce every slot at once.  The columns are
+    written one after another into one buffer of native 64-bit words, read
+    back as row y = words[y::m] and column x = words[x*m:(x+1)*m].  On a
+    big-endian host the slots of each column come out in reverse order,
+    which the row symmetry makes the same rows.
+    """
+    one = int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * m, "little")
+    low = (1 << 64 * m) - 1
+    flag = ((1 << 40) - _CHECK_MODULUS) * one
+    column = one
+    data = bytearray(column.to_bytes(8 * m, sys.byteorder))
     for _ in range(n_max - 1):
-        padded = [0, *column, 0]
-        column = [(a + b + c) % _CHECK_MODULUS
-                  for a, b, c in zip(padded, padded[1:], padded[2:])]
-        columns.append(column)
-    return (list(zip(*columns)),
-            [sum(c) % _CHECK_MODULUS for c in columns])
+        column = (column + (column << 64) + (column >> 64)) & low
+        column -= ((column + flag) >> 40 & one) * _CHECK_MODULUS
+        column -= ((column + flag) >> 40 & one) * _CHECK_MODULUS
+        data += column.to_bytes(8 * m, sys.byteorder)
+    words = memoryview(data).cast("Q")
+    return ([words[y::m] for y in range(m)],
+            [sum(words[i:i + m]) % _CHECK_MODULUS
+             for i in range(0, m * n_max, m)])
 
 
 def _row_strings(m: int, top: list[list[Decimal] | None],
-                 residue_rows: list[tuple[int, ...]]) -> Iterator[list[str]]:
+                 residue_rows: list[memoryview]) -> Iterator[list[str]]:
     """Rows y and m + 1 - y are the same top row.  The first of the two
     keeps its strings for the second while the kept strings fit in
-    _KEPT_CHARS; past that the second converts its Decimals again."""
+    _KEPT_CHARS; past that the second converts its Decimals again.  Kept
+    strings have matched their first row's residues, so the second row
+    checks them by comparing its residues with that row's."""
     kept: dict[int, list[str]] = {}
     room = _KEPT_CHARS
     for y in range(m):
@@ -191,19 +215,25 @@ def _row_strings(m: int, top: list[list[Decimal] | None],
         strings = kept.pop(i, None)
         if strings is None:
             strings = list(map(str, top[i]))
+            _check_residues(f"row {y + 1}", strings, residue_rows[y])
+        elif residue_rows[y] != residue_rows[i]:
+            raise _mismatch(f"row {y + 1}")
         if y >= m - 1 - y:
             top[i] = None
         elif (size := sum(map(len, strings))) <= room:
             kept[i], top[i] = strings, None
             room -= size
-        _check_residues(f"row {y + 1}", strings, residue_rows[y])
         yield strings
 
 
-def _check_residues(what: str, strings, residues) -> None:
-    if [int(s[-9:]) for s in strings] != list(residues):
-        raise InternalInconsistencyError(
-            f"{what}: decimal digits disagree with the residues mod 10**9")
+def _check_residues(what: str, strings: list[str], residues) -> None:
+    if list(map(int, map(_LAST_9, strings))) != list(residues):
+        raise _mismatch(what)
+
+
+def _mismatch(what: str) -> InternalInconsistencyError:
+    return InternalInconsistencyError(
+        f"{what}: decimal digits disagree with the residues mod 10**9")
 
 
 def enumerate_paths(m: int, target: tuple[int, int],

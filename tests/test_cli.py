@@ -322,16 +322,21 @@ def replay(capsys, entry):
             (entry["exit"], entry["bytes"], entry["sha256"]))
 
 
+def mismatched_goldens(capsys, entries):
+    """(argv, got, golden) of every entry whose replay differs."""
+    mismatched = []
+    for entry in entries:
+        got, want = replay(capsys, entry)
+        if got != want:
+            mismatched.append((entry["argv"], got, want))
+    return mismatched
+
+
 # Every singer golden of the benchmark, n up to 90 over GF(2): one-byte slots
 # reach n = 127 at q = 2, past the n = 40 of the frozen scans above.
 @pytest.mark.parametrize("workload", ["singer-gf2", "singer-gf3"])
 def test_singer_benchmark_goldens_replay(capsys, workload):
-    mismatched = []
-    for entry in golden_entries(workload):
-        got, want = replay(capsys, entry)
-        if got != want:
-            mismatched.append((entry["argv"], got, want))
-    assert mismatched == []
+    assert mismatched_goldens(capsys, golden_entries(workload)) == []
 
 
 # Every singer-bigq golden that recorded at most 10 ms: 704 of 1200, prime q
@@ -340,12 +345,16 @@ def test_singer_benchmark_goldens_replay(capsys, workload):
 def test_singer_bigq_benchmark_goldens_replay(capsys):
     entries = [e for e in golden_entries("singer-bigq") if e["cost_s"] <= 0.01]
     assert len(entries) == 704
-    mismatched = []
-    for entry in entries:
-        got, want = replay(capsys, entry)
-        if got != want:
-            mismatched.append((entry["argv"], got, want))
-    assert mismatched == []
+    assert mismatched_goldens(capsys, entries) == []
+
+
+# The table-render goldens of m <= 40: n from 910 to 1770, between the n <= 300
+# and n = 10000 of the frozen digests below.
+def test_table_benchmark_goldens_replay(capsys):
+    entries = [e for e in golden_entries("table-render")
+               if e["cls"].endswith(("-small", "-medium"))]
+    assert len(entries) == 16
+    assert mismatched_goldens(capsys, entries) == []
 
 
 VERIFY_GOLDENS = golden_entries("verify-suite")
@@ -623,6 +632,21 @@ def test_no_subcommand_is_usage_error():
         capture_output=True, text=True, check=False, env=MODULE_ENV)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_closed_output_pipe_exits_141_quietly(fmt):
+    # 19 to 37 MB of table, far past what a pipe buffers.
+    with subprocess.Popen(
+            [sys.executable, "-m", "tablepaths", "--format", fmt, "table",
+             "--m", "8", "--n", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=MODULE_ENV) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 # Imports the CLI and builds its parser, runs main on the given arguments,

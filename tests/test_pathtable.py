@@ -253,6 +253,81 @@ def test_corrupted_decimal_sum_is_caught(monkeypatch):
         table_strings(7, 30)
 
 
+def reference_residue_rows(m, n_max):
+    """The list route the packed residue columns replaced: every row and
+    the column sums mod 10**9, one int per cell."""
+    column = [1] * m
+    columns = [column]
+    for _ in range(n_max - 1):
+        padded = [0, *column, 0]
+        column = [(a + b + c) % 10**9
+                  for a, b, c in zip(padded, padded[1:], padded[2:])]
+        columns.append(column)
+    return [list(r) for r in zip(*columns)], [sum(c) % 10**9 for c in columns]
+
+
+def packed_residue_rows(m, n_max):
+    rows, sums = pathtable._residue_rows(m, n_max)
+    return [r.tolist() for r in rows], sums
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 301])
+def test_packed_residue_rows_match_the_list_route(n):
+    for m in range(1, 65):
+        assert packed_residue_rows(m, n) == reference_residue_rows(m, n), m
+
+
+@given(m=st.integers(1, 70), n=st.integers(1, 400))
+@settings(deadline=None, max_examples=60)
+def test_packed_residue_rows_match_the_list_route_anywhere(m, n):
+    assert packed_residue_rows(m, n) == reference_residue_rows(m, n)
+
+
+def corrupt_residue_slot(monkeypatch, row, column):
+    residue_rows = pathtable._residue_rows
+
+    def corrupted(m, n_max):
+        rows, sums = residue_rows(m, n_max)
+        rows[row][column] += 1
+        return rows, sums
+
+    monkeypatch.setattr(pathtable, "_residue_rows", corrupted)
+
+
+# Each row is past its partner m - 1 - row, whose strings it reuses while
+# they are kept; with nothing kept it converts its Decimals again.
+@pytest.mark.parametrize("kept_chars", [pathtable._KEPT_CHARS, 0])
+@pytest.mark.parametrize("m, row, column", [
+    (2, 1, 5), (5, 3, 2), (6, 4, 7), (9, 8, 0), (9, 5, 11)])
+def test_corrupted_mirror_residue_is_caught(monkeypatch, kept_chars, m, row,
+                                            column):
+    monkeypatch.setattr(pathtable, "_KEPT_CHARS", kept_chars)
+    corrupt_residue_slot(monkeypatch, row, column)
+    sums, rows = table_strings(m, 12)
+    passed = []
+    with pytest.raises(InternalInconsistencyError, match=f"^row {row + 1}:"):
+        for strings in rows:
+            passed.append(strings)
+    table = build_table(m, 12)
+    assert passed == [list(map(str, r)) for r in table.rows[:row]]
+
+
+def test_mirror_rows_converted_again_are_the_digits(monkeypatch):
+    monkeypatch.setattr(pathtable, "_KEPT_CHARS", 0)
+    for m in range(1, 10):
+        for n in (1, 2, 40):
+            table = build_table(m, n)
+            sums, rows = table_strings(m, n)
+            assert list(rows) == [list(map(str, r)) for r in table.rows]
+
+
+@pytest.mark.parametrize("m, row, column", [(2, 0, 9), (6, 2, 11), (9, 0, 1)])
+def test_corrupted_decimal_is_caught_with_nothing_kept(monkeypatch, m, row,
+                                                       column):
+    monkeypatch.setattr(pathtable, "_KEPT_CHARS", 0)
+    test_corrupted_decimal_cell_is_caught(monkeypatch, m, row, column)
+
+
 def test_table_document_round_trip():
     table = build_table(5, 6)
     doc = render_document(table)
