@@ -78,23 +78,25 @@ def _factor_budget(args) -> int | None:
 
 
 def _cmd_table(args, out) -> int:
-    from .pathtable import table_strings
+    from .pathtable import joined_blocks, table_strings
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     _check_ceiling(args.n, N_CEILING, "n", args.force)
     sums, rows = table_strings(args.m, args.n)
-    # A row's joined cells, up to tens of MB, go out as a write of their
-    # own, never copied into a longer string.
+    # A row, up to tens of MB of text, goes out in blocks of at most
+    # ROW_BLOCK cells, so no write copies more than a block of it.
     if args.format == "json":
         from .docs import path_table_chunks
         for chunk in path_table_chunks(args.m, args.n, rows, sums):
             out.write(chunk)
         return 0
     if args.format == "csv":
-        out.write(",".join(["row"] + [str(n) for n in range(1, args.n + 1)])
-                  + "\n")
-        for y, row in enumerate(rows, start=1):
-            out.writelines((f"{y},", ",".join(row), "\n"))
-        out.writelines(("sum,", ",".join(sums), "\n"))
+        lines = itertools.chain(
+            [("row", [str(n) for n in range(1, args.n + 1)])],
+            enumerate(rows, start=1), [("sum", sums)])
+        for name, row in lines:
+            out.write(f"{name},")
+            out.writelines(joined_blocks(row, ","))
+            out.write("\n")
         return 0
     width = max(map(len, sums))
     label = max(len(f"y={args.m}"), len("sum"))
@@ -102,9 +104,9 @@ def _cmd_table(args, out) -> int:
     for name, row in itertools.chain(
             ((f"y={y}", row) for y, row in enumerate(rows, start=1)),
             [("sum", sums)]):
-        out.writelines((f"{name:<{label}} | ",
-                        " ".join(map(str.rjust, row, itertools.repeat(width))),
-                        "\n"))
+        out.write(f"{name:<{label}} | ")
+        out.writelines(joined_blocks(row, " ", width))
+        out.write("\n")
     return 0
 
 

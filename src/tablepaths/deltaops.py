@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import chain
 from math import comb
 from operator import add, mul, neg, sub
-from struct import pack, unpack
+from struct import Struct
 
 from .errors import DomainError
 from .gfmatrix import factor
@@ -73,26 +73,59 @@ def _trim(coeffs) -> tuple[int, ...]:
 # the bytes as one unsigned int and subtracts the half slots; decoding adds
 # them back, which leaves no borrow between slots, flips the top bits again
 # and reads the two's complement slots from one to_bytes.  Slots up to 8
-# bytes are rounded up to a struct width and move through one struct call.
+# bytes are rounded up to a struct width and move through one call of a
+# struct.Struct.  The half-slot masks and the Struct objects of these
+# widths are built once per (width, count) shape and kept in two caches of
+# at most _SHAPES entries each, emptied when full; shapes of more than
+# _CACHED_SLOTS slots, and every wider slot, are built at each use, so the
+# masks never take more than 2 MB whatever the input.
 
 # struct codes of little-endian signed slots, keyed by slot width in bytes.
 _SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# Bytes per slot by bit count, for the bit counts that fit a struct width.
+_STRUCT_WIDTHS = bytes(next(w for w in _SLOT_CODES if 8 * w >= bits)
+                       for bits in range(65))
+_SHAPES, _CACHED_SLOTS = 256, 1024
+_masks: dict[tuple[int, int], int] = {}
+_structs: dict[tuple[int, int], Struct] = {}
+# Held only to store a new shape, so that the bound holds under threads.
+_shapes_lock = threading.Lock()
 
 
 def _slot_width(bits: int) -> int:
     """Bytes per slot for slots of ``bits`` bits, sign included."""
-    width = (bits + 7) // 8
-    return next((w for w in _SLOT_CODES if width <= w), width)
+    return _STRUCT_WIDTHS[bits] if bits <= 64 else (bits + 7) // 8
+
+
+def _remember(cache: dict, key: tuple[int, int], value) -> None:
+    width, count = key
+    if width <= 8 and count <= _CACHED_SLOTS:
+        with _shapes_lock:
+            if len(cache) >= _SHAPES:
+                cache.clear()
+            cache[key] = value
 
 
 def _half_slots(width: int, count: int) -> int:
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    half = _masks.get((width, count))
+    if half is None:
+        half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+        _remember(_masks, (width, count), half)
+    return half
+
+
+def _struct(width: int, count: int) -> Struct:
+    """The Struct of ``count`` signed slots of a struct width."""
+    struct = _structs.get((width, count))
+    if struct is None:
+        struct = Struct(f"<{count}{_SLOT_CODES[width]}")
+        _remember(_structs, (width, count), struct)
+    return struct
 
 
 def _pack(coeffs, width: int) -> int:
-    code = _SLOT_CODES.get(width)
-    if code:
-        raw = pack(f"<{len(coeffs)}{code}", *coeffs)
+    if width <= 8:
+        raw = _struct(width, len(coeffs)).pack(*coeffs)
     else:
         raw = b"".join([c.to_bytes(width, "little", signed=True)
                         for c in coeffs])
@@ -103,9 +136,8 @@ def _pack(coeffs, width: int) -> int:
 def _unpack(value: int, width: int, count: int) -> list[int]:
     half = _half_slots(width, count)
     raw = ((value + half) ^ half).to_bytes(count * width, "little")
-    code = _SLOT_CODES.get(width)
-    if code:
-        return list(unpack(f"<{count}{code}", raw))
+    if width <= 8:
+        return list(_struct(width, count).unpack(raw))
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, len(raw), width)]
 
@@ -174,13 +206,16 @@ class DeltaPoly:
     def __mul__(self, other) -> "DeltaPoly":
         """One big-int product of the packed operands.  A slot of
         bitlen(max|a|) + bitlen(max|b|) + bitlen(min(len)) + 1 bits holds
-        every product coefficient in its lower half."""
+        every product coefficient in its lower half.  An operand of one
+        coefficient scales the other directly."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) < 2:
+            return _poly([v * b[0] for v in a]) if b else ZERO
         bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
                 + min(len(a), len(b)).bit_length() + 1)
         width = _slot_width(bits)
@@ -395,6 +430,11 @@ class Family(Enum):
     EVEN = "even"
     PRIME = "prime"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality and skips Enum's Python-level hash of the name.
+    # No set of families is iterated, so its order never shows.
+    __hash__ = object.__hash__
+
 
 def parity_family(m: int) -> Family:
     """Family attached to a table with m rows."""
@@ -463,16 +503,23 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
 # -- prime functions ---------------------------------------------------------
 
 
-def _prime_image(family: Family, p: int, current: DeltaPoly,
-                 base: DeltaPoly) -> DeltaPoly:
+def _prime_image(family: Family, p: int, current: DeltaPoly, n: int,
+                 compositions: dict) -> DeltaPoly:
     """Image of ``current``, the index-n member of ``family``, under the
-    map that multiplies the index by p >= 1; ``base`` is the odd member of
-    index n.  Iterating the prime maps over the factorization of any index
-    rebuilds that member from the index-1 seed.
+    map that multiplies the index by p >= 1.  Iterating the prime maps over
+    the factorization of any index rebuilds that member from the index-1
+    seed.
+
+    The map composes P(p-1) and P(p-2), P the prime family, with Odd(n).
+    ``compositions``, a dict that one check call owns, keeps each such
+    pair by (p, n), so a check composes it once however often it maps.
     """
-    left = multiplier(Family.PRIME, p - 1).compose(base) * current
-    right = multiplier(Family.PRIME, p - 2).compose(base) * base_constant(family)
-    return left - right
+    if (p, n) not in compositions:
+        base = multiplier(Family.ODD, n)
+        compositions[p, n] = (multiplier(Family.PRIME, p - 1).compose(base),
+                              multiplier(Family.PRIME, p - 2).compose(base))
+    left, right = compositions[p, n]
+    return left * current - right * base_constant(family)
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -521,12 +568,13 @@ def verify_action_theorem(limit: int = 12) -> str | None:
 
 def verify_product_theorem(limit: int = 8) -> str | None:
     """X(a*b) from composing prime-family members with Odd(b)."""
+    compositions = {}
     for family in Family:
         for a in range(1, limit + 1):
             for b in range(1, limit + 1):
                 lhs = multiplier(family, a * b)
-                rhs = _prime_image(family, a, multiplier(family, b),
-                                   multiplier(Family.ODD, b))
+                rhs = _prime_image(family, a, multiplier(family, b), b,
+                                   compositions)
                 if lhs != rhs:
                     return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
     return None
@@ -552,13 +600,14 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
 
 def verify_uniform_factorization(n_max: int = 40) -> str | None:
     """Iterated prime maps rebuild every family member from index 1."""
+    compositions = {}
     for family in Family:
         for n in range(1, n_max + 1):
             poly = multiplier(family, 1)
             j = 1
             for p, e in factor(n).factors:
                 for _ in range(e):
-                    poly = _prime_image(family, p, poly, multiplier(Family.ODD, j))
+                    poly = _prime_image(family, p, poly, j, compositions)
                     j *= p
             if poly != multiplier(family, n):
                 return f"{family.value} n={n}: prime map chain disagrees"

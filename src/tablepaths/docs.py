@@ -6,9 +6,10 @@ unbounded integers are decimal strings while small counts are numbers, cells
 are written row-major, and some keys are derived rather than stored.
 Rendering is byte-deterministic.  A ``path_table`` document is not built as
 a dict: ``path_table_chunks`` writes the text of
-``json.dumps(..., sort_keys=True, indent=2)`` a row at a time, each row's
-joined cells a chunk of their own, so the CLI can stream a table too large
-to hold as one string without copying a row into a longer one.  Parsing accepts exactly
+``json.dumps(..., sort_keys=True, indent=2)`` a row at a time, each row as
+chunks of at most ``pathtable.ROW_BLOCK`` joined cells, so the CLI can
+stream a table too large to hold as one string and never copies more than a
+block of a row into a longer string.  Parsing accepts exactly
 what rendering writes: the decoder converts every field to its declared type,
 rejects the parameters that the producing function rejects, and the object
 must render back to the same JSON value (compared with ``json.dumps`` of the
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .pathtable import PathTable
+from .pathtable import PathTable, joined_blocks
 
 if TYPE_CHECKING:
     from .gfmatrix import PrimeFactorization, SingerReport
@@ -68,22 +69,23 @@ def _json_digit_list(items: Sequence[str], depth: int, before: str = "",
                      after: str = "") -> Iterator[str]:
     """json.dumps(list(items), indent=2) nested ``depth`` levels deep, for
     strings that need no escaping, between ``before`` and ``after``: the
-    joined items are a chunk of their own, so they are never copied into a
-    longer string."""
+    joined items are chunks of at most ROW_BLOCK items, so no more than a
+    block is ever copied into a longer string."""
     if not items:
         yield before + "[]" + after
         return
     pad = "\n" + "  " * (depth + 1)
     yield f'{before}[{pad}"'
-    yield f'",{pad}"'.join(items)
+    yield from joined_blocks(items, f'",{pad}"')
     yield f'"\n{"  " * depth}]{after}'
 
 
 def path_table_chunks(m: int, n_max: int, rows: Iterable[Sequence[str]],
                       column_sums: Sequence[str]) -> Iterator[str]:
     """The path_table document as render_document writes it, in chunks:
-    each row's joined cell strings are one chunk, between the chunks of
-    the brackets around them; cells and sums are digit strings."""
+    each row's cell strings are joined in blocks of at most ROW_BLOCK
+    cells, between the chunks of the brackets around them; cells and sums
+    are digit strings."""
     yield '{\n  "cells": '
     before = "[\n    "
     for row in rows:

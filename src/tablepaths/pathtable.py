@@ -36,10 +36,11 @@ and rows y = 1..m.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow,
                      Rounded, localcontext)
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
@@ -58,6 +59,8 @@ _LAST_9 = itemgetter(slice(-9, None))
 # to about 64 x 2900 cells; beyond that some are converted twice, which
 # keeps 64 x 10000 (1.5 G digits) well under 1 GB.
 _KEPT_CHARS = 2**26
+# Cells per chunk of a written row: 1 to 2 MB of text at the n ceiling.
+ROW_BLOCK = 400
 # Walks per block of the enumeration; a column's walks beyond it are split.
 _BLOCK = 2**12
 
@@ -144,6 +147,19 @@ def table_strings(m: int, n_max: int
     sum_strings = tuple(map(str, sums))
     _check_residues("column sums", sum_strings, residue_sums)
     return sum_strings, _row_strings(m, top, residue_rows)
+
+
+def joined_blocks(cells: Sequence[str], sep: str,
+                  width: int = 0) -> Iterator[str]:
+    """sep.join(cells), each cell right-aligned to ``width``, as chunks of
+    at most ROW_BLOCK cells, with each separator between two blocks a chunk
+    of its own: a writer copies no more than a block at a time, however
+    long the row."""
+    for start in range(0, len(cells), ROW_BLOCK):
+        if start:
+            yield sep
+        block = cells[start:start + ROW_BLOCK]
+        yield sep.join(map(str.rjust, block, repeat(width)) if width else block)
 
 
 def _decimal_top_rows(m: int, n_max: int

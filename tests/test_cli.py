@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -408,6 +409,35 @@ def test_table_json_equals_rendered_int_table(capsys, m):
                                "--m", str(m), "--n", str(n))
         assert code == 0, (m, n)
         assert out == render_document(build_table(m, n)), (m, n)
+
+
+class ChunkRecorder(io.StringIO):
+    """A stdout that keeps every chunk written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("n", [399, 400, 401, 801])
+def test_table_rows_are_written_in_blocks(monkeypatch, fmt, n):
+    for m in (5, 8):
+        out = ChunkRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["--format", fmt, "table", "--m", str(m), "--n", str(n)]) == 0
+        cells = [len(re.findall(r"\d+", chunk)) for chunk in out.chunks]
+        assert max(cells) == min(n, 400), (m, n)
+        text = "".join(out.chunks)
+        assert text == out.getvalue()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == TABLE_SHA256[f"{fmt} {m} {n}"], (m, n)
+        if fmt == "json":
+            assert text == render_document(build_table(m, n)), (m, n)
 
 
 def test_csv_output_is_fixture_compatible(capsys, tmp_path):

@@ -172,6 +172,74 @@ def test_packed_routes_at_slot_boundaries(bits):
         assert b.compose(a) == horner_compose(b, a)
 
 
+def test_slot_width_is_the_struct_width_or_whole_bytes():
+    for bits in range(300):
+        whole = max((bits + 7) // 8, 1)
+        want = next((w for w in (1, 2, 4, 8) if whole <= w), whole)
+        assert deltaops._slot_width(bits) == want, bits
+
+
+def test_shape_caches_stay_bounded(monkeypatch):
+    monkeypatch.setattr(deltaops, "_masks", {})
+    monkeypatch.setattr(deltaops, "_structs", {})
+    caches = (deltaops._masks, deltaops._structs)
+
+    def assert_bounded():
+        for cache in caches:
+            assert len(cache) <= deltaops._SHAPES
+            assert all(width <= 8 and count <= deltaops._CACHED_SLOTS
+                       for width, count in cache)
+
+    seq = [2**100 + i for i in range(5100)]
+    windows = Windows(5000, (seq,), (ONE, DELTA))
+    assert windows.width > 8
+    assert windows.values(windows.apply(DELTA, windows.seqs[0])) == [1] * 5000
+    assert caches == ({}, {})
+    for length in range(1, 201):
+        for scale in (1, 2**12, 2**40):
+            a, b = DeltaPoly((scale,) * length), DeltaPoly((-1, 2) * length)
+            product = a * b
+            if length % 50 == 0:
+                assert product == schoolbook_product(a, b)
+            assert_bounded()
+    assert all(caches)
+    # 1000 coefficients each: more slots than a cached shape has.
+    DeltaPoly((1,) * 1000) * DeltaPoly((1, -1) * 500)
+    assert_bounded()
+
+
+def test_threads_filling_the_shape_caches_keep_the_bound(monkeypatch):
+    monkeypatch.setattr(deltaops, "_masks", {})
+    monkeypatch.setattr(deltaops, "_structs", {})
+    pairs = [(DeltaPoly((-3,) * length), DeltaPoly((1, 2) * (length // 2 + 1)))
+             for length in range(2, 120)]
+    want = [schoolbook_product(a, b) for a, b in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(8)
+        results = []
+
+        def worker(offset):
+            start.wait(timeout=30)
+            order = pairs[offset:] + pairs[:offset]
+            got = [a * b for a, b in order]
+            results.append(got[-offset:] + got[:-offset] if offset else got)
+
+        threads = [threading.Thread(target=worker, args=(15 * i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 8
+    for cache in (deltaops._masks, deltaops._structs):
+        assert 0 < len(cache) <= deltaops._SHAPES
+
+
 def test_compose_with_zero_and_constant_inner():
     p = DeltaPoly((5, -3, 0, 2))
     assert p.compose(ZERO) == DeltaPoly((5,))
@@ -483,10 +551,46 @@ def test_identity_sweeps_find_nothing():
     assert verify_congruence(8) is None
 
 
+# (prime member, odd member, error) -> the first failures of
+# verify_product_theorem(8) and verify_uniform_factorization(40) when every
+# composition of that prime member with that odd member comes out plus the
+# error; recorded before either check kept its compositions per call.
+CORRUPTED_COMPOSITIONS = {
+    (2, 2, (1,)): (
+        "odd a=3 b=2: Δ^6 - 6Δ^4 + 9Δ^2 - 2 != Δ^6 - 6Δ^4 + 10Δ^2 - 4",
+        "odd n=6: prime map chain disagrees"),
+    (1, 5, (0, 1)): (
+        "odd a=2 b=5: Δ^10 - 10Δ^8 + 35Δ^6 - 50Δ^4 + 25Δ^2 - 2 != "
+        "Δ^10 - 10Δ^8 + 36Δ^6 - 55Δ^4 + 30Δ^2 - 2",
+        None),
+    (4, 2, (0, 0, 3)): (
+        "odd a=5 b=2: Δ^10 - 10Δ^8 + 35Δ^6 - 50Δ^4 + 25Δ^2 - 2 != "
+        "Δ^10 - 10Δ^8 + 35Δ^6 - 47Δ^4 + 19Δ^2 - 2",
+        "odd n=10: prime map chain disagrees"),
+    (0, 4, (0, 1)): (
+        "odd a=1 b=4: Δ^4 - 4Δ^2 + 2 != Δ^5 + Δ^4 - 4Δ^3 - 4Δ^2 + 2Δ + 2",
+        "odd n=8: prime map chain disagrees"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTED_COMPOSITIONS)
+def test_prime_map_checks_report_a_corrupted_composition(monkeypatch, case):
+    prime, odd, error = case
+    target = (multiplier(Family.PRIME, prime), multiplier(Family.ODD, odd))
+    compose = DeltaPoly.compose
+
+    def corrupted(self, inner):
+        out = compose(self, inner)
+        return out + DeltaPoly(error) if (self, inner) == target else out
+
+    monkeypatch.setattr(DeltaPoly, "compose", corrupted)
+    got = (verify_product_theorem(8), verify_uniform_factorization(40))
+    assert got == CORRUPTED_COMPOSITIONS[case]
+
+
 def test_prime_function_reaches_composite_indices():
     def prime_image(family, p, n):
-        return deltaops._prime_image(family, p, multiplier(family, n),
-                                     multiplier(Family.ODD, n))
+        return deltaops._prime_image(family, p, multiplier(family, n), n, {})
 
     assert prime_image(Family.PRIME, 2, 1) == multiplier(Family.PRIME, 2)
     assert prime_image(Family.ODD, 3, 2) == multiplier(Family.ODD, 6)
