@@ -20,14 +20,14 @@ budget caps the walks enumerated in one strip.
 recurrence on the k = ceil(m/2) independent rows (rows y and m+1-y are
 equal) in ``decimal`` under an exact context, because converting an int to
 decimal digits takes quadratic time and converting a Decimal takes linear
-time.  Each cell is converted once, except that a mirror row past a fixed
-memory bound is converted again.  A second route, the unfolded recurrence
-over all m rows on residues mod 10**9, checks every string it hands out.
-It packs each column into one int of m 64-bit slots, so a column costs a
-few big-int operations.  A converted row is checked by parsing the last
-nine digits of each cell; a mirror row that reuses its partner's strings,
-which have matched the partner's residues, by comparing the two rows'
-residues.
+time.  The first top rows, as many as fit a fixed digit budget, become
+text as each column is made; the rest stay Decimal and are converted at
+each of their two emissions.  A second route, the unfolded recurrence over
+all m rows on residues mod 10**9, checks every string it hands out.  It
+packs each column into one int of m 64-bit slots, so a column costs a few
+big-int operations.  A row is checked by parsing the last nine digits of
+each cell, and the mirror of a text row, whose strings have matched its
+partner's residues, by comparing the two rows' residues.
 
 Indices are 1-based throughout the public surface: columns run x = 1..n_max
 and rows y = 1..m.
@@ -35,6 +35,7 @@ and rows y = 1..m.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -55,10 +56,11 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[Inexact, Rounded, Overflow])
 _CHECK_MODULUS = 10**9
 _LAST_9 = itemgetter(slice(-9, None))
-# Digits of converted rows kept for their mirror rows: every mirror row up
-# to about 64 x 2900 cells; beyond that some are converted twice, which
-# keeps 64 x 10000 (1.5 G digits) well under 1 GB.
+# Digits of the top rows made text as their columns are made, judged by a
+# bound: all top rows up to about 64 x 2900; past that the rest stay
+# Decimal, which keeps 64 x 10000 (1.5 G digits) well under 1 GB.
 _KEPT_CHARS = 2**26
+_LOG10_3 = math.log10(3)
 # Cells per chunk of a written row: 1 to 2 MB of text at the n ceiling.
 ROW_BLOCK = 400
 # Walks per block of the enumeration; a column's walks beyond it are split.
@@ -138,8 +140,9 @@ def table_strings(m: int, n_max: int
 
     Every string is checked against the residue route before it is handed
     out; a mismatch raises InternalInconsistencyError.  The generator frees
-    the rows it has passed, so peak memory is about the top k rows as
-    Decimals plus at most _KEPT_CHARS of kept strings.
+    the rows it has passed, so peak memory is about the text rows, at most
+    _KEPT_CHARS digits, plus the rest as Decimals: a json 62 x 2220 table,
+    all 31 top rows text (36.4 M digits), peaks at 60 MB of RSS.
     """
     _check_size(m, n_max)
     top, sums = _decimal_top_rows(m, n_max)
@@ -162,29 +165,37 @@ def joined_blocks(cells: Sequence[str], sep: str,
         yield sep.join(map(str.rjust, block, repeat(width)) if width else block)
 
 
-def _decimal_top_rows(m: int, n_max: int
-                      ) -> tuple[list[list[Decimal]], list[Decimal]]:
-    """Rows 1..k and the column sums, by the column recurrence folded at the
-    row symmetry: row k's missing neighbour k + 1 is row k when m is even
-    and row k - 1 when m is odd."""
+def _decimal_top_rows(m: int, n_max: int) -> tuple[list[list], list[Decimal]]:
+    """Rows 1..k and the column sums.  The first j rows, as many as fit
+    _KEPT_CHARS, hold each cell's string, made with its column."""
+    # A cell of column x + 1 is at most 3**x, of int(x log10 3) + 1 digits.
+    row_digits = sum(int(x * _LOG10_3) + 1 for x in range(n_max))
+    rows: list[list] = [[] for _ in range((m + 1) // 2)]
+    j = min(len(rows), _KEPT_CHARS // row_digits)
+    sums = []
+    for column, total in _decimal_columns(m, n_max):
+        for row, value in zip(rows, [*map(str, column[:j]), *column[j:]]):
+            row.append(value)
+        sums.append(total)
+    return rows, sums
+
+
+def _decimal_columns(m: int, n_max: int) -> Iterator[tuple[list, Decimal]]:
+    """Columns 1..n_max of rows 1..k with their column sums, by the column
+    recurrence folded at the row symmetry: row k's missing neighbour k + 1
+    is row k when m is even and row k - 1 when m is odd."""
     k = (m + 1) // 2
-    zero, one = Decimal(0), Decimal(1)
-    column = [one] * k
-    rows = [[one] for _ in range(k)]
-    total = Decimal(m)
-    sums = [total]
-    with localcontext(_EXACT):
-        for _ in range(n_max - 1):
-            if m > 1:
+    column, total = [Decimal(1)] * k, Decimal(m)
+    for x in range(n_max):
+        if x and m > 1:
+            # Entered per column, so the caller never runs under it.
+            with localcontext(_EXACT):
                 # Rows 1 and m each feed two cells, every other row three.
                 total = 3 * total - 2 * column[0]
-                padded = [zero, *column, column[k - 1 - m % 2]]
+                padded = [Decimal(0), *column, column[k - 1 - m % 2]]
                 column = [a + b + c for a, b, c
                           in zip(padded, padded[1:], padded[2:])]
-            for row, value in zip(rows, column):
-                row.append(value)
-            sums.append(total)
-    return rows, sums
+        yield column, total
 
 
 def _residue_rows(m: int, n_max: int) -> tuple[list[memoryview], list[int]]:
@@ -217,28 +228,25 @@ def _residue_rows(m: int, n_max: int) -> tuple[list[memoryview], list[int]]:
              for i in range(0, m * n_max, m)])
 
 
-def _row_strings(m: int, top: list[list[Decimal] | None],
+def _row_strings(m: int, top: list[list | None],
                  residue_rows: list[memoryview]) -> Iterator[list[str]]:
-    """Rows y and m + 1 - y are the same top row.  The first of the two
-    keeps its strings for the second while the kept strings fit in
-    _KEPT_CHARS; past that the second converts its Decimals again.  Kept
-    strings have matched their first row's residues, so the second row
-    checks them by comparing its residues with that row's."""
-    kept: dict[int, list[str]] = {}
-    room = _KEPT_CHARS
+    """Rows y and m + 1 - y are the same top row i.  A text row is checked
+    at its first emission, and its mirror, whose strings have matched row
+    i's residues, by comparing its residues with row i's.  A Decimal row is
+    converted and checked at each of its emissions."""
     for y in range(m):
         i = min(y, m - 1 - y)
-        strings = kept.pop(i, None)
-        if strings is None:
-            strings = list(map(str, top[i]))
-            _check_residues(f"row {y + 1}", strings, residue_rows[y])
-        elif residue_rows[y] != residue_rows[i]:
-            raise _mismatch(f"row {y + 1}")
+        strings = top[i]
         if y >= m - 1 - y:
             top[i] = None
-        elif (size := sum(map(len, strings))) <= room:
-            kept[i], top[i] = strings, None
-            room -= size
+        text = isinstance(strings[0], str)
+        if text and y > i:
+            if residue_rows[y] != residue_rows[i]:
+                raise _mismatch(f"row {y + 1}")
+        else:
+            if not text:
+                strings = list(map(str, strings))
+            _check_residues(f"row {y + 1}", strings, residue_rows[y])
         yield strings
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from tablepaths import cli
 from tablepaths.cli import build_parser, main
 from tablepaths.docs import parse_document, render_document
-from tablepaths.pathtable import build_table
+from tablepaths.pathtable import build_table, table_strings
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parents[1] / "perfbench" / "goldens"
@@ -767,3 +767,42 @@ def test_table_json_peak_memory_is_bounded():
     if not peak_kib:
         pytest.skip("no /proc/self/status to read the peak from")
     assert peak_kib < 150 * 1024
+
+
+# Imports what the json table command runs and reads the peak resident size
+# (VmHWM, KiB), then runs the command and reads it again; prints the exit
+# code and both peaks on stderr.  The child reads its own high-water mark:
+# ru_maxrss would start at the parent's size, which Linux carries across
+# exec.
+RSS_GROWTH = """\
+import sys
+from tablepaths import cli, docs, pathtable
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(line.split()[1] for line in status
+                    if line.startswith("VmHWM:"))
+
+before = peak()
+code = cli.main(sys.argv[1:])
+print(code, before, peak(), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_table_text_costs_little_more_than_its_digits():
+    # All 31 top rows of 62 x 2220 are text, made as their columns are made,
+    # so no Decimal table is held beside their 36.4 M digits.
+    m, n = 62, 2220
+    _, rows = table_strings(m, n)
+    digits = sum(len(cell) for row in itertools.islice(rows, (m + 1) // 2)
+                 for cell in row)
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_GROWTH, "--format", "json", "table",
+         "--m", str(m), "--n", str(n)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        check=True, env=MODULE_ENV)
+    code, before_kib, after_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert (after_kib - before_kib) * 1024 <= 1.4 * digits

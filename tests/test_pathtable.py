@@ -220,17 +220,28 @@ def test_table_strings_are_the_digits_of_the_int_table():
             assert list(rows) == [list(map(str, r)) for r in table.rows], (m, n)
 
 
+def corrupt_decimal_cell(monkeypatch, row, column):
+    """Add 1 to one Decimal cell as its column is made, before any string
+    is made from it; the later columns are made from the true cell."""
+    decimal_columns = pathtable._decimal_columns
+
+    def corrupted(m, n_max):
+        for x, (cells, total) in enumerate(decimal_columns(m, n_max)):
+            if x == column:
+                cells = list(cells)
+                cells[row] += 1
+            yield cells, total
+
+    monkeypatch.setattr(pathtable, "_decimal_columns", corrupted)
+
+
+# With the default budget every top row here is text, so the corrupted cell
+# is made a string with its column; with nothing kept its row stays Decimal
+# and is converted at each emission.
 @pytest.mark.parametrize("m, row, column", [
     (1, 0, 4), (2, 0, 9), (5, 2, 3), (6, 1, 7), (6, 2, 11), (9, 0, 1)])
 def test_corrupted_decimal_cell_is_caught(monkeypatch, m, row, column):
-    decimal_top_rows = pathtable._decimal_top_rows
-
-    def corrupted(m, n_max):
-        rows, sums = decimal_top_rows(m, n_max)
-        rows[row][column] += 1
-        return rows, sums
-
-    monkeypatch.setattr(pathtable, "_decimal_top_rows", corrupted)
+    corrupt_decimal_cell(monkeypatch, row, column)
     sums, rows = table_strings(m, 12)
     passed = []
     with pytest.raises(InternalInconsistencyError, match=f"row {row + 1}:"):
@@ -326,6 +337,53 @@ def test_corrupted_decimal_is_caught_with_nothing_kept(monkeypatch, m, row,
                                                        column):
     monkeypatch.setattr(pathtable, "_KEPT_CHARS", 0)
     test_corrupted_decimal_cell_is_caught(monkeypatch, m, row, column)
+
+
+def digits_of_powers_of_3(n):
+    """The exact bound on a row's digits: sum of the digits of 3**x for
+    x < n, a cell of column x + 1 being at most 3**x."""
+    power, ten, digits, total = 1, 10, 1, 0
+    for _ in range(n):
+        while power >= ten:
+            ten, digits = ten * 10, digits + 1
+        total += digits
+        power *= 3
+    return total
+
+
+@given(m=st.integers(3, 64), n=st.integers(1, 400), data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_text_rows_fit_the_digit_budget(m, n, data):
+    k = (m + 1) // 2
+    bound = digits_of_powers_of_3(n)
+    j = data.draw(st.integers(1, k - 1), label="text rows")
+    kept_chars = data.draw(st.integers(j * bound, (j + 1) * bound - 1),
+                           label="_KEPT_CHARS")
+    table = build_table(m, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathtable, "_KEPT_CHARS", kept_chars)
+        top, _ = pathtable._decimal_top_rows(m, n)
+        sums, rows = table_strings(m, n)
+        assert list(rows) == [list(map(str, r)) for r in table.rows]
+    assert sums == tuple(map(str, table.column_sums()))
+    # The first j top rows are text, the rest Decimal.
+    text = [isinstance(row[0], str) for row in top]
+    assert text == [True] * j + [False] * (k - j)
+    assert sum(len(cell) for row in top[:j] for cell in row) <= kept_chars
+    for row in table.rows[:k]:
+        assert sum(len(str(cell)) for cell in row) <= bound
+
+
+def test_text_rows_fit_the_digit_budget_at_large_n(monkeypatch):
+    # The float bound of the module against the exact one, at the budget's
+    # edge, where one digit too few or too many changes the row count.
+    for n in (1000, 2220, 3001):
+        bound = digits_of_powers_of_3(n)
+        for kept_chars, j in ((bound - 1, 0), (bound, 1)):
+            monkeypatch.setattr(pathtable, "_KEPT_CHARS", kept_chars)
+            top, _ = pathtable._decimal_top_rows(3, n)
+            text = [isinstance(row[0], str) for row in top]
+            assert text == [True] * j + [False] * (2 - j), (n, kept_chars)
 
 
 def test_table_document_round_trip():
