@@ -38,17 +38,11 @@ FACTOR_BUDGET_ENV = "TABLEPATHS_FACTOR_BUDGET"
 
 def _parse_range(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive) or a single integer."""
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise DomainError(f"bad range {text!r}, expected a..b") from None
-    else:
-        try:
-            lo = hi = int(text)
-        except ValueError:
-            raise DomainError(f"bad range {text!r}, expected a..b") from None
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError:
+        raise DomainError(f"bad range {text!r}, expected a..b") from None
     if hi < lo:
         raise DomainError(f"empty range {text!r}")
     return lo, hi

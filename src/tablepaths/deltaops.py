@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 from operator import add, mul, neg, sub
@@ -74,22 +74,19 @@ def _trim(coeffs) -> tuple[int, ...]:
 # them back, which leaves no borrow between slots, flips the top bits again
 # and reads the two's complement slots from one to_bytes.  Slots up to 8
 # bytes are rounded up to a struct width and move through one call of a
-# struct.Struct.  The half-slot masks and the Struct objects of these
-# widths are built once per (width, count) shape and kept in two caches of
-# at most _SHAPES entries each, emptied when full; shapes of more than
-# _CACHED_SLOTS slots, and every wider slot, are built at each use, so the
-# masks never take more than 2 MB whatever the input.
+# struct.Struct.  ``_shape`` gives the half-slot mask and the Struct of a
+# (width, count) shape.  Shapes of a struct width and at most 1024 slots
+# come from one least-recently-used cache of 256 shapes, so the masks never
+# take more than 2 MB whatever the input; every other shape is built at each
+# use.  The verify suite's benchmark mix (m_max 23..27, n_max 40..110)
+# reads 170 distinct shapes from a fresh process, so 256 holds that working
+# set and a repeated request builds none.
 
 # struct codes of little-endian signed slots, keyed by slot width in bytes.
 _SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 # Bytes per slot by bit count, for the bit counts that fit a struct width.
 _STRUCT_WIDTHS = bytes(next(w for w in _SLOT_CODES if 8 * w >= bits)
                        for bits in range(65))
-_SHAPES, _CACHED_SLOTS = 256, 1024
-_masks: dict[tuple[int, int], int] = {}
-_structs: dict[tuple[int, int], Struct] = {}
-# Held only to store a new shape, so that the bound holds under threads.
-_shapes_lock = threading.Lock()
 
 
 def _slot_width(bits: int) -> int:
@@ -97,47 +94,35 @@ def _slot_width(bits: int) -> int:
     return _STRUCT_WIDTHS[bits] if bits <= 64 else (bits + 7) // 8
 
 
-def _remember(cache: dict, key: tuple[int, int], value) -> None:
-    width, count = key
-    if width <= 8 and count <= _CACHED_SLOTS:
-        with _shapes_lock:
-            if len(cache) >= _SHAPES:
-                cache.clear()
-            cache[key] = value
+@lru_cache(maxsize=256)
+def _cached_shape(width: int, count: int) -> tuple[int, Struct | None]:
+    half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    return half, Struct(f"<{count}{_SLOT_CODES[width]}") if width <= 8 else None
 
 
-def _half_slots(width: int, count: int) -> int:
-    half = _masks.get((width, count))
-    if half is None:
-        half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-        _remember(_masks, (width, count), half)
-    return half
-
-
-def _struct(width: int, count: int) -> Struct:
-    """The Struct of ``count`` signed slots of a struct width."""
-    struct = _structs.get((width, count))
-    if struct is None:
-        struct = Struct(f"<{count}{_SLOT_CODES[width]}")
-        _remember(_structs, (width, count), struct)
-    return struct
+def _shape(width: int, count: int) -> tuple[int, Struct | None]:
+    """The half-slot mask of ``count`` slots of ``width`` bytes, and their
+    Struct when ``width`` is a struct width."""
+    if width <= 8 and count <= 1024:
+        return _cached_shape(width, count)
+    return _cached_shape.__wrapped__(width, count)
 
 
 def _pack(coeffs, width: int) -> int:
-    if width <= 8:
-        raw = _struct(width, len(coeffs)).pack(*coeffs)
+    half, struct = _shape(width, len(coeffs))
+    if struct:
+        raw = struct.pack(*coeffs)
     else:
         raw = b"".join([c.to_bytes(width, "little", signed=True)
                         for c in coeffs])
-    half = _half_slots(width, len(coeffs))
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
 def _unpack(value: int, width: int, count: int) -> list[int]:
-    half = _half_slots(width, count)
+    half, struct = _shape(width, count)
     raw = ((value + half) ^ half).to_bytes(count * width, "little")
-    if width <= 8:
-        return list(_struct(width, count).unpack(raw))
+    if struct:
+        return list(struct.unpack(raw))
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, len(raw), width)]
 
@@ -359,7 +344,7 @@ class Windows:
         self._slot_bits = 8 * width
         self._mask = (1 << self._slot_bits * count) - 1
         # The window whose values are all zero.
-        self.zero = _half_slots(width, count)
+        self.zero = _shape(width, count)[0]
         # poly -> (packed reversed shift coefficients, bit offset of its
         # window, half slots up to the window's end)
         self._polys = {}
@@ -367,7 +352,7 @@ class Windows:
             d = max(p.degree, 0)
             self._polys[p] = (_pack(p.shift_coeffs[::-1], width),
                               self._slot_bits * d,
-                              _half_slots(width, count + d))
+                              _shape(width, count + d)[0])
         self.seqs = [_pack(seq, width) for seq in seqs]
 
     def apply(self, poly: DeltaPoly, packed: int) -> int:

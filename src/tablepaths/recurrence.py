@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .deltaops import (ONE, DeltaPoly, Family, Windows, _half_slots, _pack,
-                       _slot_width, base_constant, multiplier, parity_family)
+from .deltaops import (ONE, DeltaPoly, Family, Windows, _shape, _slot_width,
+                       base_constant, multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
@@ -176,13 +176,13 @@ def charpoly(rows) -> tuple[int, ...]:
         raise DomainError("characteristic polynomial needs a square matrix")
     norm = max([sum(map(abs, r)) for r in rows] + [1])
     width = _slot_width((2**k * norm**k).bit_length() + 1)
-    unit = [_pack([int(i == j) for j in range(k)], width) for i in range(k)]
+    unit = [1 << 8 * width * i for i in range(k)]
     terms = [[(a, j) for j, a in enumerate(r) if a] for r in rows]
     coeffs = [0] * k + [1]
     work = unit
     # Adding half to a packed row makes every slot c + 2**(bits-1), with no
     # borrow between slots, so slot i is one shift and mask away.
-    bits, half = 8 * width, _half_slots(width, k)
+    bits, half = 8 * width, _shape(width, k)[0]
     mask, offset = (1 << bits) - 1, k << bits - 1
     for step in range(1, k + 1):
         work = [sum([a * work[j] for a, j in row]) for row in terms]

@@ -46,16 +46,16 @@ def run_suite(m_max: int, n_max: int,
     # (name, last m of its tables or 0 for a check without one, check, *args)
     registry = [
         ("path-oracle", min(m_max, 6), pathtable.verify_oracle, min(n_max, 10), budget),
-        ("closed-forms", 0, deltaops.verify_closed_forms, 40),
-        ("addition-theorem", 0, deltaops.verify_addition_theorem, 12),
-        ("action-theorem", 0, deltaops.verify_action_theorem, 12),
-        ("product-theorem", 0, deltaops.verify_product_theorem, 8),
-        ("compose-factorization", 0, deltaops.verify_compose_factorization, 10, 64),
-        ("uniform-factorization", 0, deltaops.verify_uniform_factorization, 40),
-        ("bridge-lemma", 0, deltaops.verify_bridge_lemma, 40),
-        ("partial-sums", 0, deltaops.verify_partial_sums, 40),
-        ("congruence", 0, deltaops.verify_congruence, 12),
-        ("classical-polynomials", 0, deltaops.verify_classical, 20),
+        ("closed-forms", 0, deltaops.verify_closed_forms),
+        ("addition-theorem", 0, deltaops.verify_addition_theorem),
+        ("action-theorem", 0, deltaops.verify_action_theorem),
+        ("product-theorem", 0, deltaops.verify_product_theorem),
+        ("compose-factorization", 0, deltaops.verify_compose_factorization),
+        ("uniform-factorization", 0, deltaops.verify_uniform_factorization),
+        ("bridge-lemma", 0, deltaops.verify_bridge_lemma),
+        ("partial-sums", 0, deltaops.verify_partial_sums),
+        ("congruence", 0, deltaops.verify_congruence),
+        ("classical-polynomials", 0, deltaops.verify_classical),
         ("transfer-matrix", m_max, recurrence.verify_transfer, n_max),
         ("annihilation", m_max, recurrence.verify_annihilation, n_max),
         ("column-sum-bridge", m_max, recurrence.verify_column_sum_bridge, n_max),
@@ -64,8 +64,7 @@ def run_suite(m_max: int, n_max: int,
         ("column-sum-formulas", m_max, recurrence.verify_column_sum_formulas,
          min(n_max, 25)),
         ("determinant-lemma", 0, recurrence.verify_determinants, max(m_max, 48)),
-        ("window-determinants", min(m_max, 10), recurrence.verify_window_determinants,
-         12),
+        ("window-determinants", min(m_max, 10), recurrence.verify_window_determinants),
         ("polynomial-equivalence", m_max, recurrence.verify_polynomial_equivalence),
         ("charpoly-recursion", 0, recurrence.verify_charpoly_recursion, max(m_max, 24)),
         ("recurrence-minimality", min(m_max, 10), recurrence.verify_minimality),

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from tablepaths import cli
 from tablepaths.cli import build_parser, main
 from tablepaths.docs import parse_document, render_document
+from tablepaths.errors import DomainError
 from tablepaths.pathtable import build_table, table_strings
 
 DATA = Path(__file__).parent / "data"
@@ -160,6 +161,23 @@ def test_bad_range_rejected(capsys):
     code, _, _ = run_cli(capsys, "singer", "--family", "E", "--q", "2",
                          "--n", "x..y")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2..7", (2, 7)), ("4", (4, 4)), ("3..3", (3, 3)),
+    ("x..y", "bad range 'x..y', expected a..b"),
+    ("..5", "bad range '..5', expected a..b"),
+    ("1..2..3", "bad range '1..2..3', expected a..b"),
+    ("5..", "bad range '5..', expected a..b"),
+    ("5..3", "empty range '5..3'"),
+])
+def test_parse_range(text, want):
+    if isinstance(want, tuple):
+        assert cli._parse_range(text) == want
+    else:
+        with pytest.raises(DomainError) as info:
+            cli._parse_range(text)
+        assert str(info.value) == want
 
 
 def test_bad_family_and_nonprime_q_rejected(capsys):

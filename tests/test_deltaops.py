@@ -36,6 +36,7 @@ from tablepaths.deltaops import (
     verify_uniform_factorization,
 )
 from tablepaths.errors import DomainError
+from tablepaths.suite import run_suite
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=0, max_size=6)
 polys = coeff_lists.map(lambda cs: DeltaPoly(tuple(cs)))
@@ -179,22 +180,30 @@ def test_slot_width_is_the_struct_width_or_whole_bytes():
         assert deltaops._slot_width(bits) == want, bits
 
 
-def test_shape_caches_stay_bounded(monkeypatch):
-    monkeypatch.setattr(deltaops, "_masks", {})
-    monkeypatch.setattr(deltaops, "_structs", {})
-    caches = (deltaops._masks, deltaops._structs)
+def test_shape_caches_stay_bounded():
+    cache = deltaops._cached_shape
+    cache.cache_clear()
 
     def assert_bounded():
-        for cache in caches:
-            assert len(cache) <= deltaops._SHAPES
-            assert all(width <= 8 and count <= deltaops._CACHED_SLOTS
-                       for width, count in cache)
+        info = cache.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
 
-    seq = [2**100 + i for i in range(5100)]
-    windows = Windows(5000, (seq,), (ONE, DELTA))
-    assert windows.width > 8
-    assert windows.values(windows.apply(DELTA, windows.seqs[0])) == [1] * 5000
-    assert caches == ({}, {})
+    # Slots wider than 8 bytes, few or many of them: nothing is cached.
+    for count in (50, 5000):
+        seq = [2**100 + i for i in range(count + 100)]
+        windows = Windows(count, (seq,), (ONE, DELTA))
+        assert windows.width > 8
+        assert windows.values(windows.apply(DELTA, windows.seqs[0])) == [1] * count
+    assert cache.cache_info().currsize == 0
+    # Narrow slots: once the short shapes of the polynomials are cached, a
+    # window of more than 1024 slots adds none.
+    seq = list(range(1000, 2600))
+    Windows(3, (seq,), (ONE, DELTA))
+    before = cache.cache_info().currsize
+    windows = Windows(1500, (seq,), (ONE, DELTA))
+    assert windows.width <= 8
+    assert windows.values(windows.apply(DELTA, windows.seqs[0])) == [1] * 1500
+    assert cache.cache_info().currsize == before
     for length in range(1, 201):
         for scale in (1, 2**12, 2**40):
             a, b = DeltaPoly((scale,) * length), DeltaPoly((-1, 2) * length)
@@ -202,17 +211,17 @@ def test_shape_caches_stay_bounded(monkeypatch):
             if length % 50 == 0:
                 assert product == schoolbook_product(a, b)
             assert_bounded()
-    assert all(caches)
-    # 1000 coefficients each: more slots than a cached shape has.
+    info = cache.cache_info()
+    assert info.currsize == 256 and info.misses > 256
+    # 1000 coefficients each: the product has more slots than a cached shape.
     DeltaPoly((1,) * 1000) * DeltaPoly((1, -1) * 500)
     assert_bounded()
 
 
-def test_threads_filling_the_shape_caches_keep_the_bound(monkeypatch):
-    monkeypatch.setattr(deltaops, "_masks", {})
-    monkeypatch.setattr(deltaops, "_structs", {})
+def test_threads_filling_the_shape_caches_keep_the_bound():
+    deltaops._cached_shape.cache_clear()
     pairs = [(DeltaPoly((-3,) * length), DeltaPoly((1, 2) * (length // 2 + 1)))
-             for length in range(2, 120)]
+             for length in range(2, 200)]
     want = [schoolbook_product(a, b) for a, b in pairs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -236,8 +245,43 @@ def test_threads_filling_the_shape_caches_keep_the_bound(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [want] * 8
-    for cache in (deltaops._masks, deltaops._structs):
-        assert 0 < len(cache) <= deltaops._SHAPES
+    # The pairs need 304 shapes, so the threads also evicted.
+    assert deltaops._cached_shape.cache_info().currsize == 256
+
+
+@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("count", [1024, 1025])
+def test_cached_and_uncached_shapes_agree(width, count):
+    before = deltaops._cached_shape.cache_info()
+    half, struct = deltaops._shape(width, count)
+    after = deltaops._cached_shape.cache_info()
+    assert (after.hits + after.misses - before.hits - before.misses
+            == (width == 8 and count == 1024))
+    built_half, built_struct = deltaops._cached_shape.__wrapped__(width, count)
+    bits = 8 * width
+    assert half == built_half == sum(1 << bits * i + bits - 1
+                                     for i in range(count))
+    if width <= 8:
+        assert (struct.format, struct.size) == (built_struct.format,
+                                                 width * count)
+    else:
+        assert struct is None and built_struct is None
+    edges = [-(1 << bits - 1), (1 << bits - 1) - 1, 0, -1]
+    values = [edges[i % 4] for i in range(count)]
+    assert deltaops._unpack(deltaops._pack(values, width), width,
+                            count) == values
+
+
+def test_a_repeated_suite_request_builds_no_shape():
+    cache = deltaops._cached_shape
+    cache.cache_clear()
+    first = run_suite(27, 110)
+    # One request's shapes all fit: none was evicted within the request.
+    assert cache.cache_info().misses == cache.cache_info().currsize <= 256
+    misses = cache.cache_info().misses
+    second = run_suite(27, 110)
+    assert cache.cache_info().misses == misses
+    assert first.passed and first == second
 
 
 def test_compose_with_zero_and_constant_inner():
