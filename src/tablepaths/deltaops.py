@@ -658,27 +658,6 @@ _FIBONACCI = (ONE, DELTA, add)
 _LUCAS = (DeltaPoly((2,)), DELTA, add)
 
 
-def chebyshev_t(n: int) -> tuple[int, ...]:
-    """Chebyshev polynomial of the first kind, ascending coefficients."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    return _two_term(*_CHEBYSHEV, n)[n].coeffs
-
-
-def fibonacci_poly(n: int) -> tuple[int, ...]:
-    """Fibonacci polynomial F_n with F_1 = 1, F_2 = x."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return _two_term(*_FIBONACCI, n - 1)[n - 1].coeffs
-
-
-def lucas_poly(n: int) -> tuple[int, ...]:
-    """Lucas polynomial L_n with L_0 = 2, L_1 = x."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    return _two_term(*_LUCAS, n)[n].coeffs
-
-
 def verify_classical(n_max: int = 20) -> str | None:
     """Match the families against Chebyshev, Fibonacci and Lucas polynomials.
 

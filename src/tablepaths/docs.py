@@ -10,10 +10,14 @@ a dict: ``path_table_chunks`` writes the text of
 chunks of at most ``pathtable.ROW_BLOCK`` joined cells, so the CLI can
 stream a table too large to hold as one string and never copies more than a
 block of a row into a longer string.  Parsing accepts exactly
-what rendering writes: the decoder converts every field to its declared type,
-rejects the parameters that the producing function rejects, and the object
+what rendering writes: a decoder reads only the keys a report stores,
+converts each to its declared type and rejects what the producing function
+rejects (and factors that are not increasing prime powers), and the object
 must render back to the same JSON value (compared with ``json.dumps`` of the
-parsed document, which also checks the table writer), else DomainError.
+parsed document, which also checks the table writer), else DomainError; so
+every derived key of every kind is checked.  What only recomputing could
+check is not: a singer report's n_lo/n_hi against its entries, its verdicts
+and orders, and a recurrence or rows report's claims against its m.
 Rendering writes every integer string through ``decimal``, which the
 interpreter's int-to-str digit limit does not govern; parsing reads with
 ``int`` and so keeps that limit.  Nothing in the package changes it.
@@ -111,19 +115,24 @@ def _encode_factorization(f: PrimeFactorization) -> dict:
 
 
 def _decode_factorization(doc: dict) -> PrimeFactorization:
-    from .gfmatrix import PrimeFactorization
+    from .gfmatrix import PrimeFactorization, is_prime
     f = PrimeFactorization(
         int(doc["value"]), tuple((int(p), int(e)) for p, e in doc["factors"]),
-        bool(doc["complete"]), int(doc["cofactor"]))
+        int(doc["cofactor"]))
     _at_least(1, value=f.value)
-    rest = f.value  # each division halves it at least, whatever e claims
+    rest, last = f.value, 1  # each division halves rest, whatever e claims
     for p, e in f.factors:
+        if p <= last or e < 1:
+            raise DomainError(f"factors of {f.value} are not increasing powers")
         for _ in range(e):
-            if p < 2 or rest % p:
+            if rest % p:
                 raise DomainError(f"factors do not divide {f.value}")
             rest //= p
-    if rest != f.cofactor or f.complete != (rest == 1):
-        raise DomainError(f"factors, cofactor and complete flag of {f.value} disagree")
+        if not is_prime(p):
+            raise DomainError(f"factor {p} of {f.value} is not prime")
+        last = p
+    if rest != f.cofactor:
+        raise DomainError(f"factors and cofactor of {f.value} disagree")
     return f
 
 
@@ -166,8 +175,8 @@ def _decode_recurrence(doc: dict) -> RecurrenceReport:
     from .recurrence import EquivalenceReport, Recurrence, RecurrenceReport
     m, alphas = int(doc["m"]), _ints(doc["alphas"])
     _at_least(1, m=m)
-    return RecurrenceReport(m, Recurrence(len(alphas), alphas), EquivalenceReport(
-        m, len(alphas), _ints(doc["charpoly"]), _ints(doc["operator_poly"]),
+    return RecurrenceReport(Recurrence(alphas), EquivalenceReport(
+        m, _ints(doc["charpoly"]), _ints(doc["operator_poly"]),
         _ints(doc["recurrence_poly"])))
 
 
@@ -185,13 +194,11 @@ def _decode_row_combo(doc: dict) -> RowComboReport:
     m, n_probe = int(doc["m"]), int(doc["n_probe"])
     _at_least(1, m=m)
     _at_least(m + 2, n_probe=n_probe)
-    return RowComboReport(
-        m, n_probe, bool(doc["exists"]),
-        _optional(int, doc["lambda"]), _ints(doc["alphas"]),
-        int(doc["verified_up_to"]), int(doc["nullspace_dim"]),
-        int(doc["trivial_dim"]),
-        tuple((str(e["kind"]), tuple(Fraction(v) for v in e["vector"]))
-              for e in doc["basis"]))
+    basis = tuple((e["kind"], tuple(Fraction(v) for v in e["vector"]))
+                  for e in doc["basis"])
+    if any(kind not in ("trivial", "nontrivial") for kind, _ in basis):
+        raise DomainError("basis kinds must be trivial or nontrivial")
+    return RowComboReport(m, n_probe, basis)
 
 
 def _encode_verify(r: VerifyReport) -> dict:
@@ -203,8 +210,7 @@ def _encode_verify(r: VerifyReport) -> dict:
 
 def _decode_verify(doc: dict) -> VerifyReport:
     from .suite import CheckResult, VerifyReport
-    checks = tuple(CheckResult(str(c["name"]), bool(c["passed"]),
-                               _optional(str, c["detail"]))
+    checks = tuple(CheckResult(str(c["name"]), _optional(str, c["detail"]))
                    for c in doc["checks"])
     m_max, n_max = int(doc["m_max"]), int(doc["n_max"])
     _at_least(1, m_max=m_max, n_max=n_max)
@@ -255,7 +261,9 @@ def render_document(obj) -> str:
 
 def parse_document(text: str):
     """Inverse of render_document: only a document that is the rendering of
-    some object parses; anything else raises DomainError."""
+    some object parses; anything else raises DomainError.  Every derived
+    key is checked; a singer report's n_lo/n_hi against its entries, its
+    verdicts and orders, and recurrence or rows claims against m are not."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -166,12 +166,15 @@ def is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class PrimeFactorization:
     """Sorted prime powers of ``value``; ``cofactor`` holds whatever remains
-    unfactored when ``complete`` is False (1 otherwise)."""
+    unfactored, and the factorization is ``complete`` when that is 1."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
-    complete: bool
     cofactor: int = 1
+
+    @property
+    def complete(self) -> bool:
+        return self.cofactor == 1
 
     def product(self) -> int:
         return self.cofactor * prod(p**e for p, e in self.factors)
@@ -301,12 +304,10 @@ def factor(n: int, budget: int | None = None) -> PrimeFactorization:
             continue
         stack.append((found, mult))
         stack.append((value // found, mult))
-    cofactor = prod(v**e for v, e in unfactored)
     result = PrimeFactorization(
         value=n,
         factors=tuple(sorted(counts.items())),
-        complete=not unfactored,
-        cofactor=cofactor,
+        cofactor=prod(v**e for v, e in unfactored),
     )
     if result.product() != n:
         raise InternalInconsistencyError(

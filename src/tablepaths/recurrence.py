@@ -204,8 +204,11 @@ def charpoly(rows) -> tuple[int, ...]:
 class Recurrence:
     """a(n+k) = alphas[0]*a(n) + alphas[1]*a(n+1) + ... + alphas[k-1]*a(n+k-1)."""
 
-    k: int
     alphas: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.alphas)
 
     def __str__(self) -> str:
         parts = []
@@ -261,7 +264,7 @@ def _table_recurrence(table: PathTable) -> Recurrence:
     if alphas[0] == 0:
         raise InternalInconsistencyError(
             f"leading recurrence coefficient vanished at m={table.m}")
-    return Recurrence(k, alphas)
+    return Recurrence(alphas)
 
 
 # -- the three-polynomial equivalence ----------------------------------------
@@ -272,10 +275,13 @@ class EquivalenceReport:
     """Three independently derived degree-k polynomials, compared."""
 
     m: int
-    k: int
     charpoly: tuple[int, ...]
     operator_poly: tuple[int, ...]
     recurrence_poly: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.charpoly) - 1
 
     @property
     def equal(self) -> bool:
@@ -289,7 +295,7 @@ def equivalence_report(m: int) -> EquivalenceReport:
 
 def _equivalence(m: int, rec: Recurrence) -> EquivalenceReport:
     family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
-    return EquivalenceReport(m, rec.k, charpoly(reduced_matrix(m)),
+    return EquivalenceReport(m, charpoly(reduced_matrix(m)),
                              family_charpoly(family, rec.k), rec.poly())
 
 
@@ -297,14 +303,17 @@ def _equivalence(m: int, rec: Recurrence) -> EquivalenceReport:
 class RecurrenceReport:
     """Bundle of the minimal recurrence and its polynomial equivalence."""
 
-    m: int
     recurrence: Recurrence
     equivalence: EquivalenceReport
+
+    @property
+    def m(self) -> int:
+        return self.equivalence.m
 
 
 def recurrence_report(m: int) -> RecurrenceReport:
     rec = minimal_recurrence(m)
-    return RecurrenceReport(m, rec, _equivalence(m, rec))
+    return RecurrenceReport(rec, _equivalence(m, rec))
 
 
 # -- window determinants -----------------------------------------------------
@@ -332,24 +341,41 @@ class RowComboReport:
 
     A combination is trivial when alpha_i + alpha_{m+1-i} = 0 for every i;
     those always exist (row symmetry makes them identically zero).  The
-    interesting question is whether anything else does; the answer is yes
-    exactly when m = 1 (mod 4), and then a witness with constant value
-    lam = 1 supported on odd positions is reported.
+    report stores m, n_probe and the nullspace basis, each vector marked
+    trivial or nontrivial; the rest are properties.  ``exists``,
+    ``nullspace_dim`` and ``trivial_dim`` count the basis, and
+    ``verified_up_to`` is n_probe.  Nontrivial combinations exist exactly
+    when m = 1 (mod 4), and then ``alphas`` is a witness supported on odd
+    positions with constant value ``lam`` = 1 (else () and None).
     """
 
     m: int
     n_probe: int
-    exists: bool
-    lam: int | None
-    alphas: tuple[int, ...]
-    verified_up_to: int
-    nullspace_dim: int
-    trivial_dim: int
     basis: tuple[tuple[str, tuple[Fraction, ...]], ...]
 
+    @property
+    def exists(self) -> bool:
+        return any(kind == "nontrivial" for kind, _ in self.basis)
 
-def _symmetric_part(vec, m: int):
-    return [vec[i] + vec[m - 1 - i] for i in range(m)]
+    @property
+    def nullspace_dim(self) -> int:
+        return len(self.basis)
+
+    @property
+    def trivial_dim(self) -> int:
+        return sum(kind == "trivial" for kind, _ in self.basis)
+
+    @property
+    def verified_up_to(self) -> int:
+        return self.n_probe
+
+    @property
+    def lam(self) -> int | None:
+        return 1 if self.m % 4 == 1 else None
+
+    @property
+    def alphas(self) -> tuple[int, ...]:
+        return _witness(self.m) if self.m % 4 == 1 else ()
 
 
 def _witness(m: int) -> tuple[int, ...]:
@@ -383,47 +409,27 @@ def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
     m = table.m
     diff = [[table.cell(n + 1, i) - table.cell(n, i) for i in range(1, m + 1)]
             for n in range(1, n_probe)]
-    basis = _nullspace(diff, m)
-    classified = []
-    exists = False
-    for vec in basis:
-        sym = _symmetric_part(vec, m)
-        first_sym = next((s for s in sym if s != 0), None)
-        if first_sym is None:
-            kind = "trivial"
-            first = next((v for v in vec if v != 0), Fraction(1))
-            vec = tuple(v / first for v in vec)
-        else:
-            kind = "nontrivial"
-            exists = True
-            vec = tuple(v / first_sym for v in vec)
-        classified.append((kind, vec))
-    trivial_dim = sum(1 for kind, _ in classified if kind == "trivial")
+    basis = []
+    for vec in _nullspace(diff, m):
+        # A nontrivial vector is scaled by the first nonzero entry of its
+        # symmetric part, a trivial one by its own first nonzero entry.
+        sym = [v + vec[m - 1 - i] for i, v in enumerate(vec)]
+        kind, scale = ("nontrivial", sym) if any(sym) else ("trivial", vec)
+        first = next(s for s in scale if s)
+        basis.append((kind, tuple(v / first for v in vec)))
+    report = RowComboReport(m, n_probe, tuple(basis))
 
-    lam: int | None = None
-    alphas: tuple[int, ...] = ()
-    if m % 4 == 1:
-        lam = 1
-        alphas = _witness(m)
+    if (lam := report.lam) is not None:
+        alphas = report.alphas
         for n in range(1, n_probe + 1):
             got = sum(alphas[i] * table.cell(n, i + 1) for i in range(m))
             if got != lam:
                 raise InternalInconsistencyError(
                     f"witness for m={m} gives {got} at n={n}, expected {lam}")
-        if not exists:
+        if not report.exists:
             raise InternalInconsistencyError(
                 f"m={m}: witness exists but nullspace scan found none")
-    return RowComboReport(
-        m=m,
-        n_probe=n_probe,
-        exists=exists,
-        lam=lam,
-        alphas=alphas,
-        verified_up_to=n_probe,
-        nullspace_dim=len(basis),
-        trivial_dim=trivial_dim,
-        basis=tuple(classified),
-    )
+    return report
 
 
 # -- identity verifiers over tables ------------------------------------------

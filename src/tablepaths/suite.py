@@ -13,9 +13,12 @@ from .errors import BudgetExceededError, DomainError
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     detail: str | None
     elapsed: float = field(compare=False, default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.detail is None
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def run_suite(m_max: int, n_max: int,
     for name, m_last, fn, *args in registry:
         if not m_last:
             run(name, fn, *args)
-    results = tuple(CheckResult(name, details[name] is None, details[name],
-                                elapsed[name]) for name, *_ in registry)
+    results = tuple(CheckResult(name, details[name], elapsed[name])
+                    for name, *_ in registry)
     return VerifyReport(m_max, n_max, results,
                         elapsed=time.perf_counter() - start_all)

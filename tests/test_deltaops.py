@@ -17,11 +17,8 @@ from tablepaths.deltaops import (
     Family,
     Windows,
     base_constant,
-    chebyshev_t,
     closed_form,
-    fibonacci_poly,
     format_poly,
-    lucas_poly,
     multiplier,
     parity_family,
     verify_action_theorem,
@@ -644,22 +641,28 @@ def test_prime_function_reaches_composite_indices():
 # -- classical polynomial families -----------------------------------------------
 
 
+def _term(family, n):
+    """Coefficients of term n of a classical sequence: T_n of _CHEBYSHEV,
+    F_(n+1) of _FIBONACCI and L_n of _LUCAS."""
+    return deltaops._two_term(*family, n)[n].coeffs
+
+
 def test_chebyshev_seeds_and_recursion():
-    assert chebyshev_t(0) == (1,)
-    assert chebyshev_t(1) == (0, 1)
-    assert chebyshev_t(2) == (-1, 0, 2)
-    assert chebyshev_t(5) == (0, 5, 0, -20, 0, 16)
+    assert _term(deltaops._CHEBYSHEV, 0) == (1,)
+    assert _term(deltaops._CHEBYSHEV, 1) == (0, 1)
+    assert _term(deltaops._CHEBYSHEV, 2) == (-1, 0, 2)
+    assert _term(deltaops._CHEBYSHEV, 5) == (0, 5, 0, -20, 0, 16)
 
 
 def test_fibonacci_and_lucas_seeds():
-    assert fibonacci_poly(1) == (1,)
-    assert fibonacci_poly(2) == (0, 1)
-    assert fibonacci_poly(3) == (1, 0, 1)
-    assert fibonacci_poly(4) == (0, 2, 0, 1)
-    assert lucas_poly(0) == (2,)
-    assert lucas_poly(1) == (0, 1)
-    assert lucas_poly(2) == (2, 0, 1)
-    assert lucas_poly(3) == (0, 3, 0, 1)
+    assert _term(deltaops._FIBONACCI, 0) == (1,)
+    assert _term(deltaops._FIBONACCI, 1) == (0, 1)
+    assert _term(deltaops._FIBONACCI, 2) == (1, 0, 1)
+    assert _term(deltaops._FIBONACCI, 3) == (0, 2, 0, 1)
+    assert _term(deltaops._LUCAS, 0) == (2,)
+    assert _term(deltaops._LUCAS, 1) == (0, 1)
+    assert _term(deltaops._LUCAS, 2) == (2, 0, 1)
+    assert _term(deltaops._LUCAS, 3) == (0, 3, 0, 1)
 
 
 def reference_chebyshev_t(n):
@@ -696,17 +699,11 @@ def test_classical_polynomials_match_their_pair_swapping_loops():
     for k in range(4):
         assert len(deltaops._two_term(*deltaops._LUCAS, k)) == k + 1
     for n in range(41):
-        assert chebyshev_t(n) == reference_chebyshev_t(n), n
-        assert lucas_poly(n) == reference_lucas_poly(n), n
+        assert _term(deltaops._CHEBYSHEV, n) == reference_chebyshev_t(n), n
+        assert _term(deltaops._LUCAS, n) == reference_lucas_poly(n), n
         if n:
-            assert fibonacci_poly(n) == reference_fibonacci_poly(n), n
-
-
-def test_classical_polynomials_reject_indices_below_their_seeds():
-    for fn, lowest in ((chebyshev_t, 0), (fibonacci_poly, 1), (lucas_poly, 0)):
-        with pytest.raises(DomainError,
-                           match=f"^n must be >= {lowest}, got {lowest - 1}$"):
-            fn(lowest - 1)
+            assert (_term(deltaops._FIBONACCI, n - 1)
+                    == reference_fibonacci_poly(n)), n
 
 
 def test_odd_member_halved_at_doubled_argument_is_chebyshev():
@@ -714,7 +711,7 @@ def test_odd_member_halved_at_doubled_argument_is_chebyshev():
     for n in range(0, 10):
         coeffs = multiplier(Family.ODD, n).coeffs
         halved = tuple(Fraction(c * 2**i, 2) for i, c in enumerate(coeffs))
-        want = tuple(Fraction(c) for c in chebyshev_t(n))
+        want = tuple(Fraction(c) for c in _term(deltaops._CHEBYSHEV, n))
         assert halved == want, n
 
 

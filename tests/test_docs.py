@@ -46,6 +46,7 @@ SCAN = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 2)))
 SUITE = {"kind": "verify_report", "m_max": 1, "n_max": 1, "passed": True,
          "checks": []}
 ROWS = json.loads(render_document(row_constant_combinations(2)))
+ROWS5 = json.loads(render_document(row_constant_combinations(5)))
 REC = json.loads(render_document(recurrence_report(3)))
 
 
@@ -110,6 +111,24 @@ def test_unbroken_documents_parse():
     _scan_with_factorization(value="2", factors=[["2", 1]], complete=False),
     _scan_with_factorization(value="2", factors=[["2", 10**9]]),
     _scan_with_factorization(value="0", factors=[["2", 10**9]]),
+    # Each derived key of a rows report, changed alone.
+    dict(ROWS5, nullspace_dim=ROWS5["nullspace_dim"] + 1),
+    dict(ROWS5, trivial_dim=ROWS5["trivial_dim"] + 1),
+    dict(ROWS5, exists=False),
+    dict(ROWS5, verified_up_to=ROWS5["verified_up_to"] + 1),
+    dict(ROWS5, **{"lambda": "2"}),
+    dict(ROWS5, alphas=["1", "0", "1", "0", "1"]),
+    # An unknown basis kind, with the trivial count that ignores it.
+    dict(ROWS5, trivial_dim=ROWS5["trivial_dim"] - 1,
+         basis=[ROWS5["basis"][0], dict(ROWS5["basis"][1], kind="banana"),
+                *ROWS5["basis"][2:]]),
+    dict(SUITE, checks=[{"name": "c", "passed": True, "detail": "broken"}]),
+    dict(SUITE, passed=False,
+         checks=[{"name": "c", "passed": False, "detail": None}]),
+    _scan_with_factorization(value="26", factors=[["13", 1], ["2", 1]]),
+    _scan_with_factorization(value="26", factors=[["26", 1]]),
+    _scan_with_factorization(value="26",
+                             factors=[["2", 1], ["2", 0], ["13", 1]]),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):
@@ -121,8 +140,7 @@ REPORTS = [
     singer_scan(MatrixFamily.ODD, 3, 1, 2),
     recurrence_report(3),
     row_constant_combinations(5),
-    VerifyReport(2, 3, (CheckResult("a", True, None),
-                        CheckResult("b", False, "2 != 3"))),
+    VerifyReport(2, 3, (CheckResult("a", None), CheckResult("b", "2 != 3"))),
 ]
 
 
@@ -216,7 +234,7 @@ def test_render_never_touches_the_digit_limit(monkeypatch):
     assert table["cells"] == [[digits, "3"]]
     assert table["column_sums"] == [digits, "3"]
     unknown = ScanEntry(1, Verdict.UNKNOWN, None,
-                        PrimeFactorization(big, (), False, big))
+                        PrimeFactorization(big, (), big))
     report = SingerReport(MatrixFamily.EVEN, 2, 1, 1, (unknown,))
     entry = json.loads(render_document(report))["entries"][0]
     assert entry["factorization"]["value"] == digits

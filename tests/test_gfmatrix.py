@@ -137,7 +137,7 @@ def loop_factor(n, budget):
     for p, e in rest.factors:
         counts[p] = counts.get(p, 0) + e
     return gfmatrix.PrimeFactorization(n, tuple(sorted(counts.items())),
-                                       rest.complete, rest.cofactor)
+                                       rest.cofactor)
 
 
 # Primes just below the trial bound 10**4, alone or squared, are what the

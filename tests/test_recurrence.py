@@ -231,11 +231,11 @@ def test_minimal_recurrence_tiny_cases():
 
 
 def test_recurrence_rendering_and_poly():
-    rec = Recurrence(3, (-2, 0, 3))
+    rec = Recurrence((-2, 0, 3))
     assert str(rec) == "a(n+3)=3a(n+2)-2a(n)"
     assert rec.poly() == (2, 0, -3, 1)
-    assert str(Recurrence(2, (1, 2))) == "a(n+2)=2a(n+1)+a(n)"
-    assert str(Recurrence(1, (1,))) == "a(n+1)=a(n)"
+    assert str(Recurrence((1, 2))) == "a(n+2)=2a(n+1)+a(n)"
+    assert str(Recurrence((1,))) == "a(n+1)=a(n)"
 
 
 def test_recurrence_satisfied_by_rows_and_sums():
