@@ -16,7 +16,10 @@ and one balanced decode reads either result back.  ``Windows`` evaluates a
 polynomial at n = 1..N of a sequence as one product of the packed sequence
 with the packed reversed shift coefficients, and compares such windows as
 ints without decoding them; ``DeltaPoly.apply`` takes the dot product at
-one n directly and is the windows' independent reference.
+one n directly and is the windows' independent reference.  The checks of
+the addition, action, product and uniform-factorization identities pack a
+whole family of polynomials as the blocks of one 2-D int, so one product
+maps every member, and compare such ints the same way.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -79,7 +82,7 @@ def _trim(coeffs) -> tuple[int, ...]:
 # come from one least-recently-used cache of 256 shapes, so the masks never
 # take more than 2 MB whatever the input; every other shape is built at each
 # use.  The verify suite's benchmark mix (m_max 23..27, n_max 40..110)
-# reads 170 distinct shapes from a fresh process, so 256 holds that working
+# reads 183 distinct shapes from a fresh process, so 256 holds that working
 # set and a repeated request builds none.
 
 # struct codes of little-endian signed slots, keyed by slot width in bytes.
@@ -125,6 +128,46 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
         return list(struct.unpack(raw))
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, len(raw), width)]
+
+
+# A family of polynomials packs into one 2-D Kronecker int: block i holds
+# member i in slots i*stride .. i*stride + stride - 1, that is, the int is
+# the sum of member_i(x) * x**(i*stride) at x = 2**(8*w).  ``_stack`` lays
+# packed members out that way with shifts.  Multiplying such an int by one
+# packed polynomial multiplies every member at once, and with a stride
+# longer than every product no block spills into the next.  A check that
+# compares two families this way picks one slot width w for all its ints,
+# from a bound on every coefficient they hold (see ``_block_width``), so
+# every coefficient stays below a half slot in size.  Then the two ints are
+# equal exactly when every member is, since each slot of their difference
+# is smaller than a whole slot, and the lowest bit in which they differ
+# lies in the first block that differs.  Nothing is decoded unless a
+# comparison fails; ``_member`` then reads one block back.
+
+
+def _stack(packed, bits: int) -> int:
+    """Packed polynomials as the blocks of one 2-D int, ``bits`` bits to a
+    block: the sum of packed[i] * 2**(bits * i)."""
+    value = 0
+    for v in reversed(packed):
+        value = (value << bits) + v
+    return value
+
+
+def _first_block(left: int, right: int, width: int, stride: int) -> int | None:
+    """The first block in which two 2-D ints differ; None when they are
+    equal."""
+    if diff := left ^ right:
+        return ((diff & -diff).bit_length() - 1) // (8 * width * stride)
+    return None
+
+
+def _member(value: int, width: int, stride: int, block: int) -> DeltaPoly:
+    """The polynomial in one block of a packed int."""
+    count = (block + 1) * stride
+    half = _shape(width, count)[0]
+    low = ((value + half) & (1 << 8 * width * count) - 1) - half
+    return _poly(_unpack(low, width, count)[block * stride:])
 
 
 def _poly(coeffs: list[int]) -> DeltaPoly:
@@ -488,23 +531,22 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
 # -- prime functions ---------------------------------------------------------
 
 
-def _prime_image(family: Family, p: int, current: DeltaPoly, n: int,
-                 compositions: dict) -> DeltaPoly:
-    """Image of ``current``, the index-n member of ``family``, under the
-    map that multiplies the index by p >= 1.  Iterating the prime maps over
-    the factorization of any index rebuilds that member from the index-1
-    seed.
+def _prime_map(p: int, n: int, compositions: dict) -> tuple[DeltaPoly,
+                                                             DeltaPoly]:
+    """The map that multiplies the index n of a member by p >= 1, as the
+    pair (left, right): it sends X(n), the index-n member of any family X,
+    to left * X(n) - right * X(0).  Iterating the prime maps over the
+    factorization of any index rebuilds that member from the index-1 seed.
 
-    The map composes P(p-1) and P(p-2), P the prime family, with Odd(n).
-    ``compositions``, a dict that one check call owns, keeps each such
+    left and right compose P(p-1) and P(p-2), P the prime family, with
+    Odd(n).  ``compositions``, a dict that one check call owns, keeps each
     pair by (p, n), so a check composes it once however often it maps.
     """
     if (p, n) not in compositions:
         base = multiplier(Family.ODD, n)
         compositions[p, n] = (multiplier(Family.PRIME, p - 1).compose(base),
                               multiplier(Family.PRIME, p - 2).compose(base))
-    left, right = compositions[p, n]
-    return left * current - right * base_constant(family)
+    return compositions[p, n]
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -525,43 +567,126 @@ def verify_closed_forms(n_max: int = 40) -> str | None:
     return None
 
 
+def _block_width(left, right, terms: int, others=()) -> int:
+    """Bytes per slot for sums of ``terms`` products of a member of
+    ``left`` with a member of ``right``, and for sums of ``terms`` members
+    of ``right`` or ``others``.  As in ``DeltaPoly.__mul__``, every product
+    coefficient is below 2**(bitlen(max|left|) + bitlen(max|right|) +
+    bitlen(shorter length)) in size, and a sum of ``terms`` values takes
+    bitlen(terms - 1) bits more; one more bit puts it in the lower half."""
+    def largest(polys):
+        return max([max(map(abs, p.coeffs), default=0) for p in polys],
+                   default=0)
+
+    left, right = list(left), list(right)
+    product = (largest(left).bit_length() + largest(right).bit_length()
+               + min(_longest(left), _longest(right)).bit_length())
+    bits = max(product, largest([*right, *others]).bit_length())
+    return _slot_width(bits + (terms - 1).bit_length() + 1)
+
+
+def _longest(polys) -> int:
+    return max((len(p.coeffs) for p in polys), default=0)
+
+
+def _index_blocks(left, limit: int) -> tuple[dict, int, int]:
+    """Each family's members X(0..2*limit), and a slot width and a stride
+    that hold every product of a member of ``left`` with an X(0..limit),
+    and every sum of two such products or two members."""
+    members = {f: [multiplier(f, n) for n in range(2 * limit + 1)]
+               for f in Family}
+    low = [x for xs in members.values() for x in xs[:limit + 1]]
+    width = _block_width(left, low, 2, chain(*members.values()))
+    stride = max(_longest(left) + _longest(low) - 1,
+                 *map(_longest, members.values()))
+    return members, width, stride
+
+
 def verify_addition_theorem(limit: int = 12) -> str | None:
-    """X(a+b) = P(a)*X(b) - P(a-1)*X(b-1) with P the prime family."""
-    pf = Family.PRIME
-    for family in Family:
-        for a in range(1, limit + 1):
-            for b in range(1, limit + 1):
-                lhs = multiplier(family, a + b)
-                rhs = (multiplier(pf, a) * multiplier(family, b)
-                       - multiplier(pf, a - 1) * multiplier(family, b - 1))
-                if lhs != rhs:
-                    return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
+    """X(a+b) = P(a)*X(b) - P(a-1)*X(b-1) with P the prime family.
+
+    For each b, block a - 1 of two 2-D ints holds X(a+b) and the right side
+    for a = 1..limit: P(1..limit) stacked times X(b), less P(0..limit-1)
+    stacked times X(b-1).
+    """
+    primes = [multiplier(Family.PRIME, a) for a in range(limit + 1)]
+    members, width, stride = _index_blocks(primes, limit)
+    bits = 8 * width * stride
+    high, shifted = (_stack([_pack(p.coeffs, width) for p in ps], bits)
+                     for ps in (primes[1:], primes[:-1]))
+    for family, xs in members.items():
+        packed = [_pack(x.coeffs, width) for x in xs]
+        hits = []
+        for b in range(1, limit + 1):
+            lhs = _stack(packed[b + 1:b + limit + 1], bits)
+            rhs = high * packed[b] - shifted * packed[b - 1]
+            if (block := _first_block(lhs, rhs, width, stride)) is not None:
+                hits.append((block + 1, b, rhs))
+        if hits:
+            a, b, rhs = min(hits)
+            return (f"{family.value} a={a} b={b}: {xs[a + b]} != "
+                    f"{_member(rhs, width, stride, a - 1)}")
     return None
 
 
 def verify_action_theorem(limit: int = 12) -> str | None:
-    """Odd(b) * X(a) = X(a+b) + X(a-b) for a >= b >= 0."""
-    for family in Family:
-        for a in range(limit + 1):
-            for b in range(a + 1):
-                lhs = multiplier(Family.ODD, b) * multiplier(family, a)
-                rhs = multiplier(family, a + b) + multiplier(family, a - b)
-                if lhs != rhs:
-                    return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
+    """Odd(b) * X(a) = X(a+b) + X(a-b) for a >= b >= 0.
+
+    For each b, block a - b of two 2-D ints holds both sides for
+    a = b..limit: X(b..limit) stacked times Odd(b), and X(2b..limit+b)
+    stacked plus X(0..limit-b) stacked.
+    """
+    odds = [multiplier(Family.ODD, b) for b in range(limit + 1)]
+    members, width, stride = _index_blocks(odds, limit)
+    bits = 8 * width * stride
+    for family, xs in members.items():
+        packed = [_pack(x.coeffs, width) for x in xs]
+        hits = []
+        for b, odd in enumerate(odds):
+            lhs = _stack(packed[b:limit + 1], bits) * _pack(odd.coeffs, width)
+            rhs = (_stack(packed[2 * b:limit + b + 1], bits)
+                   + _stack(packed[:limit - b + 1], bits))
+            if (block := _first_block(lhs, rhs, width, stride)) is not None:
+                hits.append((block + b, b, lhs, rhs))
+        if hits:
+            a, b, lhs, rhs = min(hits)
+            return (f"{family.value} a={a} b={b}: "
+                    f"{_member(lhs, width, stride, a - b)} != "
+                    f"{_member(rhs, width, stride, a - b)}")
     return None
 
 
 def verify_product_theorem(limit: int = 8) -> str | None:
-    """X(a*b) from composing prime-family members with Odd(b)."""
-    compositions = {}
-    for family in Family:
-        for a in range(1, limit + 1):
-            for b in range(1, limit + 1):
-                lhs = multiplier(family, a * b)
-                rhs = _prime_image(family, a, multiplier(family, b), b,
-                                   compositions)
-                if lhs != rhs:
-                    return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
+    """X(a*b) from composing prime-family members with Odd(b).
+
+    For each (a, b), block f of two 2-D ints holds family f's X(a*b) and
+    its image under the prime map (left, right) of a at b: left times the
+    three families' X(b) stacked, less right times their X(0) stacked.
+    """
+    families, compositions = list(Family), {}
+    maps = {(a, b): _prime_map(a, b, compositions)
+            for a in range(1, limit + 1) for b in range(1, limit + 1)}
+    members = [[multiplier(f, n) for n in range(limit * limit + 1)]
+               for f in families]
+    bases = [DeltaPoly((base_constant(f),)) for f in families]
+    low = [*bases, *(x for xs in members for x in xs[:limit + 1])]
+    width = _block_width(chain(*maps.values()), low, 2, chain(*members))
+    packed = [[_pack(x.coeffs, width) for x in xs] for xs in members]
+    base = [_pack(c.coeffs, width) for c in bases]
+    hits = []
+    for (a, b), (left, right) in maps.items():
+        stride = max(len(left.coeffs) + _longest(xs[b] for xs in members) - 1,
+                     len(right.coeffs), _longest(xs[a * b] for xs in members))
+        bits = 8 * width * stride
+        lhs = _stack([ps[a * b] for ps in packed], bits)
+        rhs = (_pack(left.coeffs, width) * _stack([ps[b] for ps in packed], bits)
+               - _pack(right.coeffs, width) * _stack(base, bits))
+        if (block := _first_block(lhs, rhs, width, stride)) is not None:
+            hits.append((block, a, b, rhs, stride))
+    if hits:
+        f, a, b, rhs, stride = min(hits)
+        return (f"{families[f].value} a={a} b={b}: {members[f][a * b]} != "
+                f"{_member(rhs, width, stride, f)}")
     return None
 
 
@@ -584,18 +709,57 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
 
 
 def verify_uniform_factorization(n_max: int = 40) -> str | None:
-    """Iterated prime maps rebuild every family member from index 1."""
+    """Iterated prime maps rebuild every family member from index 1.
+
+    For each n, block f of two 2-D ints holds family f's X(n) and its image
+    along the chain of prime maps to n; each map (left, right) is one
+    product of the stacked images by left, less right times the stacked
+    X(0).  In the norm |v| = sum |v_i|, |left * v - right * c| is at most
+    |left| |v| + |right| |c|, and the result is at most
+    len(left) + len(v) - 1 long.  So a slot that holds the largest norm
+    along every chain, and every member's coefficients, in its lower half
+    holds every coefficient the chains reach, and the stride of each n is
+    its chain's longest image.
+    """
+    families = list(Family)
+    members = [[multiplier(f, n) for n in range(n_max + 1)] for f in families]
+    bases = [DeltaPoly((base_constant(f),)) for f in families]
+    constant = max(map(base_constant, families))
     compositions = {}
-    for family in Family:
-        for n in range(1, n_max + 1):
-            poly = multiplier(family, 1)
-            j = 1
-            for p, e in factor(n).factors:
-                for _ in range(e):
-                    poly = _prime_image(family, p, poly, j, compositions)
-                    j *= p
-            if poly != multiplier(family, n):
-                return f"{family.value} n={n}: prime map chain disagrees"
+    chains = []
+    bound = max([max(map(abs, p.coeffs), default=0) for xs in members
+                 for p in xs])
+    for n in range(1, n_max + 1):
+        steps, j = [], 1
+        for p, e in factor(n).factors:
+            for _ in range(e):
+                steps.append(_prime_map(p, j, compositions))
+                j *= p
+        norm = max(sum(map(abs, xs[1].coeffs)) for xs in members)
+        length = _longest(xs[1] for xs in members)
+        for left, right in steps:
+            norm = (sum(map(abs, left.coeffs)) * norm
+                    + sum(map(abs, right.coeffs)) * constant)
+            length = max(len(left.coeffs) + length - 1, len(right.coeffs))
+            bound = max(bound, norm)
+        chains.append((n, steps,
+                       max(length, _longest(xs[n] for xs in members))))
+    width = _slot_width(bound.bit_length() + 1)
+    packed = [[_pack(x.coeffs, width) for x in xs] for xs in members]
+    base = [_pack(c.coeffs, width) for c in bases]
+    hits = []
+    for n, steps, stride in chains:
+        bits = 8 * width * stride
+        image, c = _stack([ps[1] for ps in packed], bits), _stack(base, bits)
+        for left, right in steps:
+            image = (_pack(left.coeffs, width) * image
+                     - _pack(right.coeffs, width) * c)
+        want = _stack([ps[n] for ps in packed], bits)
+        if (block := _first_block(image, want, width, stride)) is not None:
+            hits.append((block, n))
+    if hits:
+        f, n = min(hits)
+        return f"{families[f].value} n={n}: prime map chain disagrees"
     return None
 
 

@@ -198,6 +198,8 @@ def _decode_row_combo(doc: dict) -> RowComboReport:
                   for e in doc["basis"])
     if any(kind not in ("trivial", "nontrivial") for kind, _ in basis):
         raise DomainError("basis kinds must be trivial or nontrivial")
+    if any(len(vector) != m for _, vector in basis):
+        raise DomainError(f"every basis vector must have m = {m} entries")
     return RowComboReport(m, n_probe, basis)
 
 

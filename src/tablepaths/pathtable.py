@@ -41,6 +41,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow,
                      Rounded, localcontext)
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -104,6 +105,12 @@ class PathTable:
         return self.rows[y - 1]
 
     def column_sums(self) -> tuple[int, ...]:
+        """The sum of each column, computed once per table."""
+        return self._column_sums
+
+    @cached_property
+    def _column_sums(self) -> tuple[int, ...]:
+        # Kept in the instance __dict__, which equality and hashing never read.
         return tuple(map(sum, zip(*self.rows)))
 
 

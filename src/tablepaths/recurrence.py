@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import eq, mul
 
 from .deltaops import (ONE, DeltaPoly, Family, Windows, _shape, _slot_width,
                        base_constant, multiplier, parity_family)
@@ -56,19 +56,25 @@ def reduced_matrix(m: int) -> tuple[tuple[int, ...], ...]:
 # -- exact elimination -------------------------------------------------------
 
 
-def _gauss_jordan(rows) -> tuple[list[list[int]], list[int], int, int]:
+def _gauss_jordan(rows) -> tuple[list[list[int]], list[int], list[int],
+                                 list[int]]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
 
-    Returns (a, pivots, scale, sign): a is scale times the reduced row
-    echelon form, with row t holding the pivot of column pivots[t]; scale is
-    the last pivot (1 when there is none) and sign the parity of the row
-    swaps.  Each step replaces every other row by (p * row - row[c] * top)
-    divided by the previous pivot; the entries stay integer minors of the
-    input, so every division is exact.
+    Returns (a, pivots, minors, swaps): a is the last pivot times the
+    reduced row echelon form, with row t holding the pivot of column
+    pivots[t]; minors is 1 followed by the pivot of each step, so
+    minors[-1] is the scale of a; swaps lists the steps that swapped rows.
+    Each step replaces every other row by (p * row - row[c] * top) divided
+    by the previous pivot; the entries stay integer minors of the input, so
+    every division is exact.  The rows below the pivot row are updated as
+    in forward Bareiss elimination, so by Sylvester's identity minors[t] is
+    the leading principal t x t minor whenever the first t steps took
+    columns 0..t-1 and swapped no rows.
     """
     a = [list(r) for r in rows]
     pivots: list[int] = []
-    prev = sign = 1
+    minors = [1]
+    swaps: list[int] = []
     for c in range(len(a[0]) if a else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
@@ -76,9 +82,9 @@ def _gauss_jordan(rows) -> tuple[list[list[int]], list[int], int, int]:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
+            swaps.append(r)
         top = a[r]
-        p = top[c]
+        p, prev = top[c], minors[-1]
         for i, row in enumerate(a):
             if i == r:
                 continue
@@ -89,10 +95,10 @@ def _gauss_jordan(rows) -> tuple[list[list[int]], list[int], int, int]:
                 # A zero in column c leaves only the rescaling by p / prev.
                 a[i] = [p * v // prev for v in row]
         pivots.append(c)
-        prev = p
+        minors.append(p)
         if r + 1 == len(a):
             break
-    return a, pivots, prev, sign
+    return a, pivots, minors, swaps
 
 
 def det_bareiss(rows) -> int:
@@ -100,13 +106,14 @@ def det_bareiss(rows) -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("determinant needs a square matrix")
-    _, pivots, scale, sign = _gauss_jordan(rows)
-    return sign * scale if len(pivots) == n else 0
+    _, pivots, minors, swaps = _gauss_jordan(rows)
+    return (-1) ** len(swaps) * minors[-1] if len(pivots) == n else 0
 
 
 def _nullspace(rows, cols: int) -> list[tuple[Fraction, ...]]:
     """Canonical nullspace basis, one vector per free column of the RREF."""
-    a, pivots, scale, _ = _gauss_jordan(rows)
+    a, pivots, minors, _ = _gauss_jordan(rows)
+    scale = minors[-1]
     basis = []
     for f in range(cols):
         if f in pivots:
@@ -252,8 +259,9 @@ def minimal_recurrence(m: int) -> Recurrence:
 
 def _table_recurrence(table: PathTable) -> Recurrence:
     k = table.k
-    a, pivots, scale, _ = _gauss_jordan(
+    a, pivots, minors, _ = _gauss_jordan(
         [[table.cell(x, y) for x in range(1, k + 2)] for y in range(1, k + 1)])
+    scale = minors[-1]
     if pivots != list(range(k)):
         raise InternalInconsistencyError("singular system in recurrence solve")
     for row in a:
@@ -558,8 +566,33 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
 
 
 def verify_determinants(m_max: int = 48) -> str | None:
-    """Elimination equals the closed periodic formula, plus the step relation."""
-    dets = [det_reduced_direct(m) for m in range(1, m_max + 1)]
+    """Elimination equals the closed periodic formula, plus the step relation.
+
+    ``reduced_matrix`` puts its extra 1 in the last row, so A_m, the k x k
+    reduced matrix of m = 2k - parity, is the trailing k x k block of the
+    largest reduced matrix of its parity.  Reversing that matrix's rows and
+    columns keeps every such block's determinant and makes it a leading
+    block, so one elimination per parity reads det(A_m) as its minors[k]
+    (Sylvester's identity; see ``_gauss_jordan``).  The nesting is checked
+    for every m, not assumed.  The first step that swaps rows or skips a
+    column has a leading minor of 0; a matrix past that step, or outside
+    the nest, is eliminated on its own.
+    """
+    dets = [0] * m_max
+    for parity in (1, 0):
+        top = m_max - (m_max - parity) % 2
+        big = reduced_matrix(top) if top > 0 else ()
+        size = len(big)
+        _, pivots, minors, swaps = _gauss_jordan([r[::-1] for r in big[::-1]])
+        clean = min([*swaps, len(pivots),
+                     *(t for t, c in enumerate(pivots) if c != t)])
+        lead = minors[:clean + 1] + [0]
+        for k in range(1, size + 1):
+            m = 2 * k - parity
+            nested = all(map(eq, reduced_matrix(m),
+                             (r[size - k:] for r in big[size - k:])))
+            dets[m - 1] = (lead[k] if nested and k < len(lead)
+                           else det_reduced_direct(m))
     for m, direct in enumerate(dets, 1):
         formula = det_reduced_formula(m)
         if direct != formula:

@@ -631,7 +631,8 @@ def test_prime_map_checks_report_a_corrupted_composition(monkeypatch, case):
 
 def test_prime_function_reaches_composite_indices():
     def prime_image(family, p, n):
-        return deltaops._prime_image(family, p, multiplier(family, n), n, {})
+        left, right = deltaops._prime_map(p, n, {})
+        return left * multiplier(family, n) - right * base_constant(family)
 
     assert prime_image(Family.PRIME, 2, 1) == multiplier(Family.PRIME, 2)
     assert prime_image(Family.ODD, 3, 2) == multiplier(Family.ODD, 6)
@@ -732,3 +733,246 @@ def test_classical_comparison_reports_a_skewed_sequence(monkeypatch, name,
     # verify_classical builds each sequence once from these seeds.
     monkeypatch.setattr(deltaops, name, skewed)
     assert verify_classical(20) == detail
+
+
+# -- batched identity checks ------------------------------------------------------
+#
+# The per-pair loops below are the checks as they were before they compared
+# packed blocks; they read deltaops.multiplier at call time, so a planted
+# fault reaches them as it reaches the batched checks.
+
+
+def reference_addition_theorem(limit=12):
+    member, pf = deltaops.multiplier, Family.PRIME
+    for family in Family:
+        for a in range(1, limit + 1):
+            for b in range(1, limit + 1):
+                lhs = member(family, a + b)
+                rhs = (member(pf, a) * member(family, b)
+                       - member(pf, a - 1) * member(family, b - 1))
+                if lhs != rhs:
+                    return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
+    return None
+
+
+def reference_action_theorem(limit=12):
+    member = deltaops.multiplier
+    for family in Family:
+        for a in range(limit + 1):
+            for b in range(a + 1):
+                lhs = member(Family.ODD, b) * member(family, a)
+                rhs = member(family, a + b) + member(family, a - b)
+                if lhs != rhs:
+                    return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
+    return None
+
+
+def reference_prime_image(family, p, current, n):
+    member = deltaops.multiplier
+    base = member(Family.ODD, n)
+    return (member(Family.PRIME, p - 1).compose(base) * current
+            - member(Family.PRIME, p - 2).compose(base) * base_constant(family))
+
+
+def reference_product_theorem(limit=8):
+    member = deltaops.multiplier
+    for family in Family:
+        for a in range(1, limit + 1):
+            for b in range(1, limit + 1):
+                lhs = member(family, a * b)
+                rhs = reference_prime_image(family, a, member(family, b), b)
+                if lhs != rhs:
+                    return f"{family.value} a={a} b={b}: {lhs} != {rhs}"
+    return None
+
+
+def reference_uniform_factorization(n_max=40):
+    member = deltaops.multiplier
+    for family in Family:
+        for n in range(1, n_max + 1):
+            poly, j = member(family, 1), 1
+            for p, e in deltaops.factor(n).factors:
+                for _ in range(e):
+                    poly = reference_prime_image(family, p, poly, j)
+                    j *= p
+            if poly != member(family, n):
+                return f"{family.value} n={n}: prime map chain disagrees"
+    return None
+
+
+BATCHED = {
+    "addition": (verify_addition_theorem, reference_addition_theorem),
+    "action": (verify_action_theorem, reference_action_theorem),
+    "product": (verify_product_theorem, reference_product_theorem),
+    "uniform": (verify_uniform_factorization, reference_uniform_factorization),
+}
+
+
+def plant(monkeypatch, faults):
+    """Add delta * D**i to the member (family, n) for each (family, n, i,
+    delta) in ``faults``, wherever deltaops reads that member."""
+    member = deltaops.multiplier
+
+    def faulty(family, n):
+        poly = member(family, n)
+        for f, m, i, delta in faults:
+            if (family, n) == (f, m):
+                poly = poly + DeltaPoly((0,) * i + (delta,))
+        return poly
+
+    monkeypatch.setattr(deltaops, "multiplier", faulty)
+
+
+O, E, P = Family.ODD, Family.EVEN, Family.PRIME
+
+# (check, planted faults) -> the detail the per-pair loop reported, recorded
+# before the check compared packed blocks.  The addition and action checks
+# pack one block per a for each b (block a - 1 and a - b), the product and
+# uniform checks one block per family.
+PLANTED_FAULTS = {
+    # block 0, a middle block (a = 6) and the last block (a = limit)
+    ("addition", ((O, 2, 0, 1),)): 'odd a=1 b=1: Δ^2 - 1 != Δ^2 - 2',
+    ("addition", ((P, 6, 0, 1),)):
+        'odd a=6 b=1: Δ^7 - 7Δ^5 + 14Δ^3 - 7Δ != Δ^7 - 7Δ^5 + 14Δ^3 - 6Δ',
+    ("addition", ((O, 24, 1, -1),)):
+        ('odd a=12 b=12: Δ^24 - 24Δ^22 + 252Δ^20 - 1520Δ^18 + 5814Δ^16 - '
+         '14688Δ^14 + 24752Δ^12 - 27456Δ^10 + 19305Δ^8 - 8008Δ^6 + 1716Δ^4 - '
+         '144Δ^2 - Δ + 2 != Δ^24 - 24Δ^22 + 252Δ^20 - 1520Δ^18 + 5814Δ^16 - '
+         '14688Δ^14 + 24752Δ^12 - 27456Δ^10 + 19305Δ^8 - 8008Δ^6 + 1716Δ^4 - '
+         '144Δ^2 + 2'),
+    ("addition", ((E, 20, 0, 1),)):
+        ('even a=8 b=12: Δ^20 - Δ^19 - 19Δ^18 + 18Δ^17 + 153Δ^16 - 136Δ^15 - '
+         '680Δ^14 + 560Δ^13 + 1820Δ^12 - 1365Δ^11 - 3003Δ^10 + 2002Δ^9 + '
+         '3003Δ^8 - 1716Δ^7 - 1716Δ^6 + 792Δ^5 + 495Δ^4 - 165Δ^3 - 55Δ^2 + '
+         '10Δ + 2 != Δ^20 - Δ^19 - 19Δ^18 + 18Δ^17 + 153Δ^16 - 136Δ^15 - '
+         '680Δ^14 + 560Δ^13 + 1820Δ^12 - 1365Δ^11 - 3003Δ^10 + 2002Δ^9 + '
+         '3003Δ^8 - 1716Δ^7 - 1716Δ^6 + 792Δ^5 + 495Δ^4 - 165Δ^3 - 55Δ^2 + '
+         '10Δ + 1'),
+    ("addition", ((P, 20, 0, 1),)):
+        ('prime a=8 b=12: Δ^20 - 19Δ^18 + 153Δ^16 - 680Δ^14 + 1820Δ^12 - '
+         '3003Δ^10 + 3003Δ^8 - 1716Δ^6 + 495Δ^4 - 55Δ^2 + 2 != Δ^20 - 19Δ^18 '
+         '+ 153Δ^16 - 680Δ^14 + 1820Δ^12 - 3003Δ^10 + 3003Δ^8 - 1716Δ^6 + '
+         '495Δ^4 - 55Δ^2 + 1'),
+    # a = 2, b = 12 comes before a = 12, b = 2, which its b meets first
+    ("addition", ((O, 14, 0, 1),)):
+        ('odd a=2 b=12: Δ^14 - 14Δ^12 + 77Δ^10 - 210Δ^8 + 294Δ^6 - 196Δ^4 + '
+         '49Δ^2 - 1 != Δ^14 - 14Δ^12 + 77Δ^10 - 210Δ^8 + 294Δ^6 - 196Δ^4 + '
+         '49Δ^2 - 2'),
+    # Odd(6) first fails at a = 1, b = 5, P(4) at a = 4, b = 1: a loop over
+    # a for each b meets P(4) first, the loop with a outside b Odd(6)
+    ("addition", ((O, 6, 0, 1), (P, 4, 0, 1))):
+        'odd a=1 b=5: Δ^6 - 6Δ^4 + 9Δ^2 - 1 != Δ^6 - 6Δ^4 + 9Δ^2 - 2',
+    # block 0 (a = b), a middle block (a = 4, b = 3) and a = limit
+    ("action", ((O, 2, 0, 1),)): 'odd a=1 b=1: Δ^2 != Δ^2 + 1',
+    ("action", ((O, 7, 0, 1),)):
+        'odd a=4 b=3: Δ^7 - 7Δ^5 + 14Δ^3 - 6Δ != Δ^7 - 7Δ^5 + 14Δ^3 - 6Δ + 1',
+    ("action", ((O, 23, 0, 1),)):
+        ('odd a=12 b=11: Δ^23 - 23Δ^21 + 230Δ^19 - 1311Δ^17 + 4692Δ^15 - '
+         '10948Δ^13 + 16744Δ^11 - 16445Δ^9 + 9867Δ^7 - 3289Δ^5 + 506Δ^3 - 22Δ '
+         '!= Δ^23 - 23Δ^21 + 230Δ^19 - 1311Δ^17 + 4692Δ^15 - 10948Δ^13 + '
+         '16744Δ^11 - 16445Δ^9 + 9867Δ^7 - 3289Δ^5 + 506Δ^3 - 22Δ + 1'),
+    ("action", ((E, 9, 1, -2),)):
+        ('even a=5 b=4: Δ^9 - Δ^8 - 8Δ^7 + 7Δ^6 + 21Δ^5 - 15Δ^4 - 20Δ^3 + '
+         '10Δ^2 + 6Δ - 2 != Δ^9 - Δ^8 - 8Δ^7 + 7Δ^6 + 21Δ^5 - 15Δ^4 - 20Δ^3 + '
+         '10Δ^2 + 4Δ - 2'),
+    ("action", ((P, 17, 0, 1),)):
+        ('prime a=9 b=8: Δ^17 - 16Δ^15 + 105Δ^13 - 364Δ^11 + 715Δ^9 - 792Δ^7 '
+         '+ 462Δ^5 - 120Δ^3 + 10Δ != Δ^17 - 16Δ^15 + 105Δ^13 - 364Δ^11 + '
+         '715Δ^9 - 792Δ^7 + 462Δ^5 - 120Δ^3 + 10Δ + 1'),
+    # a = 10, b = 10 comes before a = 12, b = 8, which its b meets first
+    ("action", ((O, 20, 0, 1),)):
+        ('odd a=10 b=10: Δ^20 - 20Δ^18 + 170Δ^16 - 800Δ^14 + 2275Δ^12 - '
+         '4004Δ^10 + 4290Δ^8 - 2640Δ^6 + 825Δ^4 - 100Δ^2 + 4 != Δ^20 - 20Δ^18 '
+         '+ 170Δ^16 - 800Δ^14 + 2275Δ^12 - 4004Δ^10 + 4290Δ^8 - 2640Δ^6 + '
+         '825Δ^4 - 100Δ^2 + 5'),
+    # A planted X(n) first fails at a = ceil(n/2) in the loop with a outside
+    # b, and at b = 1 in a loop over a for each b, so with two planted
+    # members of one family the lower one comes first both ways.
+    ("action", ((E, 10, 0, 1), (E, 16, 2, 3))):
+        ('even a=5 b=5: Δ^10 - Δ^9 - 9Δ^8 + 8Δ^7 + 28Δ^6 - 21Δ^5 - 35Δ^4 + '
+         '20Δ^3 + 15Δ^2 - 5Δ != Δ^10 - Δ^9 - 9Δ^8 + 8Δ^7 + 28Δ^6 - 21Δ^5 - '
+         '35Δ^4 + 20Δ^3 + 15Δ^2 - 5Δ + 1'),
+    # one fault per family block: odd, even, prime
+    ("product", ((O, 9, 0, 1),)):
+        ('odd a=3 b=3: Δ^9 - 9Δ^7 + 27Δ^5 - 30Δ^3 + 9Δ + 1 != Δ^9 - 9Δ^7 + '
+         '27Δ^5 - 30Δ^3 + 9Δ'),
+    ("product", ((E, 12, 2, 1),)):
+        ('even a=2 b=6: Δ^12 - Δ^11 - 11Δ^10 + 10Δ^9 + 45Δ^8 - 36Δ^7 - 84Δ^6 '
+         '+ 56Δ^5 + 70Δ^4 - 35Δ^3 - 20Δ^2 + 6Δ + 1 != Δ^12 - Δ^11 - 11Δ^10 + '
+         '10Δ^9 + 45Δ^8 - 36Δ^7 - 84Δ^6 + 56Δ^5 + 70Δ^4 - 35Δ^3 - 21Δ^2 + 6Δ '
+         '+ 1'),
+    ("product", ((P, 9, 0, 1),)):
+        ('prime a=3 b=3: Δ^9 - 8Δ^7 + 21Δ^5 - 20Δ^3 + 5Δ + 1 != Δ^9 - 8Δ^7 + '
+         '21Δ^5 - 20Δ^3 + 5Δ'),
+    # the odd block fails at a = b = 3, the even block at a = 1, b = 2
+    ("product", ((O, 9, 0, 1), (E, 2, 0, 1))):
+        ('odd a=3 b=3: Δ^9 - 9Δ^7 + 27Δ^5 - 30Δ^3 + 9Δ + 1 != Δ^9 - 9Δ^7 + '
+         '27Δ^5 - 30Δ^3 + 9Δ'),
+    ("uniform", ((O, 40, 0, 1),)): 'odd n=40: prime map chain disagrees',
+    ("uniform", ((E, 30, 0, 1),)): 'even n=30: prime map chain disagrees',
+    ("uniform", ((P, 39, 0, 1),)): 'prime n=39: prime map chain disagrees',
+    # the odd block fails at n = 40, the even block at n = 3
+    ("uniform", ((O, 40, 0, 1), (E, 3, 0, 1))):
+        'odd n=40: prime map chain disagrees',
+}
+
+
+@pytest.mark.parametrize("case", PLANTED_FAULTS)
+def test_batched_checks_report_what_the_per_pair_loops_report(monkeypatch,
+                                                              case):
+    name, faults = case
+    check, reference = BATCHED[name]
+    plant(monkeypatch, faults)
+    want = PLANTED_FAULTS[case]
+    assert want is not None
+    assert check() == want
+    assert reference() == want
+
+
+def test_batched_checks_pass_where_the_per_pair_loops_pass():
+    for check, reference in BATCHED.values():
+        assert check() is None
+        assert reference() is None
+    for limit in (0, 1, 2, 5):
+        assert verify_addition_theorem(limit) is None
+        assert verify_action_theorem(limit) is None
+        assert verify_product_theorem(limit) is None
+    for n_max in (0, 1, 2, 7):
+        assert verify_uniform_factorization(n_max) is None
+
+
+@st.composite
+def block_families(draw):
+    """A slot width, a stride and two lists of polynomials that fit them,
+    with coefficients up to the half slot in size, the second a copy of the
+    first with some coefficients changed."""
+    width = draw(st.sampled_from([1, 2, 4, 8, 9, 11, 16]))
+    half = 2 ** (8 * width - 1)
+    coeff = st.one_of(st.integers(-half, half - 1),
+                      st.sampled_from([-half, half - 1, 0, 1, -1]))
+    stride = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 5))
+    left = [draw(st.lists(coeff, max_size=stride)) for _ in range(count)]
+    right = [list(c) for c in left]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, count - 1))
+        if right[i]:
+            right[i][draw(st.integers(0, len(right[i]) - 1))] = draw(coeff)
+    return width, stride, [DeltaPoly(tuple(c)) for c in left], [
+        DeltaPoly(tuple(c)) for c in right]
+
+
+@given(block_families())
+@settings(max_examples=300)
+def test_stacked_blocks_are_equal_exactly_when_every_member_is(case):
+    width, stride, left, right = case
+    bits = 8 * width * stride
+    packed = [deltaops._stack([deltaops._pack(p.coeffs, width) for p in ps],
+                              bits) for ps in (left, right)]
+    first = next((i for i, (p, q) in enumerate(zip(left, right)) if p != q),
+                 None)
+    hit = deltaops._first_block(*packed, width, stride)
+    assert hit == first
+    assert (first is None) == (packed[0] == packed[1])
+    for i, p in enumerate(left):
+        assert deltaops._member(packed[0], width, stride, i) == p

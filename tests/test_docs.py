@@ -129,6 +129,8 @@ def test_unbroken_documents_parse():
     _scan_with_factorization(value="26", factors=[["26", 1]]),
     _scan_with_factorization(value="26",
                              factors=[["2", 1], ["2", 0], ["13", 1]]),
+    # A relabel within the residue class of m mod 4: 8-entry vectors, m = 4.
+    dict(json.loads(render_document(row_constant_combinations(8))), m=4),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):

@@ -156,6 +156,60 @@ def test_determinant_routes_agree_and_cycle():
 
 def test_determinant_sweep():
     assert verify_determinants(48) is None
+    for m_max in range(1, 101):
+        assert verify_determinants(m_max) is None, m_max
+
+
+@given(st.integers(0, 6).flatmap(lambda n: _matrices(n, n)))
+def test_elimination_pivots_are_leading_minors_until_a_swap(rows):
+    _, pivots, minors, swaps = _gauss_jordan(rows)
+    clean = min([*swaps, len(pivots),
+                 *(t for t, c in enumerate(pivots) if c != t)])
+    for t in range(clean + 1):
+        assert minors[t] == _cofactor_det([r[:t] for r in rows[:t]]), t
+    if clean < len(rows):
+        leading = [r[:clean + 1] for r in rows[:clean + 1]]
+        assert _cofactor_det(leading) == 0
+
+
+# (m, row, column, change) of each planted entry of reduced_matrix(m) ->
+# the detail of verify_determinants(48), recorded while it eliminated every
+# reduced matrix on its own.
+PLANTED_ENTRIES = {
+    # The top matrix of each parity, whose trailing blocks hold every other
+    # matrix of that parity.  The first determinant changes; in the second
+    # every smaller matrix leaves the nest, the reversed matrix's first
+    # elimination step meets a 0 and swaps rows, and the determinant stays.
+    ((48, 0, 0, 1),): 'm=48: elimination 0 != formula 1',
+    ((48, 23, 23, -2),): None,
+    ((47, 23, 22, -1),): 'm=47: elimination 1 != formula 2',
+    ((47, 12, 12, 1),): 'm=47: elimination 3 != formula 2',
+    # two changes in the top matrix: one row swap, so the last pivot is
+    # minus the determinant
+    ((48, 23, 23, -2), (48, 21, 21, 1)): 'm=48: elimination 2 != formula 1',
+    # one matrix inside the nest: the first, the second and a middle one
+    ((1, 0, 0, -1),): 'm=1: elimination 0 != formula 1',
+    ((2, 0, 0, 1),): 'm=2: elimination 3 != formula 2',
+    ((17, 4, 5, 1),): 'm=17: elimination -4 != formula -2',
+    # two matrices: the lower m comes first, whichever parity holds it
+    ((9, 0, 0, 1), (30, 14, 14, 1)): 'm=9: elimination 0 != formula 1',
+    ((31, 0, 0, 1), (10, 0, 0, 1)): 'm=10: elimination -3 != formula -1',
+}
+
+
+@pytest.mark.parametrize("entries", PLANTED_ENTRIES)
+def test_determinant_lemma_reports_a_planted_entry(monkeypatch, entries):
+    reduced = recurrence.reduced_matrix
+
+    def planted(m):
+        rows = [list(r) for r in reduced(m)]
+        for target, i, j, change in entries:
+            if m == target:
+                rows[i][j] += change
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(recurrence, "reduced_matrix", planted)
+    assert verify_determinants(48) == PLANTED_ENTRIES[entries]
 
 
 def test_window_determinants(first_failure):
@@ -525,11 +579,11 @@ def test_tables_and_reduced_eliminations_are_computed_once(monkeypatch):
                          (recurrence, "det_bareiss")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     # Every m-indexed check reads the suite's one table per m; m_max = 14
-    # runs past constant-combinations' last m, 13.  det_bareiss: 48 for the
-    # determinant lemma, then per window table one reduced matrix and 13
-    # windows.
+    # runs past constant-combinations' last m, 13.  det_bareiss: per window
+    # table one reduced matrix and 13 windows; the determinant lemma reads
+    # its 48 determinants from one elimination per parity.
     assert run_suite(14, 20).passed
-    assert calls == {"build_table": 14, "det_bareiss": 48 + 10 * 14}
+    assert calls == {"build_table": 14, "det_bareiss": 10 * 14}
     calls.update(build_table=0, det_bareiss=0)
     recurrence_report(5)
     assert calls["build_table"] == 1
