@@ -691,19 +691,25 @@ def verify_product_theorem(limit: int = 8) -> str | None:
 
 
 def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str | None:
-    """Odd(ab) = Odd(a) o Odd(b), and the multi-prime composition chain."""
+    """Odd(ab) = Odd(a) o Odd(b), and the multi-prime composition chain.
+
+    The chain of n composes Odd(p) over the primes p of n, smallest
+    innermost, onto Odd(1); so it is Odd(P) o chain(n / P), P the largest
+    prime of n, and each n takes one composition onto a chain already built.
+    """
     for a in range(1, pair_limit + 1):
         for b in range(1, pair_limit + 1):
             composed = multiplier(Family.ODD, a).compose(multiplier(Family.ODD, b))
             direct = multiplier(Family.ODD, a * b)
             if composed != direct:
                 return f"a={a} b={b}: {composed} != {direct}"
+    chains = {1: multiplier(Family.ODD, 1)}
     for n in range(1, n_max + 1):
-        poly = multiplier(Family.ODD, 1)
-        for p, e in factor(n).factors:
-            for _ in range(e):
-                poly = multiplier(Family.ODD, p).compose(poly)
-        if poly != multiplier(Family.ODD, n):
+        if n > 1:
+            largest = factor(n).factors[-1][0]
+            chains[n] = multiplier(Family.ODD, largest).compose(
+                chains[n // largest])
+        if chains[n] != multiplier(Family.ODD, n):
             return f"n={n}: prime composition chain disagrees"
     return None
 

@@ -17,10 +17,10 @@ Orders are decided on the characteristic polynomial f of a template: its
 order mod q is the order of x in GF(q)[x]/(f), powered in pure Python with
 each residue packed into one integer, one slot per coefficient.  Every
 product is reduced mod f by Barrett reduction, three big-int multiplies,
-each followed by one step that takes every slot mod q.  That step is a
-``bytes.translate`` when a slot is one byte, which holds while
-2n(q-1)**2 < 256 (q=2 up to n=127, q=3 up to n=31, q=5 up to n=7), and a
-multiply by a packed reciprocal of q in wider slots.
+each followed by one step that takes every slot mod q.  Over GF(2) that
+step is one AND with a 1 in every slot; over odd q it is a multiply by a
+packed reciprocal of q.  Barrett's constant comes from Newton iteration on
+packed residues, O(log n) ring-sized products.
 
 x has order dividing N = q**n - 1 exactly when x**(q**n) = x, as x is a unit
 once q does not divide f(0).  For n <= q.bit_length() that power takes n
@@ -203,7 +203,19 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 def _brent_rho(n: int, c: int, max_steps: int) -> tuple[int | None, int]:
-    """One deterministic Brent rho attempt; returns (factor or None, steps)."""
+    """One deterministic Brent rho attempt; returns (factor or None, steps).
+
+    The walk is y -> y*y + c mod n from y = 2.  Round r (r = 1, 2, 4, ...)
+    advances y by r steps from x, then takes r more in chunks of at most
+    ``batch``, multiplying the differences x - y into q, with one gcd per
+    chunk.  A chunk whose gcd is n is walked again one step at a time from
+    its first y.  The advance and chunk loops take four steps per pass, and
+    the chunk loop multiplies its four differences before one reduction mod
+    n; the remainders of r and of a chunk mod 4 go one step at a time.  The
+    product is the same residue whichever way it is reduced, and the gcds
+    fall at the same steps, so the factor and the step count are those of a
+    loop that takes one step per pass.
+    """
     y, r, q = 2, 1, 1
     g = 1
     steps = 0
@@ -211,14 +223,25 @@ def _brent_rho(n: int, c: int, max_steps: int) -> tuple[int | None, int]:
     batch = 128
     while g == 1 and steps < max_steps:
         x = y
-        for _ in range(r):
+        for _ in range(r >> 2):
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+        for _ in range(r & 3):
             y = (y * y + c) % n
         steps += r
         k = 0
         while k < r and g == 1:
             ys = y
             chunk = min(batch, r - k)
-            for _ in range(chunk):
+            for _ in range(chunk >> 2):
+                y1 = (y * y + c) % n
+                y2 = (y1 * y1 + c) % n
+                y3 = (y2 * y2 + c) % n
+                y = (y3 * y3 + c) % n
+                q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+            for _ in range(chunk & 3):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             steps += chunk
@@ -393,17 +416,6 @@ class GFMatrix:
 # -- powers of x modulo a polynomial over GF(q) --------------------------------
 
 
-def _barrett_mu(f: list[int], q: int) -> list[int]:
-    """Ascending coefficients of x**(2n-2) // f over GF(q), for a monic f of
-    degree n >= 2: the power series 1 / rev(f) to n-1 terms, reversed."""
-    n = len(f) - 1
-    tail = [-c % q for c in f[-2::-1]]
-    g = [1]
-    for k in range(1, n - 1):
-        g.append(sum(map(mul, tail[:k], g[::-1])) % q)
-    return g[::-1]
-
-
 class _Residues:
     """GF(q)[x]/(f) for a monic f of degree n >= 1, residues packed in ints.
 
@@ -419,8 +431,10 @@ class _Residues:
     below x**n.  After each of the three multiplies every slot is taken mod
     q at once, in one of two ways:
 
-    - one-byte slots (B < 256) go through one ``bytes.translate``;
-    - wider slots use a packed reciprocal.  With a = B.bit_length(),
+    - q = 2 keeps a slot's low bit, with one ``& ones`` (a 1 in every slot).
+      Slots are the fewest bytes that hold B: one byte up to n = 127, two
+      bytes past it.
+    - odd q use a packed reciprocal.  With a = B.bit_length(),
       s = a + q.bit_length() and m = ceil(2**s / q), floor(v * m / 2**s) =
       floor(v / q) for every v < 2**a (Granlund and Montgomery, 1994), so
       p - q * ((p * m >> s) & qmask) holds every slot mod q.  Slots are
@@ -429,6 +443,16 @@ class _Residues:
 
     Each way has its own ``times``, so that neither pays a call per pass,
     and its own ``slots_mod_q`` for a single pass.
+
+    mu is the power series g = 1 / rev(f) to n-1 terms, its slots reversed.
+    Newton iteration doubles the terms of g that are right at each step,
+    g <- 2g - g * (h * g) with h = rev(f), so it takes O(log n) products
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9).  Each
+    step to k terms cuts its products below x**k, where a slot sums at most
+    n-1 products of two reduced coefficients, so it stays below
+    (n-1)(q-1)**2 < B.  The slots of 2g + q - r, with r the reduced
+    g * (h * g), lie in [1, 3q-2], below B too, since a step runs only for
+    n >= 3.  ``slots_mod_q`` takes each of them mod q.
 
     ``x_to_q_to_n`` takes one of two routes, the ring's only route choice:
 
@@ -446,40 +470,58 @@ class _Residues:
         n = len(f) - 1
         bound = 2 * n * (q - 1) ** 2
         a = bound.bit_length()
-        width = 1 if bound < 256 else (2 * a + 8) // 8
+        width = -(-a // 8) if q == 2 else (2 * a + 8) // 8
         self.n, self.q, self.width, self.bits = n, q, width, 8 * width
         if n == 1:
             self.squares = [-f[0] % q]
             self.times = lambda u, v: u * v % q
             return
-        self.squares = [1 << self.bits]
-        self.shift, self.high = self.bits * n, self.bits * (n - 2)
-        self.low = (1 << self.shift) - 1
-        self.mu = self.pack(_barrett_mu(f, q))
-        self.minus_f = self.pack([-c % q for c in f[:-1]])
-        if width == 1:
-            self.modq = bytes(v % q for v in range(256))
-            self.times, self.slots_mod_q = (self._translate_times,
-                                            self._translate_slots)
+        bits = self.bits
+        self.ones = ((1 << bits * (2 * n - 1)) - 1) // ((1 << bits) - 1)
+        if q == 2:
+            self.times, self.slots_mod_q = self._mask_times, self._mask_slots
         else:
             self.s = a + q.bit_length()
             self.m = -(-(1 << self.s) // q)
-            self.qmask = self.pack([(1 << self.bits - self.s) - 1] * (2 * n - 1))
+            self.qmask = self.ones * ((1 << bits - self.s) - 1)
             self.times, self.slots_mod_q = (self._reciprocal_times,
                                             self._reciprocal_slots)
+        self.squares = [1 << bits]
+        self.shift, self.high = bits * n, bits * (n - 2)
+        self.low = (1 << self.shift) - 1
+        self.minus_f = self.pack([-c % q for c in f[:-1]])
+        self.mu = self._barrett_mu(f)
 
     def pack(self, coeffs: list[int]) -> int:
         return sum(c << i * self.bits for i, c in enumerate(coeffs))
 
-    def _translate_times(self, a: int, b: int) -> int:
-        n, modq = self.n, self.modq
-        p = int.from_bytes(
-            (a * b).to_bytes(2 * n - 1, "little").translate(modq), "little")
-        quotient = int.from_bytes(
-            ((p >> self.shift) * self.mu >> self.high)
-            .to_bytes(n - 1, "little").translate(modq), "little")
+    def _barrett_mu(self, f: list[int]) -> int:
+        """x**(2n-2) // f, by Newton iteration on packed residues."""
+        n, q, bits, reduce_slots = self.n, self.q, self.bits, self.slots_mod_q
+        h, q_ones = self.pack([c % q for c in f[:1:-1]]), q * self.ones
+        sizes = []
+        k = n - 1
+        while k > 1:
+            sizes.append(k)
+            k = (k + 1) // 2
+        g = 1
+        for k in reversed(sizes):
+            low = (1 << bits * k) - 1
+            e = reduce_slots((h & low) * g & low)
+            r = reduce_slots(g * e & low)
+            g = reduce_slots(2 * g + (q_ones & low) - r)
+        slot, mu = (1 << bits) - 1, 0
+        for _ in range(n - 1):
+            mu = mu << bits | g & slot
+            g >>= bits
+        return mu
+
+    def _mask_times(self, a: int, b: int) -> int:
+        ones = self.ones
+        p = a * b & ones
+        quotient = (p >> self.shift) * self.mu >> self.high & ones
         r = (p & self.low) + (quotient * self.minus_f & self.low)
-        return int.from_bytes(r.to_bytes(n, "little").translate(modq), "little")
+        return r & ones
 
     def _reciprocal_times(self, a: int, b: int) -> int:
         q, m, s, qmask = self.q, self.m, self.s, self.qmask
@@ -509,9 +551,8 @@ class _Residues:
                 result = self.times(result, a)
         return result
 
-    def _translate_slots(self, v: int) -> int:
-        return int.from_bytes(
-            v.to_bytes(self.n, "little").translate(self.modq), "little")
+    def _mask_slots(self, v: int) -> int:
+        return v & self.ones
 
     def _reciprocal_slots(self, v: int) -> int:
         return v - self.q * (v * self.m >> self.s & self.qmask)

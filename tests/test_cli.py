@@ -367,6 +367,17 @@ def test_singer_bigq_benchmark_goldens_replay(capsys):
     assert mismatched_goldens(capsys, entries) == []
 
 
+# The first singer-bigq golden of each of its 60 cost classes, the costly
+# ones included: those spend their time in Brent rho, and 4 of them exhaust
+# the budget and report UNKNOWN.
+def test_singer_bigq_golden_of_every_cost_class_replays(capsys):
+    firsts = {}
+    for entry in golden_entries("singer-bigq"):
+        firsts.setdefault(entry["cls"], entry)
+    assert len(firsts) == 60
+    assert mismatched_goldens(capsys, firsts.values()) == []
+
+
 # The table-render goldens of m <= 40: n from 910 to 1770, between the n <= 300
 # and n = 10000 of the frozen digests below.
 def test_table_benchmark_goldens_replay(capsys):

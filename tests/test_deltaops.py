@@ -941,6 +941,56 @@ def test_batched_checks_pass_where_the_per_pair_loops_pass():
         assert verify_uniform_factorization(n_max) is None
 
 
+def reference_compose_factorization(pair_limit=10, n_max=64):
+    """The compose check as it was before it kept its chains per call: each
+    n composes its whole prime chain from Odd(1)."""
+    member = deltaops.multiplier
+    for a in range(1, pair_limit + 1):
+        for b in range(1, pair_limit + 1):
+            composed = member(O, a).compose(member(O, b))
+            direct = member(O, a * b)
+            if composed != direct:
+                return f"a={a} b={b}: {composed} != {direct}"
+    for n in range(1, n_max + 1):
+        poly = member(O, 1)
+        for p, e in deltaops.factor(n).factors:
+            for _ in range(e):
+                poly = member(O, p).compose(poly)
+        if poly != member(O, n):
+            return f"n={n}: prime composition chain disagrees"
+    return None
+
+
+# (planted faults, pair limit) -> the first failure of
+# verify_compose_factorization(pair_limit, 64).  Odd(13) and Odd(11) are no
+# product of two indices up to 10, so the pairs pass and the first chain
+# through them fails; Odd(44) fails its own chain; with no pairs a fault in
+# Odd(2) fails the chain of 4 = 2 * 2; a fault in Odd(1) fails the first pair.
+COMPOSE_FAULTS = {
+    (((O, 13, 0, 1),), 10): "n=26: prime composition chain disagrees",
+    (((O, 44, 0, 1),), 10): "n=44: prime composition chain disagrees",
+    (((O, 11, 0, 1), (O, 39, 0, 1)), 10):
+        "n=22: prime composition chain disagrees",
+    (((O, 2, 0, 1),), 0): "n=4: prime composition chain disagrees",
+    (((O, 1, 1, 1),), 10): "a=1 b=1: 4Δ != 2Δ",
+}
+
+
+@pytest.mark.parametrize("case", COMPOSE_FAULTS)
+def test_compose_chains_report_what_the_per_n_loop_reports(monkeypatch, case):
+    faults, pair_limit = case
+    plant(monkeypatch, faults)
+    want = COMPOSE_FAULTS[case]
+    assert verify_compose_factorization(pair_limit, 64) == want
+    assert reference_compose_factorization(pair_limit, 64) == want
+
+
+def test_compose_chains_pass_where_the_per_n_loop_passes():
+    for pair_limit, n_max in ((10, 64), (0, 0), (0, 1), (2, 12), (3, 90)):
+        assert verify_compose_factorization(pair_limit, n_max) is None
+        assert reference_compose_factorization(pair_limit, n_max) is None
+
+
 @st.composite
 def block_families(draw):
     """A slot width, a stride and two lists of polynomials that fit them,

@@ -340,7 +340,7 @@ def refine_route(f, q, budget=None) -> OrderResult:
 
 
 # Every monic f of each size.  (2, 1) has N = 1 and an empty factorization;
-# (2, 2) is the q-power map in one-byte slots; (3, 4) and (17, 2) have
+# (2, 2) is the q-power map in the mask pass; (3, 4) and (17, 2) have
 # N = 2**4 * 5 and 2**5 * 3**2; q = 3 and 5 take n = q.bit_length() and one
 # either side of it.  Together they take both routes in both slot passes.
 EVERY_F = [(2, 1), (2, 2), (2, 3), (2, 8), (3, 1), (3, 2), (3, 3), (3, 4),
@@ -348,10 +348,15 @@ EVERY_F = [(2, 1), (2, 2), (2, 3), (2, 8), (3, 1), (3, 2), (3, 3), (3, 4),
 
 
 def test_every_f_cases_take_both_routes_in_both_slot_passes():
-    # (takes the q-power map, has one-byte slots)
-    assert {(n <= q.bit_length(), 2 * n * (q - 1) ** 2 < 256)
+    # (takes the q-power map, takes the mask pass of q = 2)
+    assert {(n <= q.bit_length(), q == 2)
             for q, n in EVERY_F} == {(True, True), (True, False),
                                      (False, True), (False, False)}
+    for q, n in EVERY_F:
+        if n > 1:
+            ring = gfmatrix._Residues([1] * (n + 1), q)
+            mask_pass = ring.slots_mod_q == ring._mask_slots
+            assert mask_pass == (q == 2), (q, n)
 
 
 @pytest.mark.parametrize("q, n", EVERY_F)
@@ -530,24 +535,99 @@ def brent_rho_with_abs(n, c, max_steps):
     return g, steps
 
 
+def brent_rho_one_step(n, c, max_steps):
+    """The rho loop as it was before it took four steps per pass; kept as
+    the reference that pins factors and step counts."""
+    y, r, q = 2, 1, 1
+    g = 1
+    steps = 0
+    x = ys = y
+    batch = 128
+    while g == 1 and steps < max_steps:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            chunk = min(batch, r - k)
+            for _ in range(chunk):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            steps += chunk
+            g = gcd(q, n)
+            k += chunk
+        r *= 2
+    if g == n:
+        g = 1
+        for _ in range(max_steps - steps if max_steps > steps else batch):
+            ys = (ys * ys + c) % n
+            steps += 1
+            g = gcd(x - ys, n)
+            if g > 1:
+                break
+    if g in (1, n):
+        return None, steps
+    return g, steps
+
+
+SEMIPRIMES = [p * q for p, q in zip(
+    (101, 1009, 10007, 65537, 99991, 104729, 7919, 31337),
+    (103, 1013, 10009, 65539, 100003, 1299709, 15485863, 2**31 - 1))]
+
+
 def test_brent_rho_matches_the_abs_reference():
     rng = random.Random(40_000)
     small = [n for n in range(4, 1300) if not is_prime(n)]
-    semiprimes = [p * q for p, q in zip(
-        (101, 1009, 10007, 65537, 99991, 104729, 7919, 31337),
-        (103, 1013, 10009, 65539, 100003, 1299709, 15485863, 2**31 - 1))]
-    composites = small + semiprimes
+    composites = small + SEMIPRIMES
     assert len(composites) > 1000
     for n in composites:
         for c in (1, 2, 3):
             for cap in (1, rng.randrange(2, 200), 40_000):
                 want = brent_rho_with_abs(n, c, cap)
+                assert brent_rho_one_step(n, c, cap) == want, (n, c, cap)
                 assert gfmatrix._brent_rho(n, c, cap) == want, (n, c, cap)
     # Small n cycle to g == n: 49 and 55 then find a factor in the backtrack
     # loop, and 4 finds none.
     assert gfmatrix._brent_rho(49, 1, 40_000) == (7, 7)
     assert gfmatrix._brent_rho(55, 1, 40_000) == (5, 7)
     assert gfmatrix._brent_rho(4, 1, 40_000) == (None, 3)
+
+
+def test_brent_rho_steps_match_the_one_step_reference_at_every_cap():
+    # Round r advances r steps, then takes chunks of min(128, r - k) steps.
+    # Only the rounds r = 1 and 2 go through the remainder loops (r & 3 and
+    # chunk & 3 = 1 and 2): every later r and chunk is a multiple of 4, so
+    # chunk = 3 mod 4 cannot occur.  The cap is checked between rounds, so
+    # the caps end a walk after each round up to r = 512, at each residue of
+    # the cap mod 4 and on both sides of the chunk length 128.
+    caps = [*range(1, 41), *range(124, 134), *range(252, 262), 510, 1022]
+    for n in SEMIPRIMES:
+        for c in (1, 2, 3):
+            for cap in caps:
+                want = brent_rho_one_step(n, c, cap)
+                assert gfmatrix._brent_rho(n, c, cap) == want, (n, c, cap)
+    # A walk that finds nothing early: caps 1 and 3 end it after r = 1 and 2.
+    n = SEMIPRIMES[-1]
+    assert [gfmatrix._brent_rho(n, 1, cap) for cap in (1, 3, 7)] == [
+        (None, 2), (None, 6), (None, 14)]
+
+
+def test_brent_rho_matches_the_one_step_reference_on_a_bigq_cofactor():
+    # The 79-bit cofactor of 37013**7 - 1 that the singer-bigq golden
+    # ``--q 37013 --n 7`` leaves unfactored: its one attempt exhausts the
+    # golden's budget of 500000 steps, and runs past it to the end of the
+    # round, as ``factor`` spends it.
+    n = (37013**7 - 1) // (2**2 * 19 * 487 * 6287)
+    assert n.bit_length() == 79 and not is_prime(n)
+    remaining, c = 500_000, 1
+    while remaining > 0:
+        want = brent_rho_one_step(n, c, remaining)
+        assert gfmatrix._brent_rho(n, c, remaining) == want, (c, remaining)
+        remaining -= want[1]
+        c += 1
+    assert want == (None, 524_286)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -649,19 +729,26 @@ def list_power_of_x(f, q, e):
     return result
 
 
-# Sizes on both sides of the one-byte slot bound 2n(q-1)**2 < 256, the
-# smallest n, where the quotient has at most one slot, and multi-byte slots
-# at the ends of the benchmark's q range and past 2**32 per slot.  Each size
-# takes a random f and the f whose coefficients are all q - 1.
+# q = 2 in the mask pass on both sides of its one-byte bound n = 127 and at
+# n = 140; odd q on both sides of the bound 2n(q-1)**2 < 256 that once gave
+# them one-byte slots; the smallest n, where the quotient has at most one
+# slot; and multi-byte slots at the ends of the benchmark's q range and past
+# 2**32 per slot.  Each size takes a random f and the f whose coefficients
+# are all q - 1.
 @pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 3), (2, 126), (2, 127),
-                                  (2, 128), (3, 31), (3, 32), (5, 7), (5, 8),
-                                  (7, 3), (7, 4), (11, 1), (11, 2), (1031, 2),
-                                  (65479, 14), (2**31 - 1, 3)])
+                                  (2, 128), (2, 129), (2, 140), (3, 31),
+                                  (3, 32), (5, 7), (5, 8), (7, 3), (7, 4),
+                                  (11, 1), (11, 2), (1031, 2), (65479, 14),
+                                  (2**31 - 1, 3)])
 def test_power_of_x_matches_list_arithmetic(q, n):
     rng = random.Random(q * 1000 + n)
     for f in ([rng.randrange(q) for _ in range(n)] + [1], [q - 1] * n + [1]):
         ring = gfmatrix._Residues(f, q)
-        assert (ring.width == 1) == (2 * n * (q - 1) ** 2 < 256)
+        # q = 2: the fewest bytes that hold B = 2n(q-1)**2; odd q: the
+        # ceil((2a + 1) / 8) bytes of the packed reciprocal, a = B's bits.
+        a = (2 * n * (q - 1) ** 2).bit_length()
+        assert ring.width == (-(-a // 8) if q == 2 else -(-(2 * a + 1) // 8))
+        assert (ring.width == 1) == (q == 2 and n <= 127)
         mask = 256**ring.width - 1
         for e in (1, n - 1, n, 2 * n, q**n - 1, rng.randrange(1, q**n)):
             if e < 1:
@@ -672,9 +759,9 @@ def test_power_of_x_matches_list_arithmetic(q, n):
             assert got >> 8 * ring.width * n == 0, (f, e)
 
 
-@pytest.mark.parametrize("q, n", [(3, 32), (5, 8), (7, 4), (1031, 2),
-                                  (25031, 11), (65479, 14), (2**31 - 1, 3),
-                                  (1000003, 6)])
+@pytest.mark.parametrize("q, n", [(3, 31), (3, 32), (5, 8), (7, 3), (7, 4),
+                                  (1031, 2), (25031, 11), (65479, 14),
+                                  (2**31 - 1, 3), (1000003, 6)])
 def test_wide_slots_reduce_mod_q_by_the_packed_reciprocal(q, n):
     # Slot values from 0 up to the largest that the slot bound B and its
     # bit length a allow, rotated so that each of the 2n - 1 slots of a
@@ -695,3 +782,29 @@ def test_wide_slots_reduce_mod_q_by_the_packed_reciprocal(q, n):
         assert [got >> ring.bits * i & mask for i in range(2 * n - 1)] == [
             v % q for v in slots], slots
         assert got >> ring.bits * (2 * n - 1) == 0
+
+
+def quadratic_barrett_mu(f, q):
+    """Ascending coefficients of x**(2n-2) // f over GF(q), for a monic f of
+    degree n >= 2: the power series 1 / rev(f) to n-1 terms, one term at a
+    time, reversed.  The ring's constant before it came from Newton
+    iteration, kept as its reference."""
+    n = len(f) - 1
+    tail = [-c % q for c in f[-2::-1]]
+    g = [1]
+    for k in range(1, n - 1):
+        g.append(sum(map(mul, tail[:k], g[::-1])) % q)
+    return g[::-1]
+
+
+# Each q of the order tests, to the largest n that its tests use.
+@pytest.mark.parametrize("q, n_max", [(2, 140), (3, 60), (5, 12), (7, 12),
+                                      (1031, 12), (65479, 14),
+                                      (2**31 - 1, 16)])
+def test_newton_barrett_mu_matches_the_quadratic_loop(q, n_max):
+    rng = random.Random(q + n_max)
+    for n in range(2, n_max + 1):
+        for f in ([rng.randrange(q) for _ in range(n)] + [1],
+                  [q - 1] * n + [1], [0] * n + [1]):
+            ring = gfmatrix._Residues(f, q)
+            assert ring.mu == ring.pack(quadratic_barrett_mu(f, q)), (n, f)
