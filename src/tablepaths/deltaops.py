@@ -14,9 +14,11 @@ fits in the lower half of its slot.  A product is then one big-int
 multiply, a composition is Horner's rule on the packed inner polynomial,
 and one balanced decode reads either result back.  ``Windows`` evaluates a
 polynomial at n = 1..N of a sequence as one product of the packed sequence
-with the packed reversed shift coefficients, and compares such windows as
-ints without decoding them; ``DeltaPoly.apply`` takes the dot product at
-one n directly and is the windows' independent reference.  The checks of
+with the packed reversed shift coefficients, or, for a long window of a
+narrow polynomial, as a sum of the packed sequence shifted by each nonzero
+shift coefficient's power; it compares such windows as ints without
+decoding them.  ``DeltaPoly.apply`` takes the dot product at one n directly
+and is the windows' independent reference.  The checks of
 the addition, action, product and uniform-factorization identities pack a
 whole family of polynomials as the blocks of one 2-D int, so one product
 maps every member, and compare such ints the same way.
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
 from operator import add, mul, neg, sub
 from struct import Struct
@@ -111,7 +113,13 @@ def _shape(width: int, count: int) -> tuple[int, Struct | None]:
     return _cached_shape.__wrapped__(width, count)
 
 
-def _pack(coeffs, width: int) -> int:
+def _pack(coeffs, width: int, unsigned: bool = False) -> int:
+    """The packed int of ``coeffs``.  ``unsigned`` says that no coefficient
+    is negative: slots wider than a struct width then take their bytes from
+    one join of unsigned bytes, with no half slots to flip."""
+    if unsigned and width > 8:
+        return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(width),
+                                           repeat("little"))), "little")
     half, struct = _shape(width, len(coeffs))
     if struct:
         raw = struct.pack(*coeffs)
@@ -310,6 +318,25 @@ class DeltaPoly:
                 a[j] -= a[j + 1]
         return tuple(a)
 
+    @cached_property
+    def _shift_terms(self) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+        """What ``Windows`` reads of ``shift_coeffs``: the (j, c) pair of
+        each nonzero coefficient c of x**j, the sum of the coefficients,
+        the bit length of the widest and the sum of their sizes.  Cached
+        like ``shift_coeffs``."""
+        coeffs = self.shift_coeffs
+        return (tuple((j, c) for j, c in enumerate(coeffs) if c), sum(coeffs),
+                max(map(abs, coeffs), default=0).bit_length(),
+                sum(map(abs, coeffs)))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coeffs,))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of ``coeffs``, cached like ``shift_coeffs``."""
+        return self._hash
+
     def apply(self, seq, n: int) -> int:
         """Evaluate (self applied to seq) at index ``n``.
 
@@ -350,10 +377,15 @@ DELTA = DeltaPoly((0, 1))
 
 # -- windowed evaluation -----------------------------------------------------
 
+# The route rule of ``Windows``: shift and add for windows of at least
+# _SHIFT_MIN_COUNT values whose polynomial's shift coefficients are at most
+# 1 / _SHIFT_SLOT_RATIO as wide as the slot.
+_SHIFT_MIN_COUNT = 64
+_SHIFT_SLOT_RATIO = 4
+
 
 class Windows:
-    """Values of Δ-polynomials at n = 1..count of integer sequences, one
-    big-int product per polynomial and sequence.
+    """Values of Δ-polynomials at n = 1..count of integer sequences.
 
     The sequences are packed once, each cut to the count + d values the
     windows read (d the largest degree in ``polys``; the zero polynomial
@@ -363,12 +395,30 @@ class Windows:
     sequences they pack while the values stay within ``weight`` times that
     largest value.
 
-    ``apply(p, packed)`` multiplies a packed sequence by p's shift
-    coefficients packed in reverse order: slot n - 1 + degree of the
-    product is their dot product with seq(n), ..., seq(n + degree), the
-    value at n.  The window is those count slots with half a slot added to
-    each, so no slot borrows from the next, and two windows are equal ints
-    exactly when their values are.
+    A window holds the values at n = 1..count in count slots with half a
+    slot added to each, so no slot borrows from the next, and two windows
+    are equal ints exactly when their values are.  ``apply(p, packed)``
+    takes one of two routes to p's window, both exact, so both give the
+    same int:
+
+    * the product: the packed sequence times p's shift coefficients packed
+      in reverse order.  Slot n - 1 + degree of the product is their dot
+      product with seq(n), ..., seq(n + degree), the value at n.
+    * shift and add: with half a slot added to every slot of the packed
+      sequence, each slot holds its value plus half a slot, a nonnegative
+      digit below a whole slot, so a floor shift by j slots and a mask of
+      count slots read seq(n + j) + half exactly, negative values too.  The
+      window is the sum of c_j times those reads over the nonzero shift
+      coefficients c_j, less (sum of c_j - 1) half slots in each slot.
+
+    The product pads every coefficient of a polynomial to the slot width,
+    while shift and add pays one pass over the window per nonzero shift
+    coefficient.  So a window takes shift and add when it is long, with at
+    least 64 values, and its polynomial has at least two nonzero shift
+    coefficients, the widest of them at most a quarter of the slot wide.
+    Every other window takes the product; a polynomial with one nonzero
+    shift coefficient packs into one slot, so its product is a plain
+    scaling.
     """
 
     def __init__(self, count: int, seqs, polys, weight: int = 1):
@@ -380,29 +430,46 @@ class Windows:
                 raise DomainError(f"need sequence values up to index "
                                   f"{length}, have {len(seq)}")
         seqs = [seq[:length] for seq in seqs]
-        bound = weight * max(map(abs, chain.from_iterable(seqs)), default=0)
-        reach = max(sum(map(abs, p.shift_coeffs)) for p in polys)
+        lows = [min(seq) if seq else 0 for seq in seqs]
+        highs = [max(seq) if seq else 0 for seq in seqs]
+        bound = weight * max([*highs, *map(neg, lows)], default=0)
+        reach = max(p._shift_terms[3] for p in polys)
         width = _slot_width(bound.bit_length() + reach.bit_length() + 1)
+        bits = 8 * width
         self.width, self.count = width, count
-        self._slot_bits = 8 * width
-        self._mask = (1 << self._slot_bits * count) - 1
+        self._slot_bits = bits
+        self._mask = (1 << bits * count) - 1
         # The window whose values are all zero.
         self.zero = _shape(width, count)[0]
-        # poly -> (packed reversed shift coefficients, bit offset of its
-        # window, half slots up to the window's end)
+        # Half slots up to the end of the longest window: either route
+        # reads no slot above its window's end, and a carry only moves up.
+        self._half = _shape(width, max(length, count))[0]
+        # poly -> (packed reversed shift coefficients, bit offset of the
+        # window, None) on the product route; (None, (bit shift,
+        # coefficient) of each nonzero shift coefficient, (sum of the
+        # coefficients - 1) times the zero window) on the shift route.
         self._polys = {}
+        long = count >= _SHIFT_MIN_COUNT
         for p in polys:
-            d = max(p.degree, 0)
-            self._polys[p] = (_pack(p.shift_coeffs[::-1], width),
-                              self._slot_bits * d,
-                              _shape(width, count + d)[0])
-        self.seqs = [_pack(seq, width) for seq in seqs]
+            terms, total, coeff_bits, _ = p._shift_terms
+            if (long and len(terms) > 1
+                    and bits >= _SHIFT_SLOT_RATIO * coeff_bits):
+                self._polys[p] = (None, [(bits * j, c) for j, c in terms],
+                                  (total - 1) * self.zero)
+            else:
+                self._polys[p] = (_pack(p.shift_coeffs[::-1], width),
+                                  bits * max(p.degree, 0), None)
+        self.seqs = [_pack(seq, width, low >= 0)
+                     for seq, low in zip(seqs, lows)]
 
     def apply(self, poly: DeltaPoly, packed: int) -> int:
         """The window of ``poly``, one of the constructor's polynomials,
         applied to a packed sequence."""
-        coeffs, offset, half = self._polys[poly]
-        return ((packed * coeffs + half) >> offset) & self._mask
+        coeffs, at, excess = self._polys[poly]
+        if excess is None:
+            return ((packed * coeffs + self._half) >> at) & self._mask
+        mask, packed = self._mask, packed + self._half
+        return sum([c * (packed >> shift & mask) for shift, c in at], -excess)
 
     def values(self, window: int) -> list[int]:
         """The values at n = 1..count held in a window."""

@@ -4,11 +4,13 @@ The question driving this module: reduced modulo a prime q, does the n x n
 template matrix generate the full cyclic group of order q**n - 1 (a Singer
 cycle)?  Answering it needs the factorization of q**n - 1, so the module
 carries the package's one exact integer factorization stack: trial division
-to a fixed bound (by the primes of one gcd with their product),
-perfect-power reduction, then Brent's variant of Pollard rho with
-deterministic seeding, with primality certified by Miller-Rabin (a base set
-that is provably sufficient below 3.3e24) and, above that, tested by BPSW
-(Miller-Rabin to base 2, then a strong Lucas test).
+to a fixed bound (up to the square root for n below 2**16, else by the
+primes of one gcd with their product), perfect-power reduction, then
+Brent's variant of Pollard rho with deterministic seeding.  Primality is
+certified by Miller-Rabin below 3.3e24, to the first k prime bases for the
+smallest k whose proven bound psi_k lies above n (k <= 13, bases 2 to 41),
+and above that tested by BPSW (Miller-Rabin to base 2, then a strong Lucas
+test).
 
 Factoring is budgeted.  When the budget runs out the factorization is
 returned incomplete and order checks report UNKNOWN rather than guessing.
@@ -48,11 +50,23 @@ from operator import mul
 from .errors import DomainError, InternalInconsistencyError
 
 _TRIAL_BOUND = 10_000
+# Below this, trial division up to the square root costs less than one gcd
+# with the product of the primes below the trial bound.
+_DIVISION_LIMIT = 1 << 16
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
-# Deterministic Miller-Rabin witness set; proven sufficient below this bound.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin: (psi_k, k) for the distinct terms psi_k of
+# OEIS A014233, each with its smallest k.  psi_k is the least odd composite
+# that passes Miller-Rabin to each of the first k prime bases, so those k
+# bases decide every n < psi_k (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = ((2_047, 1), (1_373_653, 2), (25_326_001, 3),
+             (3_215_031_751, 4), (2_152_302_898_747, 5),
+             (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+             (3_825_123_056_546_413_051, 9),
+             (318_665_857_834_031_151_167_461, 12),
+             (3_317_044_064_679_887_385_961_981, 13))
+_MR_PROVEN_LIMIT = _MR_TIERS[-1][0]
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -141,8 +155,9 @@ def _half(x: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below 3.3e24 (Miller-Rabin to the 12 prime bases);
-    above it, BPSW: Miller-Rabin to base 2, then strong Lucas."""
+    """Deterministic below psi_13 = 3.3e24: Miller-Rabin to the first k
+    prime bases, for the smallest psi_k above n (k <= 13, bases 2 to 41).
+    From psi_13 on, BPSW: Miller-Rabin to base 2, then strong Lucas."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES[:25]:
@@ -153,11 +168,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    proven = n < _MR_PROVEN_LIMIT
-    for a in _MR_BASES if proven else _MR_BASES[:1]:
+    bases = next((_MR_BASES[:k] for psi, k in _MR_TIERS if n < psi), None)
+    for a in bases or _MR_BASES[:1]:
         if _mr_witness(n, a, d, s):
             return False
-    return proven or _strong_lucas_prp(n)
+    return bases is not None or _strong_lucas_prp(n)
 
 
 # -- factorization -----------------------------------------------------------
@@ -284,22 +299,35 @@ def factor(n: int, budget: int | None = None) -> PrimeFactorization:
     budget = _checked_budget(budget)
     counts: dict[int, int] = {}
     rem = n
-    # The primes below the trial bound that divide n are those of one gcd,
-    # a squarefree g: once p * p > g, what is left of g is 1 or a prime.
-    g = gcd(n, _SMALL_PRODUCT)
-    divisors = []
-    for p in _SMALL_PRIMES:
-        if p * p > g:
-            break
-        if g % p == 0:
-            g //= p
-            divisors.append(p)
-    if g > 1:
-        divisors.append(g)
-    for p in divisors:
-        while rem % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rem //= p
+    if n < _DIVISION_LIMIT:
+        # Once p * p > rem, what is left of n is 1 or a prime.
+        for p in _SMALL_PRIMES:
+            if p * p > rem:
+                break
+            while rem % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                rem //= p
+        if rem > 1:
+            counts[rem] = 1
+            rem = 1
+    else:
+        # The primes below the trial bound that divide n are those of one
+        # gcd, a squarefree g: once p * p > g, what is left of g is 1 or a
+        # prime.
+        g = gcd(n, _SMALL_PRODUCT)
+        divisors = []
+        for p in _SMALL_PRIMES:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                divisors.append(p)
+        if g > 1:
+            divisors.append(g)
+        for p in divisors:
+            while rem % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                rem //= p
     stack: list[tuple[int, int]] = [(rem, 1)] if rem > 1 else []
     unfactored: list[tuple[int, int]] = []
     remaining = budget

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, mul
+from operator import eq
 
 from .deltaops import (ONE, DeltaPoly, Family, Windows, _shape, _slot_width,
                        base_constant, multiplier, parity_family)
@@ -47,10 +47,15 @@ def reduced_matrix(m: int) -> tuple[tuple[int, ...], ...]:
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     k = (m + 1) // 2
-    rows = [[1 if abs(i - j) <= 1 else 0 for j in range(k)] for i in range(k)]
+    # Row i is the window of k entries of the band that puts its three ones
+    # at columns i - 1, i and i + 1.
+    band = (0,) * (k - 1) + (1, 1, 1) + (0,) * (k - 1)
+    rows = [band[k - i:2 * k - i] for i in range(k)]
     if m > 1:
-        rows[k - 1][k - 1 - m % 2] += 1
-    return tuple(tuple(r) for r in rows)
+        last = list(rows[-1])
+        last[k - 1 - m % 2] += 1
+        rows[-1] = tuple(last)
+    return tuple(rows)
 
 
 # -- exact elimination -------------------------------------------------------
@@ -301,10 +306,20 @@ def equivalence_report(m: int) -> EquivalenceReport:
     return _equivalence(m, minimal_recurrence(m))
 
 
-def _equivalence(m: int, rec: Recurrence) -> EquivalenceReport:
+def _equivalence(m: int, rec: Recurrence,
+                 charpolys: dict | None = None) -> EquivalenceReport:
     family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
-    return EquivalenceReport(m, charpoly(reduced_matrix(m)),
-                             family_charpoly(family, rec.k), rec.poly())
+    return EquivalenceReport(
+        m, _reduced_charpoly(m, {} if charpolys is None else charpolys),
+        family_charpoly(family, rec.k), rec.poly())
+
+
+def _reduced_charpoly(m: int, charpolys: dict) -> tuple[int, ...]:
+    """charpoly(reduced_matrix(m)), kept in ``charpolys`` (m -> charpoly),
+    a dict that one caller owns, so that caller computes it once."""
+    if m not in charpolys:
+        charpolys[m] = charpoly(reduced_matrix(m))
+    return charpolys[m]
 
 
 @dataclass(frozen=True)
@@ -442,16 +457,26 @@ def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
 
 # -- identity verifiers over tables ------------------------------------------
 
+# Fixed operators of the checks below, built once so that their hashes and
+# window routes are worked out once.
+_SHIFT = DeltaPoly((1, 1))
+_TWO_MINUS_DELTA, _TWO = DeltaPoly((2, -1)), DeltaPoly((2,))
+
 
 def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
     """Reduced matrix advances reduced columns: on rows, the shift E sends
     row y to the combination of rows 1..k in row y of the matrix."""
     mat = reduced_matrix(table.m)
-    shift = DeltaPoly((1, 1))
-    w = Windows(n_max, table.rows[:len(mat)], (ONE, shift),
+    w = Windows(n_max, table.rows[:len(mat)], (ONE, _SHIFT),
                 weight=max(map(sum, mat)))
-    got = [w.apply(ONE, sum(map(mul, r, w.seqs))) for r in mat]
-    want = [w.apply(shift, row) for row in w.seqs]
+    # The matrix is tridiagonal but for one entry: at most 3k + 1 of its k^2
+    # entries are nonzero, and only those scale a packed row.  All but one
+    # of them are 1, which adds the row itself with no copy.
+    seqs = w.seqs
+    got = [w.apply(ONE, sum([seqs[j] if a == 1 else a * seqs[j]
+                             for j, a in enumerate(r) if a]))
+           for r in mat]
+    want = [w.apply(_SHIFT, row) for row in seqs]
     if hit := w.first_difference(zip(got, want)):
         n = hit[0]
         got_n = tuple(w.values(v)[n - 1] for v in got)
@@ -481,12 +506,11 @@ def verify_annihilation(table: PathTable, n_max: int = 30) -> str | None:
 
 def verify_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
     """(2 - D) applied to the column sums equals twice the first row."""
-    two_minus_delta, two = DeltaPoly((2, -1)), DeltaPoly((2,))
     w = Windows(n_max, (table.column_sums(), table.row(1)),
-                (two_minus_delta, two))
+                (_TWO_MINUS_DELTA, _TWO))
     sums, first = w.seqs
-    if hit := w.first_difference([(w.apply(two_minus_delta, sums),
-                                   w.apply(two, first))]):
+    if hit := w.first_difference([(w.apply(_TWO_MINUS_DELTA, sums),
+                                   w.apply(_TWO, first))]):
         return f"m={table.m} n={hit[0]}: bridge identity fails"
     return None
 
@@ -617,21 +641,35 @@ def verify_window_determinants(table: PathTable,
     return None
 
 
-def verify_polynomial_equivalence(table: PathTable) -> str | None:
-    """Characteristic, operator and recurrence polynomials coincide."""
-    report = _equivalence(table.m, _table_recurrence(table))
+def verify_polynomial_equivalence(table: PathTable,
+                                  charpolys: dict | None = None) -> str | None:
+    """Characteristic, operator and recurrence polynomials coincide.
+
+    ``charpolys`` maps m to the characteristic polynomial of the reduced
+    matrix: the check reads m's from it, or computes it and keeps it there.
+    ``suite.run_suite`` passes one dict per call to this check and to
+    ``verify_charpoly_recursion``; a check called on its own takes a fresh
+    dict.
+    """
+    report = _equivalence(table.m, _table_recurrence(table), charpolys)
     if not report.equal:
         return (f"m={table.m}: {report.charpoly} vs {report.operator_poly} "
                 f"vs {report.recurrence_poly}")
     return None
 
 
-def verify_charpoly_recursion(m_max: int = 24) -> str | None:
-    """det(xI - A_k) = (x - 1) det(xI - A_{k-1}) - det(xI - A_{k-2})."""
+def verify_charpoly_recursion(m_max: int = 24,
+                              charpolys: dict | None = None) -> str | None:
+    """det(xI - A_k) = (x - 1) det(xI - A_{k-1}) - det(xI - A_{k-2}).
+
+    ``charpolys`` is read and filled as in
+    ``verify_polynomial_equivalence``.
+    """
     x_minus_1 = DeltaPoly((-1, 1))
     k_max = (m_max + 1) // 2
+    charpolys = {} if charpolys is None else charpolys
     for parity, name in ((1, "odd"), (0, "even")):
-        polys = [DeltaPoly(charpoly(reduced_matrix(2 * k - parity)))
+        polys = [DeltaPoly(_reduced_charpoly(2 * k - parity, charpolys))
                  for k in range(1, k_max + 1)]
         for i in range(2, len(polys)):
             want = x_minus_1 * polys[i - 1] - polys[i - 2]

@@ -40,12 +40,18 @@ def run_suite(m_max: int, n_max: int,
     One table per m = 1..m_max, as wide as any table check reads, goes to
     every table check whose m range covers m and that has not failed yet.
     Operator-level identities do not depend on a table, so they always run
-    over their standard parameter ranges.  node_budget caps the brute-force
-    enumeration behind the path-oracle check.
+    over their standard parameter ranges.  The polynomial-equivalence and
+    charpoly-recursion checks share one dict of the reduced matrices'
+    characteristic polynomials, so each call computes each m's once.
+    node_budget caps the brute-force enumeration behind the path-oracle
+    check.
     """
     if m_max < 1 or n_max < 1:
         raise DomainError("m_max and n_max must be >= 1")
     budget = pathtable.DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    # m -> characteristic polynomial of the reduced matrix, computed once per
+    # call for the two checks that read it.
+    charpolys: dict[int, tuple[int, ...]] = {}
     # (name, last m of its tables or 0 for a check without one, check, *args)
     registry = [
         ("path-oracle", min(m_max, 6), pathtable.verify_oracle, min(n_max, 10), budget),
@@ -68,8 +74,10 @@ def run_suite(m_max: int, n_max: int,
          min(n_max, 25)),
         ("determinant-lemma", 0, recurrence.verify_determinants, max(m_max, 48)),
         ("window-determinants", min(m_max, 10), recurrence.verify_window_determinants),
-        ("polynomial-equivalence", m_max, recurrence.verify_polynomial_equivalence),
-        ("charpoly-recursion", 0, recurrence.verify_charpoly_recursion, max(m_max, 24)),
+        ("polynomial-equivalence", m_max, recurrence.verify_polynomial_equivalence,
+         charpolys),
+        ("charpoly-recursion", 0, recurrence.verify_charpoly_recursion, max(m_max, 24),
+         charpolys),
         ("recurrence-minimality", min(m_max, 10), recurrence.verify_minimality),
         ("constant-combinations", min(m_max, 13),
          recurrence.verify_constant_combinations),

@@ -407,10 +407,11 @@ def test_verify_json_matches_frozen_digest(capsys, key):
     # before the suite built one table per m, "json 64 120" before the
     # determinant lemma read its determinants from one elimination per
     # parity (m_max 64 takes that check past its default 48, to 32 x 32
-    # reduced matrices), the others before every m-indexed check read the
-    # suite's tables.  13 x 1 gives the narrowest table that
-    # constant-combinations reads; a node budget of 5000 starves the path
-    # oracle, so that run exits 1.
+    # reduced matrices), "json 64 400" before long windows could take the
+    # shift route (annihilation, column-sum-bridge), the others before
+    # every m-indexed check read the suite's tables.  13 x 1 gives the
+    # narrowest table that constant-combinations reads; a node budget of
+    # 5000 starves the path oracle, so that run exits 1.
     fmt, m_max, n_max, *budget = key.split()
     argv = ["--format", fmt, "verify", "--m-max", m_max, "--n-max", n_max]
     if budget:

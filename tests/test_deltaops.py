@@ -2,7 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import zip_longest
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -359,26 +359,53 @@ def test_apply_matches_the_difference_triangle(p, data):
 edge_values = st.integers(0, 140).flatmap(
     lambda k: st.sampled_from((2**k - 1, 2**k, 1 - 2**k, -2**k)))
 window_values = st.one_of(seq_values, edge_values)
+# Narrow polynomials give long windows the shift route.
 window_polys = st.one_of(
     st.just(ZERO),
     st.lists(st.one_of(st.integers(-50, 50), edge_values),
-             min_size=1, max_size=17).map(lambda cs: DeltaPoly(tuple(cs))))
+             min_size=1, max_size=17).map(lambda cs: DeltaPoly(tuple(cs))),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=9).map(
+        lambda cs: DeltaPoly(tuple(cs))))
 
 
 def window_values_of(windows, poly, packed):
     return windows.values(windows.apply(poly, packed))
 
 
+def route_of(windows, poly):
+    """The route ``windows`` takes for poly: its entry holds packed
+    coefficients on the product route and None on the shift route."""
+    return "product" if windows._polys[poly][0] is not None else "shift"
+
+
+def rule_route(windows, poly):
+    """The route the rule in the Windows docstring gives: shift and add for
+    a long window of a polynomial with at least two nonzero shift
+    coefficients, each at most a quarter of the slot wide."""
+    coeffs = poly.shift_coeffs
+    narrow = (8 * windows.width
+              >= 4 * max(map(abs, coeffs), default=0).bit_length())
+    long = windows.count >= 64
+    return ("shift" if long and sum(map(bool, coeffs)) > 1 and narrow
+            else "product")
+
+
+# Window lengths on both sides of the shift route's 64 values.
+window_counts = st.one_of(st.integers(1, 8), st.integers(60, 150))
+
+
 @given(p=window_polys, data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_windows_and_apply_match_the_difference_triangle(p, data):
     d = max(p.degree, 0)
-    seq = tuple(data.draw(st.lists(window_values, min_size=d + 1,
-                                   max_size=d + 12)))
+    extra = data.draw(window_counts)
+    seq = tuple(data.draw(st.lists(window_values, min_size=d + extra,
+                                   max_size=d + extra + 3)))
     longest = len(seq) - d
     want = [difference_triangle_apply(p, seq, n) for n in range(1, longest + 1)]
     for count in (1, data.draw(st.integers(1, longest)), longest):
         windows = Windows(count, (seq,), (p,))
+        assert route_of(windows, p) == rule_route(windows, p)
         assert window_values_of(windows, p, windows.seqs[0]) == want[:count]
     for n in range(0, longest + 2):
         assert (_outcome(p.apply, seq, n)
@@ -400,16 +427,23 @@ def test_windows_and_apply_match_the_difference_triangle(p, data):
 @settings(max_examples=100, deadline=None)
 def test_windows_share_one_width_and_find_the_first_difference(polys, data):
     d = max(max(p.degree for p in polys), 0)
-    count = data.draw(st.integers(1, 8))
+    count = data.draw(window_counts)
     seqs = data.draw(st.lists(
         st.lists(window_values, min_size=count + d, max_size=count + d + 3),
         min_size=1, max_size=3))
-    # weight: the sum of all the sequences is evaluated too.
+    # weight: the sum of all the sequences is evaluated too, and a signed
+    # combination within the same weight.
     windows = Windows(count, seqs, polys, weight=len(seqs))
     total = [sum(column) for column in zip(*seqs)]
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(seqs),
+                               max_size=len(seqs)))
+    mixed = [sum(map(mul, signs, column)) for column in zip(*seqs)]
     got, want = [], []
     for p in polys:
-        for seq, packed in zip([*seqs, total], [*windows.seqs, sum(windows.seqs)]):
+        assert route_of(windows, p) == rule_route(windows, p)
+        for seq, packed in zip([*seqs, total, mixed],
+                               [*windows.seqs, sum(windows.seqs),
+                                sum(map(mul, signs, windows.seqs))]):
             got.append(windows.apply(p, packed))
             want.append([difference_triangle_apply(p, seq, n)
                          for n in range(1, count + 1)])
@@ -441,6 +475,32 @@ def test_windows_hold_weighted_sums_at_slot_width_edges(bits):
                                                             6 * edge, 0]
 
 
+# (count, sequence values, polynomial, route): long windows of polynomials
+# with narrow shift coefficients shift and add, on signed and on nonnegative
+# values; short windows, one-term polynomials and coefficients as wide as the
+# slot take the product.
+ROUTE_CASES = [
+    (150, (-(2**100), 2**100 - 1), multiplier(Family.ODD, 12), "shift"),
+    (64, (0, 3**90), multiplier(Family.EVEN, 5), "shift"),
+    (150, (-7, 7), DeltaPoly((2, -1)), "shift"),
+    (63, (-(2**100), 2**100 - 1), multiplier(Family.ODD, 12), "product"),
+    (150, (-(2**100), 2**100 - 1), ONE, "product"),
+    (150, (-(2**100), 2**100 - 1), DeltaPoly((1, 1)), "product"),
+    (150, (-(2**100), 2**100 - 1), DeltaPoly((2**40, -3, 1)), "product"),
+]
+
+
+@pytest.mark.parametrize("count, ends, poly, route", ROUTE_CASES)
+def test_windows_take_each_route_and_match_apply(count, ends, poly, route):
+    lo, hi = ends
+    seq = [(lo, hi)[i % 2] if i % 3 else (i * 7919) % (hi - lo + 1) + lo
+           for i in range(count + poly.degree)]
+    windows = Windows(count, (seq,), (poly,))
+    assert route_of(windows, poly) == rule_route(windows, poly) == route
+    assert (window_values_of(windows, poly, windows.seqs[0])
+            == [poly.apply(seq, n) for n in range(1, count + 1)])
+
+
 def test_windows_reject_a_negative_length():
     with pytest.raises(DomainError, match=r"^window length must be >= 0, got -1$"):
         Windows(-1, ((1, 2),), (ONE,))
@@ -459,7 +519,8 @@ def test_cached_shift_leaves_equality_and_hash_alone(p):
     p.shift_coeffs
     twin = DeltaPoly(p.coeffs)
     assert p == twin
-    assert hash(p) == hash(twin)
+    # The hash is the dataclass hash of coeffs, cached in the instance dict.
+    assert hash(p) == hash(twin) == hash((p.coeffs,)) == p.__dict__["_hash"]
 
 
 def test_apply_window_bounds_checked():

@@ -48,6 +48,42 @@ def test_known_strong_pseudoprimes_rejected():
         assert not is_prime(n)
 
 
+# psi_k for k = 1..13 (OEIS A014233): the least odd composite that passes
+# Miller-Rabin to each of the first k prime bases.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+
+
+def test_every_psi_k_is_rejected():
+    for k, psi in enumerate(PSI, 1):
+        d, s = psi - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        # It passes the first k bases, so is_prime needs more of them.
+        assert not any(gfmatrix._mr_witness(psi, a, d, s)
+                       for a in gfmatrix._MR_BASES[:k]), k
+        assert not is_prime(psi), k
+    # The tiers are the distinct psi_k, each with its smallest k.
+    assert gfmatrix._MR_TIERS == tuple((psi, PSI.index(psi) + 1)
+                                       for psi in sorted(set(PSI)))
+    assert gfmatrix._MR_PROVEN_LIMIT == PSI[-1]
+
+
+def test_factor_splits_psi_12_into_its_two_primes():
+    result = factor(PSI[11])
+    assert result.factors == ((399165290221, 1), (798330580441, 1))
+    assert result.complete
+
+
+def test_is_prime_agrees_with_sympy_at_each_tier_boundary():
+    sympy = pytest.importorskip("sympy")
+    for psi, _ in gfmatrix._MR_TIERS:
+        for n in range(psi - 300, psi + 300):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_large_primes_recognized():
     assert is_prime(2**61 - 1)
     assert is_prime(2**89 - 1)
@@ -138,6 +174,37 @@ def loop_factor(n, budget):
         counts[p] = counts.get(p, 0) + e
     return gfmatrix.PrimeFactorization(n, tuple(sorted(counts.items())),
                                        rest.cofactor)
+
+
+def gcd_route_factor(n):
+    """``factor``'s trial division by the primes of one gcd, which every n
+    took before small n got trial division up to the square root.  For n
+    below 10**8 what it leaves is 1 or a prime, which ``factor`` certified
+    with ``is_prime``."""
+    g = gcd(n, gfmatrix._SMALL_PRODUCT)
+    divisors = []
+    for p in gfmatrix._SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            divisors.append(p)
+    if g > 1:
+        divisors.append(g)
+    counts, rem = {}, n
+    for p in divisors:
+        while rem % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            rem //= p
+    if rem > 1:
+        assert is_prime(rem)
+        counts[rem] = 1
+    return gfmatrix.PrimeFactorization(n, tuple(sorted(counts.items())))
+
+
+def test_small_n_factor_as_the_gcd_route_did():
+    for n in range(1, 10**5 + 1):
+        assert factor(n) == gcd_route_factor(n), n
 
 
 # Primes just below the trial bound 10**4, alone or squared, are what the

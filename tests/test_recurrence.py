@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -66,6 +67,21 @@ def test_reduced_matrix_dispatches_on_parity():
     assert reduced_matrix(1) == ((1,),)
     with pytest.raises(DomainError):
         reduced_matrix(0)
+
+
+def entrywise_reduced_matrix(m):
+    """``reduced_matrix`` as it was built before it cut rows from one band:
+    abs(i - j) <= 1 tested for every entry."""
+    k = (m + 1) // 2
+    rows = [[1 if abs(i - j) <= 1 else 0 for j in range(k)] for i in range(k)]
+    if m > 1:
+        rows[k - 1][k - 1 - m % 2] += 1
+    return tuple(tuple(r) for r in rows)
+
+
+def test_reduced_matrix_equals_the_entrywise_construction():
+    for m in range(1, 65):
+        assert reduced_matrix(m) == entrywise_reduced_matrix(m), m
 
 
 @given(m=st.integers(1, 12))
@@ -275,6 +291,28 @@ def test_charpoly_needs_a_square_matrix():
 
 def test_charpoly_recursion_sweep():
     assert verify_charpoly_recursion(24) is None
+
+
+def test_run_suite_computes_each_charpoly_once_per_call(monkeypatch):
+    calls = Counter()
+    real = recurrence.charpoly
+
+    def counted(rows):
+        calls[rows] += 1
+        return real(rows)
+
+    monkeypatch.setattr(recurrence, "charpoly", counted)
+    # polynomial-equivalence reads m = 1..25, charpoly-recursion m = 1..26
+    # (k = 1..13 of each parity).
+    want = Counter({reduced_matrix(m): 1 for m in range(1, 27)})
+    for _ in range(2):
+        calls.clear()
+        assert run_suite(25, 12).passed
+        assert calls == want
+    # A check called on its own computes its own.
+    calls.clear()
+    assert verify_charpoly_recursion(24) is None
+    assert calls == Counter({reduced_matrix(m): 1 for m in range(1, 25)})
 
 
 def test_minimal_recurrence_tiny_cases():
