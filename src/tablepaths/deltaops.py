@@ -18,10 +18,9 @@ with the packed reversed shift coefficients, or, for a long window of a
 narrow polynomial, as a sum of the packed sequence shifted by each nonzero
 shift coefficient's power; it compares such windows as ints without
 decoding them.  ``DeltaPoly.apply`` takes the dot product at one n directly
-and is the windows' independent reference.  The checks of
-the addition, action, product and uniform-factorization identities pack a
-whole family of polynomials as the blocks of one 2-D int, so one product
-maps every member, and compare such ints the same way.
+and is the windows' independent reference.  The checks of the addition,
+action, product and uniform-factorization identities pack each member once
+and compare the two sides of each identity as two ints.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -136,46 +135,6 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
         return list(struct.unpack(raw))
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, len(raw), width)]
-
-
-# A family of polynomials packs into one 2-D Kronecker int: block i holds
-# member i in slots i*stride .. i*stride + stride - 1, that is, the int is
-# the sum of member_i(x) * x**(i*stride) at x = 2**(8*w).  ``_stack`` lays
-# packed members out that way with shifts.  Multiplying such an int by one
-# packed polynomial multiplies every member at once, and with a stride
-# longer than every product no block spills into the next.  A check that
-# compares two families this way picks one slot width w for all its ints,
-# from a bound on every coefficient they hold (see ``_block_width``), so
-# every coefficient stays below a half slot in size.  Then the two ints are
-# equal exactly when every member is, since each slot of their difference
-# is smaller than a whole slot, and the lowest bit in which they differ
-# lies in the first block that differs.  Nothing is decoded unless a
-# comparison fails; ``_member`` then reads one block back.
-
-
-def _stack(packed, bits: int) -> int:
-    """Packed polynomials as the blocks of one 2-D int, ``bits`` bits to a
-    block: the sum of packed[i] * 2**(bits * i)."""
-    value = 0
-    for v in reversed(packed):
-        value = (value << bits) + v
-    return value
-
-
-def _first_block(left: int, right: int, width: int, stride: int) -> int | None:
-    """The first block in which two 2-D ints differ; None when they are
-    equal."""
-    if diff := left ^ right:
-        return ((diff & -diff).bit_length() - 1) // (8 * width * stride)
-    return None
-
-
-def _member(value: int, width: int, stride: int, block: int) -> DeltaPoly:
-    """The polynomial in one block of a packed int."""
-    count = (block + 1) * stride
-    half = _shape(width, count)[0]
-    low = ((value + half) & (1 << 8 * width * count) - 1) - half
-    return _poly(_unpack(low, width, count)[block * stride:])
 
 
 def _poly(coeffs: list[int]) -> DeltaPoly:
@@ -319,14 +278,12 @@ class DeltaPoly:
         return tuple(a)
 
     @cached_property
-    def _shift_terms(self) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+    def _shift_terms(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
         """What ``Windows`` reads of ``shift_coeffs``: the (j, c) pair of
-        each nonzero coefficient c of x**j, the sum of the coefficients,
-        the bit length of the widest and the sum of their sizes.  Cached
-        like ``shift_coeffs``."""
+        each nonzero coefficient c of x**j, the sum of the coefficients and
+        the sum of their sizes.  Cached like ``shift_coeffs``."""
         coeffs = self.shift_coeffs
         return (tuple((j, c) for j, c in enumerate(coeffs) if c), sum(coeffs),
-                max(map(abs, coeffs), default=0).bit_length(),
                 sum(map(abs, coeffs)))
 
     @cached_property
@@ -378,10 +335,8 @@ DELTA = DeltaPoly((0, 1))
 # -- windowed evaluation -----------------------------------------------------
 
 # The route rule of ``Windows``: shift and add for windows of at least
-# _SHIFT_MIN_COUNT values whose polynomial's shift coefficients are at most
-# 1 / _SHIFT_SLOT_RATIO as wide as the slot.
+# _SHIFT_MIN_COUNT values.
 _SHIFT_MIN_COUNT = 64
-_SHIFT_SLOT_RATIO = 4
 
 
 class Windows:
@@ -415,10 +370,11 @@ class Windows:
     while shift and add pays one pass over the window per nonzero shift
     coefficient.  So a window takes shift and add when it is long, with at
     least 64 values, and its polynomial has at least two nonzero shift
-    coefficients, the widest of them at most a quarter of the slot wide.
-    Every other window takes the product; a polynomial with one nonzero
-    shift coefficient packs into one slot, so its product is a plain
-    scaling.
+    coefficients.  Every other window takes the product; a polynomial with
+    one nonzero shift coefficient packs into one slot, so its product is a
+    plain scaling.  ``window(packed)`` is the window of a packed sequence
+    itself, the identity applied with no product: half a slot added to each
+    slot, masked to count slots.
     """
 
     def __init__(self, count: int, seqs, polys, weight: int = 1):
@@ -433,7 +389,7 @@ class Windows:
         lows = [min(seq) if seq else 0 for seq in seqs]
         highs = [max(seq) if seq else 0 for seq in seqs]
         bound = weight * max([*highs, *map(neg, lows)], default=0)
-        reach = max(p._shift_terms[3] for p in polys)
+        reach = max(p._shift_terms[2] for p in polys)
         width = _slot_width(bound.bit_length() + reach.bit_length() + 1)
         bits = 8 * width
         self.width, self.count = width, count
@@ -451,9 +407,8 @@ class Windows:
         self._polys = {}
         long = count >= _SHIFT_MIN_COUNT
         for p in polys:
-            terms, total, coeff_bits, _ = p._shift_terms
-            if (long and len(terms) > 1
-                    and bits >= _SHIFT_SLOT_RATIO * coeff_bits):
+            terms, total, _ = p._shift_terms
+            if long and len(terms) > 1:
                 self._polys[p] = (None, [(bits * j, c) for j, c in terms],
                                   (total - 1) * self.zero)
             else:
@@ -470,6 +425,10 @@ class Windows:
             return ((packed * coeffs + self._half) >> at) & self._mask
         mask, packed = self._mask, packed + self._half
         return sum([c * (packed >> shift & mask) for shift, c in at], -excess)
+
+    def window(self, packed: int) -> int:
+        """The window of a packed sequence itself."""
+        return (packed + self._half) & self._mask
 
     def values(self, window: int) -> list[int]:
         """The values at n = 1..count held in a window."""
@@ -645,115 +604,90 @@ def _block_width(left, right, terms: int, others=()) -> int:
         return max([max(map(abs, p.coeffs), default=0) for p in polys],
                    default=0)
 
+    def longest(polys):
+        return max([len(p.coeffs) for p in polys], default=0)
+
     left, right = list(left), list(right)
     product = (largest(left).bit_length() + largest(right).bit_length()
-               + min(_longest(left), _longest(right)).bit_length())
+               + min(longest(left), longest(right)).bit_length())
     bits = max(product, largest([*right, *others]).bit_length())
     return _slot_width(bits + (terms - 1).bit_length() + 1)
 
 
-def _longest(polys) -> int:
-    return max((len(p.coeffs) for p in polys), default=0)
+# The addition, action, product and uniform-factorization checks compare
+# polynomials as packed ints.  Packing evaluates a polynomial at
+# x = 2**(8*w), a ring homomorphism into the integers, so each side of an
+# identity is a sum of products of packed members.  Each check packs every
+# member it reads once, at one slot width w that holds both sides of every
+# identity it checks below a half slot in size (``_block_width``).  Then the
+# two sides are equal ints exactly when they are equal polynomials: each slot
+# of their difference is smaller than a whole slot.  The loops run over the
+# families, then the indices, so the failure reported is the first in that
+# order, and only a failing identity is recomputed as polynomials for its
+# detail.
 
 
-def _index_blocks(left, limit: int) -> tuple[dict, int, int]:
-    """Each family's members X(0..2*limit), and a slot width and a stride
-    that hold every product of a member of ``left`` with an X(0..limit),
-    and every sum of two such products or two members."""
+def _packed_members(left, limit: int) -> dict:
+    """Each family's members X(0..2*limit) and their packed ints, at a slot
+    width that holds every product of a member of ``left`` with an
+    X(0..limit), and every sum of two such products or of two members."""
     members = {f: [multiplier(f, n) for n in range(2 * limit + 1)]
                for f in Family}
     low = [x for xs in members.values() for x in xs[:limit + 1]]
     width = _block_width(left, low, 2, chain(*members.values()))
-    stride = max(_longest(left) + _longest(low) - 1,
-                 *map(_longest, members.values()))
-    return members, width, stride
+    return {f: (xs, [_pack(x.coeffs, width) for x in xs])
+            for f, xs in members.items()}
 
 
 def verify_addition_theorem(limit: int = 12) -> str | None:
-    """X(a+b) = P(a)*X(b) - P(a-1)*X(b-1) with P the prime family.
-
-    For each b, block a - 1 of two 2-D ints holds X(a+b) and the right side
-    for a = 1..limit: P(1..limit) stacked times X(b), less P(0..limit-1)
-    stacked times X(b-1).
-    """
+    """X(a+b) = P(a)*X(b) - P(a-1)*X(b-1) with P the prime family."""
     primes = [multiplier(Family.PRIME, a) for a in range(limit + 1)]
-    members, width, stride = _index_blocks(primes, limit)
-    bits = 8 * width * stride
-    high, shifted = (_stack([_pack(p.coeffs, width) for p in ps], bits)
-                     for ps in (primes[1:], primes[:-1]))
-    for family, xs in members.items():
-        packed = [_pack(x.coeffs, width) for x in xs]
-        hits = []
-        for b in range(1, limit + 1):
-            lhs = _stack(packed[b + 1:b + limit + 1], bits)
-            rhs = high * packed[b] - shifted * packed[b - 1]
-            if (block := _first_block(lhs, rhs, width, stride)) is not None:
-                hits.append((block + 1, b, rhs))
-        if hits:
-            a, b, rhs = min(hits)
-            return (f"{family.value} a={a} b={b}: {xs[a + b]} != "
-                    f"{_member(rhs, width, stride, a - 1)}")
+    members = _packed_members(primes, limit)
+    p = members[Family.PRIME][1]
+    for family, (xs, v) in members.items():
+        for a in range(1, limit + 1):
+            for b in range(1, limit + 1):
+                if v[a + b] != p[a] * v[b] - p[a - 1] * v[b - 1]:
+                    rhs = primes[a] * xs[b] - primes[a - 1] * xs[b - 1]
+                    return f"{family.value} a={a} b={b}: {xs[a + b]} != {rhs}"
     return None
 
 
 def verify_action_theorem(limit: int = 12) -> str | None:
-    """Odd(b) * X(a) = X(a+b) + X(a-b) for a >= b >= 0.
-
-    For each b, block a - b of two 2-D ints holds both sides for
-    a = b..limit: X(b..limit) stacked times Odd(b), and X(2b..limit+b)
-    stacked plus X(0..limit-b) stacked.
-    """
+    """Odd(b) * X(a) = X(a+b) + X(a-b) for a >= b >= 0."""
     odds = [multiplier(Family.ODD, b) for b in range(limit + 1)]
-    members, width, stride = _index_blocks(odds, limit)
-    bits = 8 * width * stride
-    for family, xs in members.items():
-        packed = [_pack(x.coeffs, width) for x in xs]
-        hits = []
-        for b, odd in enumerate(odds):
-            lhs = _stack(packed[b:limit + 1], bits) * _pack(odd.coeffs, width)
-            rhs = (_stack(packed[2 * b:limit + b + 1], bits)
-                   + _stack(packed[:limit - b + 1], bits))
-            if (block := _first_block(lhs, rhs, width, stride)) is not None:
-                hits.append((block + b, b, lhs, rhs))
-        if hits:
-            a, b, lhs, rhs = min(hits)
-            return (f"{family.value} a={a} b={b}: "
-                    f"{_member(lhs, width, stride, a - b)} != "
-                    f"{_member(rhs, width, stride, a - b)}")
+    members = _packed_members(odds, limit)
+    o = members[Family.ODD][1]
+    for family, (xs, v) in members.items():
+        for a in range(limit + 1):
+            for b in range(a + 1):
+                if o[b] * v[a] != v[a + b] + v[a - b]:
+                    return (f"{family.value} a={a} b={b}: {odds[b] * xs[a]} "
+                            f"!= {xs[a + b] + xs[a - b]}")
     return None
 
 
 def verify_product_theorem(limit: int = 8) -> str | None:
-    """X(a*b) from composing prime-family members with Odd(b).
-
-    For each (a, b), block f of two 2-D ints holds family f's X(a*b) and
-    its image under the prime map (left, right) of a at b: left times the
-    three families' X(b) stacked, less right times their X(0) stacked.
-    """
-    families, compositions = list(Family), {}
+    """X(a*b) from composing prime-family members with Odd(b): the prime
+    map (left, right) of a at b sends X(b) to left*X(b) - right*X(0)."""
+    compositions = {}
     maps = {(a, b): _prime_map(a, b, compositions)
             for a in range(1, limit + 1) for b in range(1, limit + 1)}
-    members = [[multiplier(f, n) for n in range(limit * limit + 1)]
-               for f in families]
-    bases = [DeltaPoly((base_constant(f),)) for f in families]
-    low = [*bases, *(x for xs in members for x in xs[:limit + 1])]
-    width = _block_width(chain(*maps.values()), low, 2, chain(*members))
-    packed = [[_pack(x.coeffs, width) for x in xs] for xs in members]
-    base = [_pack(c.coeffs, width) for c in bases]
-    hits = []
-    for (a, b), (left, right) in maps.items():
-        stride = max(len(left.coeffs) + _longest(xs[b] for xs in members) - 1,
-                     len(right.coeffs), _longest(xs[a * b] for xs in members))
-        bits = 8 * width * stride
-        lhs = _stack([ps[a * b] for ps in packed], bits)
-        rhs = (_pack(left.coeffs, width) * _stack([ps[b] for ps in packed], bits)
-               - _pack(right.coeffs, width) * _stack(base, bits))
-        if (block := _first_block(lhs, rhs, width, stride)) is not None:
-            hits.append((block, a, b, rhs, stride))
-    if hits:
-        f, a, b, rhs, stride = min(hits)
-        return (f"{families[f].value} a={a} b={b}: {members[f][a * b]} != "
-                f"{_member(rhs, width, stride, f)}")
+    members = {f: [multiplier(f, n) for n in range(limit * limit + 1)]
+               for f in Family}
+    low = [*(DeltaPoly((base_constant(f),)) for f in Family),
+           *(x for xs in members.values() for x in xs[:limit + 1])]
+    width = _block_width(chain(*maps.values()), low, 2,
+                         chain(*members.values()))
+    packed = {key: (_pack(left.coeffs, width), _pack(right.coeffs, width))
+              for key, (left, right) in maps.items()}
+    for family, xs in members.items():
+        v, c = [_pack(x.coeffs, width) for x in xs], base_constant(family)
+        for (a, b), (left, right) in packed.items():
+            if v[a * b] != left * v[b] - right * c:
+                left, right = maps[a, b]
+                return (f"{family.value} a={a} b={b}: {xs[a * b]} != "
+                        f"{left * xs[b] - right * c}")
     return None
 
 
@@ -784,55 +718,39 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
 def verify_uniform_factorization(n_max: int = 40) -> str | None:
     """Iterated prime maps rebuild every family member from index 1.
 
-    For each n, block f of two 2-D ints holds family f's X(n) and its image
-    along the chain of prime maps to n; each map (left, right) is one
-    product of the stacked images by left, less right times the stacked
-    X(0).  In the norm |v| = sum |v_i|, |left * v - right * c| is at most
-    |left| |v| + |right| |c|, and the result is at most
-    len(left) + len(v) - 1 long.  So a slot that holds the largest norm
-    along every chain, and every member's coefficients, in its lower half
-    holds every coefficient the chains reach, and the stride of each n is
-    its chain's longest image.
+    The chain of n applies the prime maps of n's primes, smallest first,
+    to X(1); so it is the map of P at n / P applied to the chain of n / P,
+    P the largest prime of n, and each n takes one map of an image already
+    built.  In the norm |v| = sum |v_i|, |left * v - right * c| is at most
+    |left| |v| + |right| |c|.  So a slot that holds the largest norm along
+    the chains, and every member's coefficients, in its lower half holds
+    every coefficient the chains reach.
     """
-    families = list(Family)
-    members = [[multiplier(f, n) for n in range(n_max + 1)] for f in families]
-    bases = [DeltaPoly((base_constant(f),)) for f in families]
-    constant = max(map(base_constant, families))
-    compositions = {}
-    chains = []
-    bound = max([max(map(abs, p.coeffs), default=0) for xs in members
-                 for p in xs])
-    for n in range(1, n_max + 1):
-        steps, j = [], 1
-        for p, e in factor(n).factors:
-            for _ in range(e):
-                steps.append(_prime_map(p, j, compositions))
-                j *= p
-        norm = max(sum(map(abs, xs[1].coeffs)) for xs in members)
-        length = _longest(xs[1] for xs in members)
-        for left, right in steps:
-            norm = (sum(map(abs, left.coeffs)) * norm
-                    + sum(map(abs, right.coeffs)) * constant)
-            length = max(len(left.coeffs) + length - 1, len(right.coeffs))
-            bound = max(bound, norm)
-        chains.append((n, steps,
-                       max(length, _longest(xs[n] for xs in members))))
-    width = _slot_width(bound.bit_length() + 1)
-    packed = [[_pack(x.coeffs, width) for x in xs] for xs in members]
-    base = [_pack(c.coeffs, width) for c in bases]
-    hits = []
-    for n, steps, stride in chains:
-        bits = 8 * width * stride
-        image, c = _stack([ps[1] for ps in packed], bits), _stack(base, bits)
-        for left, right in steps:
-            image = (_pack(left.coeffs, width) * image
-                     - _pack(right.coeffs, width) * c)
-        want = _stack([ps[n] for ps in packed], bits)
-        if (block := _first_block(image, want, width, stride)) is not None:
-            hits.append((block, n))
-    if hits:
-        f, n = min(hits)
-        return f"{families[f].value} n={n}: prime map chain disagrees"
+    members = {f: [multiplier(f, n) for n in range(n_max + 1)]
+               for f in Family}
+    constant = max(map(base_constant, Family))
+    bound = max([max(map(abs, p.coeffs), default=0)
+                 for xs in members.values() for p in xs])
+    compositions, chains = {}, {}
+    norms = [0, max([sum(map(abs, xs[1].coeffs)) for xs in members.values()])
+             if n_max else 0]
+    for n in range(2, n_max + 1):
+        prime = factor(n).factors[-1][0]
+        inner = n // prime
+        left, right = _prime_map(prime, inner, compositions)
+        chains[n] = (inner, left, right)
+        norms.append(sum(map(abs, left.coeffs)) * norms[inner]
+                     + sum(map(abs, right.coeffs)) * constant)
+    width = _slot_width(max([bound, *norms[2:]]).bit_length() + 1)
+    packed = {n: (inner, _pack(left.coeffs, width), _pack(right.coeffs, width))
+              for n, (inner, left, right) in chains.items()}
+    for family, xs in members.items():
+        v, c = [_pack(x.coeffs, width) for x in xs], base_constant(family)
+        images = v[:2]
+        for n, (inner, left, right) in packed.items():
+            images.append(left * images[inner] - right * c)
+            if images[n] != v[n]:
+                return f"{family.value} n={n}: prime map chain disagrees"
     return None
 
 

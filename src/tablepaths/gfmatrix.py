@@ -447,9 +447,11 @@ class GFMatrix:
 class _Residues:
     """GF(q)[x]/(f) for a monic f of degree n >= 1, residues packed in ints.
 
-    A residue's n coefficients fill one int, ``width`` bytes each (Kronecker
+    A residue's n coefficients fill one int, ``bits`` bits each (Kronecker
     substitution), so a product is one big-int multiply.  Every slot of a
-    product and of its reduction stays below B = 2n(q-1)**2.  Every power of
+    product and of its reduction stays below B = 2n(q-1)**2, a number of
+    a = B.bit_length() bits.  Slots are only read with shifts and masks, so
+    they take the bits they need, not whole bytes.  Every power of
     x is a product of the cached squarings x**(2**i).  For n = 1 a residue is
     one coefficient, and a product is a * b % q.
 
@@ -460,14 +462,12 @@ class _Residues:
     q at once, in one of two ways:
 
     - q = 2 keeps a slot's low bit, with one ``& ones`` (a 1 in every slot).
-      Slots are the fewest bytes that hold B: one byte up to n = 127, two
-      bytes past it.
-    - odd q use a packed reciprocal.  With a = B.bit_length(),
-      s = a + q.bit_length() and m = ceil(2**s / q), floor(v * m / 2**s) =
+      Slots are a bits wide, the fewest that hold B.
+    - odd q use a packed reciprocal.  With s = a + q.bit_length() and m = ceil(2**s / q), floor(v * m / 2**s) =
       floor(v / q) for every v < 2**a (Granlund and Montgomery, 1994), so
       p - q * ((p * m >> s) & qmask) holds every slot mod q.  Slots are
-      ceil((2a + 1) / 8) bytes wide, so no v * m carries into the next slot,
-      and qmask keeps the low 8 * width - s bits of each slot.
+      2a + 1 bits wide, so no v * m carries into the next slot, and qmask
+      keeps the low 2a + 1 - s bits of each slot.
 
     Each way has its own ``times``, so that neither pays a call per pass,
     and its own ``slots_mod_q`` for a single pass.
@@ -498,8 +498,7 @@ class _Residues:
         n = len(f) - 1
         bound = 2 * n * (q - 1) ** 2
         a = bound.bit_length()
-        width = -(-a // 8) if q == 2 else (2 * a + 8) // 8
-        self.n, self.q, self.width, self.bits = n, q, width, 8 * width
+        self.n, self.q, self.bits = n, q, a if q == 2 else 2 * a + 1
         if n == 1:
             self.squares = [-f[0] % q]
             self.times = lambda u, v: u * v % q

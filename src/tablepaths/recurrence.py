@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
 
-from .deltaops import (ONE, DeltaPoly, Family, Windows, _shape, _slot_width,
+from .deltaops import (DeltaPoly, Family, Windows, _shape, _slot_width,
                        base_constant, multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
 from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
@@ -467,14 +467,14 @@ def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
     """Reduced matrix advances reduced columns: on rows, the shift E sends
     row y to the combination of rows 1..k in row y of the matrix."""
     mat = reduced_matrix(table.m)
-    w = Windows(n_max, table.rows[:len(mat)], (ONE, _SHIFT),
+    w = Windows(n_max, table.rows[:len(mat)], (_SHIFT,),
                 weight=max(map(sum, mat)))
     # The matrix is tridiagonal but for one entry: at most 3k + 1 of its k^2
     # entries are nonzero, and only those scale a packed row.  All but one
     # of them are 1, which adds the row itself with no copy.
     seqs = w.seqs
-    got = [w.apply(ONE, sum([seqs[j] if a == 1 else a * seqs[j]
-                             for j, a in enumerate(r) if a]))
+    got = [w.window(sum([seqs[j] if a == 1 else a * seqs[j]
+                         for j, a in enumerate(r) if a]))
            for r in mat]
     want = [w.apply(_SHIFT, row) for row in seqs]
     if hit := w.first_difference(zip(got, want)):
@@ -542,12 +542,12 @@ def verify_table_action(table: PathTable, n_max: int = 25) -> str | None:
     """Odd(b) applied to row a splits into rows a-b and a+b."""
     k = table.k
     odd = [multiplier(Family.ODD, b) for b in range(k // 2 + 1)]
-    w = Windows(n_max, table.rows[:k], (ONE, *odd), weight=2)
+    w = Windows(n_max, table.rows[:k], odd, weight=2)
     rows = w.seqs
     for a in range(1, k + 1):
         for b in range(0, min(a, k - a) + 1):
             low = rows[a - b - 1] if a - b >= 1 else 0
-            want = w.apply(ONE, low + rows[a + b - 1])
+            want = w.window(low + rows[a + b - 1])
             if hit := w.first_difference([(w.apply(odd[b], rows[a - 1]),
                                            want)]):
                 return f"m={table.m} a={a} b={b} n={hit[0]}: split fails"

@@ -299,9 +299,12 @@ def test_committed_fixture_matches(capsys):
 
 # q = 65521 and 1031 take the q-power map up to n = 16 and 11, and 19 of
 # their 24 entries have x**N = 1 and an order found down the product tree.
+# q = 5 and 7 pin odd-q residue slots other than q = 3's.
 @pytest.mark.parametrize("family, q, n_range", [
     *(pytest.param(family, q, "1..40", id=f"{q}-{family}")
-      for q in ("2", "3") for family in ("E", "O")),
+      for q in ("2", "3", "5") for family in ("E", "O")),
+    *(pytest.param(family, "7", "1..30", id=f"7-{family}")
+      for family in ("E", "O")),
     pytest.param("O", "65521", "1..10", id="65521-O"),
     pytest.param("E", "1031", "1..14", id="1031-E")])
 def test_singer_json_matches_frozen_bytes(capsys, family, q, n_range):

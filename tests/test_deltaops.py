@@ -359,7 +359,8 @@ def test_apply_matches_the_difference_triangle(p, data):
 edge_values = st.integers(0, 140).flatmap(
     lambda k: st.sampled_from((2**k - 1, 2**k, 1 - 2**k, -2**k)))
 window_values = st.one_of(seq_values, edge_values)
-# Narrow polynomials give long windows the shift route.
+# Long windows take the shift route for every polynomial with two or more
+# nonzero shift coefficients; the last kind has small ones, as the checks do.
 window_polys = st.one_of(
     st.just(ZERO),
     st.lists(st.one_of(st.integers(-50, 50), edge_values),
@@ -381,12 +382,9 @@ def route_of(windows, poly):
 def rule_route(windows, poly):
     """The route the rule in the Windows docstring gives: shift and add for
     a long window of a polynomial with at least two nonzero shift
-    coefficients, each at most a quarter of the slot wide."""
-    coeffs = poly.shift_coeffs
-    narrow = (8 * windows.width
-              >= 4 * max(map(abs, coeffs), default=0).bit_length())
+    coefficients."""
     long = windows.count >= 64
-    return ("shift" if long and sum(map(bool, coeffs)) > 1 and narrow
+    return ("shift" if long and sum(map(bool, poly.shift_coeffs)) > 1
             else "product")
 
 
@@ -471,14 +469,16 @@ def test_windows_hold_weighted_sums_at_slot_width_edges(bits):
         total = sum(windows.seqs)
         assert window_values_of(windows, ONE, total) == [3 * edge, -3 * edge,
                                                           3 * edge]
+        # The identity's window needs no product.
+        assert windows.window(total) == windows.apply(ONE, total)
         assert window_values_of(windows, DELTA, total) == [-6 * edge,
                                                             6 * edge, 0]
 
 
 # (count, sequence values, polynomial, route): long windows of polynomials
-# with narrow shift coefficients shift and add, on signed and on nonnegative
-# values; short windows, one-term polynomials and coefficients as wide as the
-# slot take the product.
+# with two or more nonzero shift coefficients shift and add, on signed and on
+# nonnegative values, however wide the coefficients; short windows and
+# one-term polynomials take the product.
 ROUTE_CASES = [
     (150, (-(2**100), 2**100 - 1), multiplier(Family.ODD, 12), "shift"),
     (64, (0, 3**90), multiplier(Family.EVEN, 5), "shift"),
@@ -486,7 +486,7 @@ ROUTE_CASES = [
     (63, (-(2**100), 2**100 - 1), multiplier(Family.ODD, 12), "product"),
     (150, (-(2**100), 2**100 - 1), ONE, "product"),
     (150, (-(2**100), 2**100 - 1), DeltaPoly((1, 1)), "product"),
-    (150, (-(2**100), 2**100 - 1), DeltaPoly((2**40, -3, 1)), "product"),
+    (150, (-(2**100), 2**100 - 1), DeltaPoly((2**40, -3, 1)), "shift"),
 ]
 
 
@@ -796,11 +796,11 @@ def test_classical_comparison_reports_a_skewed_sequence(monkeypatch, name,
     assert verify_classical(20) == detail
 
 
-# -- batched identity checks ------------------------------------------------------
+# -- packed identity checks -------------------------------------------------------
 #
 # The per-pair loops below are the checks as they were before they compared
-# packed blocks; they read deltaops.multiplier at call time, so a planted
-# fault reaches them as it reaches the batched checks.
+# packed ints; they read deltaops.multiplier at call time, so a planted fault
+# reaches them as it reaches the packed checks.
 
 
 def reference_addition_theorem(limit=12):
@@ -886,12 +886,10 @@ def plant(monkeypatch, faults):
 
 O, E, P = Family.ODD, Family.EVEN, Family.PRIME
 
-# (check, planted faults) -> the detail the per-pair loop reported, recorded
-# before the check compared packed blocks.  The addition and action checks
-# pack one block per a for each b (block a - 1 and a - b), the product and
-# uniform checks one block per family.
+# (check, planted faults) -> the detail the per-pair loop reports; all but
+# the aliasing cases were recorded before the checks compared packed ints.
 PLANTED_FAULTS = {
-    # block 0, a middle block (a = 6) and the last block (a = limit)
+    # a = 1, a middle a (a = 6) and a = limit
     ("addition", ((O, 2, 0, 1),)): 'odd a=1 b=1: Δ^2 - 1 != Δ^2 - 2',
     ("addition", ((P, 6, 0, 1),)):
         'odd a=6 b=1: Δ^7 - 7Δ^5 + 14Δ^3 - 7Δ != Δ^7 - 7Δ^5 + 14Δ^3 - 6Δ',
@@ -923,7 +921,7 @@ PLANTED_FAULTS = {
     # a for each b meets P(4) first, the loop with a outside b Odd(6)
     ("addition", ((O, 6, 0, 1), (P, 4, 0, 1))):
         'odd a=1 b=5: Δ^6 - 6Δ^4 + 9Δ^2 - 1 != Δ^6 - 6Δ^4 + 9Δ^2 - 2',
-    # block 0 (a = b), a middle block (a = 4, b = 3) and a = limit
+    # a = b, a middle pair (a = 4, b = 3) and a = limit
     ("action", ((O, 2, 0, 1),)): 'odd a=1 b=1: Δ^2 != Δ^2 + 1',
     ("action", ((O, 7, 0, 1),)):
         'odd a=4 b=3: Δ^7 - 7Δ^5 + 14Δ^3 - 6Δ != Δ^7 - 7Δ^5 + 14Δ^3 - 6Δ + 1',
@@ -953,7 +951,7 @@ PLANTED_FAULTS = {
         ('even a=5 b=5: Δ^10 - Δ^9 - 9Δ^8 + 8Δ^7 + 28Δ^6 - 21Δ^5 - 35Δ^4 + '
          '20Δ^3 + 15Δ^2 - 5Δ != Δ^10 - Δ^9 - 9Δ^8 + 8Δ^7 + 28Δ^6 - 21Δ^5 - '
          '35Δ^4 + 20Δ^3 + 15Δ^2 - 5Δ + 1'),
-    # one fault per family block: odd, even, prime
+    # one fault per family: odd, even, prime
     ("product", ((O, 9, 0, 1),)):
         ('odd a=3 b=3: Δ^9 - 9Δ^7 + 27Δ^5 - 30Δ^3 + 9Δ + 1 != Δ^9 - 9Δ^7 + '
          '27Δ^5 - 30Δ^3 + 9Δ'),
@@ -965,16 +963,32 @@ PLANTED_FAULTS = {
     ("product", ((P, 9, 0, 1),)):
         ('prime a=3 b=3: Δ^9 - 8Δ^7 + 21Δ^5 - 20Δ^3 + 5Δ + 1 != Δ^9 - 8Δ^7 + '
          '21Δ^5 - 20Δ^3 + 5Δ'),
-    # the odd block fails at a = b = 3, the even block at a = 1, b = 2
+    # odd fails at a = b = 3, even at a = 1, b = 2
     ("product", ((O, 9, 0, 1), (E, 2, 0, 1))):
         ('odd a=3 b=3: Δ^9 - 9Δ^7 + 27Δ^5 - 30Δ^3 + 9Δ + 1 != Δ^9 - 9Δ^7 + '
          '27Δ^5 - 30Δ^3 + 9Δ'),
     ("uniform", ((O, 40, 0, 1),)): 'odd n=40: prime map chain disagrees',
     ("uniform", ((E, 30, 0, 1),)): 'even n=30: prime map chain disagrees',
     ("uniform", ((P, 39, 0, 1),)): 'prime n=39: prime map chain disagrees',
-    # the odd block fails at n = 40, the even block at n = 3
+    # odd fails at n = 40, even at n = 3
     ("uniform", ((O, 40, 0, 1), (E, 3, 0, 1))):
         'odd n=40: prime map chain disagrees',
+    # Aliasing faults: +2**(8w) * D**i and -D**(i+1) on one member leave its
+    # packed int at the unfaulted slot width w unchanged, since they cancel
+    # at x = 2**(8w).  w is 4 bytes for the addition, action and uniform
+    # checks and 8 for the product check, so a check that packed at w would
+    # miss these; the width must come from the members the check reads.
+    ("addition", ((O, 2, 0, 2**32), (O, 2, 1, -1))):
+        'odd a=1 b=1: Δ^2 - Δ + 4294967294 != Δ^2 - 2',
+    ("action", ((E, 9, 3, 2**32), (E, 9, 4, -1))):
+        ('even a=5 b=4: Δ^9 - Δ^8 - 8Δ^7 + 7Δ^6 + 21Δ^5 - 15Δ^4 - 20Δ^3 + '
+         '10Δ^2 + 6Δ - 2 != Δ^9 - Δ^8 - 8Δ^7 + 7Δ^6 + 21Δ^5 - 16Δ^4 + '
+         '4294967276Δ^3 + 10Δ^2 + 6Δ - 2'),
+    ("product", ((P, 9, 0, 2**64), (P, 9, 1, -1))):
+        ('prime a=3 b=3: Δ^9 - 8Δ^7 + 21Δ^5 - 20Δ^3 + 4Δ + '
+         '18446744073709551616 != Δ^9 - 8Δ^7 + 21Δ^5 - 20Δ^3 + 5Δ'),
+    ("uniform", ((E, 30, 2, 2**32), (E, 30, 3, -1))):
+        'even n=30: prime map chain disagrees',
 }
 
 
@@ -1052,38 +1066,52 @@ def test_compose_chains_pass_where_the_per_n_loop_passes():
         assert reference_compose_factorization(pair_limit, n_max) is None
 
 
-@st.composite
-def block_families(draw):
-    """A slot width, a stride and two lists of polynomials that fit them,
-    with coefficients up to the half slot in size, the second a copy of the
-    first with some coefficients changed."""
-    width = draw(st.sampled_from([1, 2, 4, 8, 9, 11, 16]))
+# Coefficients at bit-length edges, so that slot widths meet their bounds,
+# and polynomials whose coefficients all share one such value, whose
+# products have the largest coefficients that their sizes allow.
+width_polys = st.one_of(
+    st.lists(st.one_of(st.integers(-50, 50), edge_values),
+             max_size=9).map(lambda cs: DeltaPoly(tuple(cs))),
+    st.tuples(edge_values, st.integers(1, 9)).map(
+        lambda vn: DeltaPoly((vn[0],) * vn[1])))
+
+
+@given(left=st.lists(width_polys, min_size=1, max_size=4),
+       right=st.lists(width_polys, min_size=1, max_size=4),
+       others=st.lists(width_polys, max_size=3), terms=st.integers(1, 4),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_width_holds_both_sides_of_every_identity(left, right, others,
+                                                        terms, data):
+    # The one premise of the packed identity checks: at this width every
+    # sum of `terms` products of a member of `left` with one of `right`, and
+    # every sum of `terms` members of `right` or `others`, is below half a
+    # slot in size.  Then such a sum packs to the same sum of packed ints,
+    # and two sums pack to equal ints exactly when they are equal.
+    width = deltaops._block_width(left, right, terms, others)
     half = 2 ** (8 * width - 1)
-    coeff = st.one_of(st.integers(-half, half - 1),
-                      st.sampled_from([-half, half - 1, 0, 1, -1]))
-    stride = draw(st.integers(1, 6))
-    count = draw(st.integers(1, 5))
-    left = [draw(st.lists(coeff, max_size=stride)) for _ in range(count)]
-    right = [list(c) for c in left]
-    for _ in range(draw(st.integers(0, 3))):
-        i = draw(st.integers(0, count - 1))
-        if right[i]:
-            right[i][draw(st.integers(0, len(right[i]) - 1))] = draw(coeff)
-    return width, stride, [DeltaPoly(tuple(c)) for c in left], [
-        DeltaPoly(tuple(c)) for c in right]
 
+    def pack(p):
+        return deltaops._pack(p.coeffs, width)
 
-@given(block_families())
-@settings(max_examples=300)
-def test_stacked_blocks_are_equal_exactly_when_every_member_is(case):
-    width, stride, left, right = case
-    bits = 8 * width * stride
-    packed = [deltaops._stack([deltaops._pack(p.coeffs, width) for p in ps],
-                              bits) for ps in (left, right)]
-    first = next((i for i, (p, q) in enumerate(zip(left, right)) if p != q),
-                 None)
-    hit = deltaops._first_block(*packed, width, stride)
-    assert hit == first
-    assert (first is None) == (packed[0] == packed[1])
-    for i, p in enumerate(left):
-        assert deltaops._member(packed[0], width, stride, i) == p
+    sign = st.sampled_from((-1, 1))
+    # The same product or member `terms` times over is the largest sum.
+    sides = [(terms * x * y, terms * pack(x) * pack(y))
+             for x in left for y in right]
+    sides += [(terms * x, terms * pack(x)) for x in [*right, *others]]
+    for _ in range(3):
+        chosen = data.draw(st.lists(st.tuples(sign, st.sampled_from(left),
+                                              st.sampled_from(right)),
+                                    min_size=terms, max_size=terms))
+        sides.append((sum((s * x * y for s, x, y in chosen), ZERO),
+                      sum(s * pack(x) * pack(y) for s, x, y in chosen)))
+        chosen = data.draw(st.lists(st.tuples(
+            sign, st.sampled_from([*right, *others])),
+            min_size=terms, max_size=terms))
+        sides.append((sum((s * x for s, x in chosen), ZERO),
+                      sum(s * pack(x) for s, x in chosen)))
+    for poly, packed in sides:
+        assert all(abs(c) < half for c in poly.coeffs)
+        assert pack(poly) == packed
+    for (p, packed_p), (q, packed_q) in zip(sides, sides[1:] + sides[:1]):
+        assert (packed_p == packed_q) == (p == q)

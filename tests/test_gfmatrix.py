@@ -796,7 +796,7 @@ def list_power_of_x(f, q, e):
     return result
 
 
-# q = 2 in the mask pass on both sides of its one-byte bound n = 127 and at
+# q = 2 in the mask pass on both sides of its 8-bit bound n = 127 and at
 # n = 140; odd q on both sides of the bound 2n(q-1)**2 < 256 that once gave
 # them one-byte slots; the smallest n, where the quotient has at most one
 # slot; and multi-byte slots at the ends of the benchmark's q range and past
@@ -811,19 +811,19 @@ def test_power_of_x_matches_list_arithmetic(q, n):
     rng = random.Random(q * 1000 + n)
     for f in ([rng.randrange(q) for _ in range(n)] + [1], [q - 1] * n + [1]):
         ring = gfmatrix._Residues(f, q)
-        # q = 2: the fewest bytes that hold B = 2n(q-1)**2; odd q: the
-        # ceil((2a + 1) / 8) bytes of the packed reciprocal, a = B's bits.
+        # q = 2: the a bits that hold B = 2n(q-1)**2, a = B's bit length;
+        # odd q: the 2a + 1 bits of the packed reciprocal.
         a = (2 * n * (q - 1) ** 2).bit_length()
-        assert ring.width == (-(-a // 8) if q == 2 else -(-(2 * a + 1) // 8))
-        assert (ring.width == 1) == (q == 2 and n <= 127)
-        mask = 256**ring.width - 1
+        assert ring.bits == (a if q == 2 else 2 * a + 1)
+        assert (ring.bits <= 8) == (q == 2 and n <= 127)
+        mask = 2**ring.bits - 1
         for e in (1, n - 1, n, 2 * n, q**n - 1, rng.randrange(1, q**n)):
             if e < 1:
                 continue
             got = ring.power_of_x(e)
-            slots = [got >> 8 * ring.width * i & mask for i in range(n)]
+            slots = [got >> ring.bits * i & mask for i in range(n)]
             assert slots == list_power_of_x(f, q, e), (f, e)
-            assert got >> 8 * ring.width * n == 0, (f, e)
+            assert got >> ring.bits * n == 0, (f, e)
 
 
 @pytest.mark.parametrize("q, n", [(3, 31), (3, 32), (5, 8), (7, 3), (7, 4),
@@ -838,9 +838,9 @@ def test_wide_slots_reduce_mod_q_by_the_packed_reciprocal(q, n):
     ring = gfmatrix._Residues([1] * (n + 1), q)
     bound = 2 * n * (q - 1) ** 2
     a = bound.bit_length()
-    assert ring.width == -(-(2 * a + 1) // 8) > 1
+    assert ring.bits == 2 * a + 1 > 8
     values = [0, q - 1, q, bound - 1, 2**a - 1, 2**a - 1 - 2**a % q]
-    mask = 256**ring.width - 1
+    mask = 2**ring.bits - 1
     rotations = [[values[(i + turn) % len(values)] for i in range(2 * n - 1)]
                  for turn in range(len(values))]
     for slots in [*rotations, [2**a - 1] * (2 * n - 1)]:
