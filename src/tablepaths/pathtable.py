@@ -11,10 +11,12 @@ with zero terms outside the strip, and the first column is all ones.
 ``build_table`` fills the grid by dynamic programming with arbitrary
 precision integers.  The brute-force cross-check, deliberately independent
 of the recurrence, enumerates every walk of a strip, one character per walk
-(the walk's end row), column by column: one ``str.translate`` moves a block
-of walks one column on and ``str.count`` counts the walks ending in each
-cell.  Every walk counts once for the cell where it ends, and the node
-budget caps the walks enumerated in one strip.
+(the walk's end row), column by column: a block of walks moves one column
+on as the block translated one row down, the block itself and the block
+translated one row up, each translation a one-to-one ``str.translate``
+table, and ``str.count`` counts the walks ending in each cell.  Every walk
+counts once for the cell where it ends, and the node budget caps the walks
+enumerated in one strip.
 
 ``table_strings`` is where table text comes from.  It runs the same
 recurrence on the k = ceil(m/2) independent rows (rows y and m+1-y are
@@ -46,9 +48,6 @@ from itertools import repeat
 from operator import itemgetter
 
 from .errors import BudgetExceededError, DomainError, InternalInconsistencyError
-
-# Row offsets of the step set; every step advances exactly one column.
-STEPS = (-1, 0, 1)
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -290,11 +289,15 @@ def _walk_counts(m: int, x_max: int, node_budget: int) -> list[list[int]]:
     (x, y), x <= x_max.
 
     A walk is the character chr(y - 1) of its end row.  Column 1 holds one
-    walk per row; translating a string of walks replaces each by its one to
-    three successors in the next column.  Blocks of at most _BLOCK walks are
-    taken depth-first, so at most about 3 * _BLOCK * x_max characters wait
-    at any time, whatever the budget.  Every column holds at least m walks,
-    so a budget below m * x_max fails before any enumeration.
+    walk per row.  A string of walks moves one column on as itself
+    translated one row down, itself, and itself translated one row up.
+    Each table maps one character to one or drops it (the walks that would
+    leave the strip), so for m <= 128 CPython runs it on its ASCII fast
+    path, dozens of times faster than a table mapping a character to
+    several.  Blocks of at most _BLOCK walks are taken depth-first, so at
+    most about 3 * _BLOCK * x_max characters wait at any time, whatever the
+    budget.  Every column holds at least m walks, so a budget below
+    m * x_max fails before any enumeration.
     """
     if node_budget < 0:
         raise DomainError(f"node budget must be >= 0, got {node_budget}")
@@ -303,8 +306,8 @@ def _walk_counts(m: int, x_max: int, node_budget: int) -> list[list[int]]:
     if m * x_max > node_budget:
         raise exceeded
     rows = [chr(y) for y in range(m)]
-    successors = ["".join(rows[y + dy] for dy in STEPS if 0 <= y + dy < m)
-                  for y in range(m)]
+    # Row y to y - 1 and to y + 1; the row that would leave the strip goes.
+    down, up = [None, *range(m - 1)], [*range(1, m), None]
     columns = [[0] * m for _ in range(x_max)]
     pending = [("".join(rows), 0)]
     walks = 0
@@ -317,7 +320,7 @@ def _walk_counts(m: int, x_max: int, node_budget: int) -> list[list[int]]:
         for y, row in enumerate(rows):
             column[y] += block.count(row)
         if x + 1 < x_max:
-            block = block.translate(successors)
+            block = block.translate(down) + block + block.translate(up)
             pending += [(block[i:i + _BLOCK], x + 1)
                         for i in range(0, len(block), _BLOCK)]
     return [list(row) for row in zip(*columns)]
@@ -329,9 +332,9 @@ def verify_oracle(table: PathTable, x_max: int = 10,
     of its strip, with ``node_budget`` capping the walks enumerated.  Returns
     None when they agree, else a description of the first disagreement."""
     counts = _walk_counts(table.m, x_max, node_budget)
-    for x in range(1, x_max + 1):
-        for y in range(1, table.m + 1):
-            if counts[y - 1][x - 1] != table.cell(x, y):
-                return (f"m={table.m} cell({x},{y}): table {table.cell(x, y)}"
-                        f" != enumeration {counts[y - 1][x - 1]}")
+    for x, counted in enumerate(zip(*counts), 1):
+        for y, (cell, walks) in enumerate(zip(table.column(x), counted), 1):
+            if cell != walks:
+                return (f"m={table.m} cell({x},{y}): table {cell}"
+                        f" != enumeration {walks}")
     return None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq
+from operator import eq, mul, sub
 
 from .deltaops import (DeltaPoly, Family, Windows, _shape, _slot_width,
                        base_constant, multiplier, parity_family)
@@ -262,10 +262,17 @@ def minimal_recurrence(m: int) -> Recurrence:
     return _table_recurrence(build_table(m, (m + 1) // 2 + 1))
 
 
+def _head(table: PathTable, rows: int, n: int) -> list[tuple[int, ...]]:
+    """Rows 1..rows of the table, each cut to columns 1..n.  A table
+    narrower than n raises the DomainError of its first missing column."""
+    if n > table.n_max:
+        raise DomainError(f"column {table.n_max + 1} outside 1..{table.n_max}")
+    return [row[:n] for row in table.rows[:rows]]
+
+
 def _table_recurrence(table: PathTable) -> Recurrence:
     k = table.k
-    a, pivots, minors, _ = _gauss_jordan(
-        [[table.cell(x, y) for x in range(1, k + 2)] for y in range(1, k + 1)])
+    a, pivots, minors, _ = _gauss_jordan(_head(table, k, k + 1))
     scale = minors[-1]
     if pivots != list(range(k)):
         raise InternalInconsistencyError("singular system in recurrence solve")
@@ -350,9 +357,7 @@ def window_det(table: PathTable, shift: int) -> int:
     if shift + k > table.n_max:
         raise DomainError(
             f"window needs columns up to {shift + k}, table has {table.n_max}")
-    rows = [[table.cell(shift + 1 + j, i + 1) for j in range(k)]
-            for i in range(k)]
-    return det_bareiss(rows)
+    return det_bareiss([row[shift:shift + k] for row in table.rows[:k]])
 
 
 # -- constant combinations of rows -------------------------------------------
@@ -430,8 +435,9 @@ def row_constant_combinations(m: int, n_probe: int | None = None) -> RowComboRep
 
 def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
     m = table.m
-    diff = [[table.cell(n + 1, i) - table.cell(n, i) for i in range(1, m + 1)]
-            for n in range(1, n_probe)]
+    columns = list(zip(*_head(table, m, n_probe)))
+    diff = [list(map(sub, after, before))
+            for before, after in zip(columns, columns[1:])]
     basis = []
     for vec in _nullspace(diff, m):
         # A nontrivial vector is scaled by the first nonzero entry of its
@@ -444,8 +450,8 @@ def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
 
     if (lam := report.lam) is not None:
         alphas = report.alphas
-        for n in range(1, n_probe + 1):
-            got = sum(alphas[i] * table.cell(n, i + 1) for i in range(m))
+        for n, column in enumerate(columns, 1):
+            got = sum(map(mul, alphas, column))
             if got != lam:
                 raise InternalInconsistencyError(
                     f"witness for m={m} gives {got} at n={n}, expected {lam}")
@@ -687,8 +693,8 @@ def verify_minimality(table: PathTable) -> str | None:
     """
     k = table.k
     for kp in range(1, k):
-        rows = [[table.cell(n + j, 1) for j in range(kp + 1)]
-                for n in range(1, kp + k + 3)]
+        first = _head(table, 1, 2 * kp + k + 2)[0]
+        rows = [first[n:n + kp + 1] for n in range(kp + k + 2)]
         if len(_gauss_jordan(rows)[1]) != kp + 1:
             return f"m={table.m}: rank drop at candidate order {kp}"
     return None

@@ -8,7 +8,6 @@ from tablepaths import pathtable
 from tablepaths.errors import (BudgetExceededError, DomainError,
                                InternalInconsistencyError)
 from tablepaths.pathtable import (
-    STEPS,
     PathTable,
     _walk_counts,
     build_table,
@@ -90,6 +89,11 @@ def test_oracle_fails_where_a_wrong_cell_is():
     assert verify_oracle(table, 10) == "m=3 cell(3,1): table 6 != enumeration 5"
 
 
+def test_oracle_rejects_a_table_narrower_than_x_max():
+    with pytest.raises(DomainError, match="^column 4 outside 1..3$"):
+        verify_oracle(build_table(3, 3), 5)
+
+
 def test_enumeration_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         enumerate_paths(6, (10, 3), node_budget=10)
@@ -114,7 +118,8 @@ def reference_walk_counts(m, x_max, node_budget):
     """The depth-first search the level enumeration replaced: one stack
     state per walk, each adding 1 to the cell where its walk ends."""
     # State x * m + y is the cell in 0-based column x and row y.
-    children = [tuple(s + m + dy for dy in STEPS if 0 <= s % m + dy < m)
+    children = [tuple(s + m + dy for dy in (-1, 0, 1)
+                      if 0 <= s % m + dy < m)
                 for s in range((x_max - 1) * m)] + [()] * m
     counts = [0] * (x_max * m)
     stack = list(range(m))
@@ -143,6 +148,15 @@ def test_walk_counts_past_one_byte_rows(x_max):
     # Rows from 256 on are characters above U+00FF.
     assert (_walk_counts(300, x_max, 10**6)
             == reference_walk_counts(300, x_max, 10**6))
+
+
+@pytest.mark.parametrize("m", [127, 128, 129])
+@pytest.mark.parametrize("x_max", [1, 2, 3, 4])
+def test_walk_counts_across_the_ascii_edge(m, x_max):
+    # Row 128 is chr(127), the last ASCII character; from m = 129 on,
+    # str.translate leaves its ASCII fast path.
+    assert (_walk_counts(m, x_max, 10**6)
+            == reference_walk_counts(m, x_max, 10**6))
 
 
 @given(m=st.integers(1, 8), x_max=st.integers(1, 9))

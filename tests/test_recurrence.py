@@ -365,6 +365,18 @@ def test_minimality_rejects_a_table_shorter_than_3k():
         verify_minimality(build_table(5, 8))
 
 
+@pytest.mark.parametrize("check, args, message", [
+    (verify_constant_combinations, (build_table(5, 9),),
+     "column 10 outside 1..9"),
+    (verify_polynomial_equivalence, (build_table(9, 5), {}),
+     "column 6 outside 1..5"),
+])
+def test_sliced_checks_reject_a_narrow_table(check, args, message):
+    # The first column the check would read past the table's last one.
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        check(*args)
+
+
 @pytest.mark.parametrize("m, x, y, details", [
     (7, 5, 2, ("m=7 n=4: (35, 61, 75, 79) != (35, 62, 75, 79)",
                "m=7 row 2 n=1: not annihilated",
