@@ -24,11 +24,10 @@ _HOMES = {name: module for module, names in {
                 "parity_family",
     "docs": "parse_document render_document",
     "errors": "BudgetExceededError DomainError InternalInconsistencyError",
-    "gfmatrix": "GFMatrix MatrixFamily OrderResult PrimeFactorization "
-                "ScanEntry SingerReport Verdict factor is_prime order_is_full",
+    "gfmatrix": "GFMatrix MatrixFamily PrimeFactorization ScanEntry "
+                "SingerReport Verdict factor is_prime order_is_full",
     "pathtable": "PathTable build_table enumerate_paths",
-    "recurrence": "EquivalenceReport Recurrence RecurrenceReport "
-                  "RowComboReport det_reduced equivalence_report "
+    "recurrence": "Recurrence RecurrenceReport RowComboReport det_reduced "
                   "minimal_recurrence recurrence_report reduced_matrix "
                   "row_constant_combinations singer_scan window_det",
     "suite": "CheckResult VerifyReport run_suite",

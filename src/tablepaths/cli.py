@@ -112,7 +112,7 @@ def _cmd_recurrence(args, out) -> int:
     from .recurrence import recurrence_report
     _check_ceiling(args.m, M_CEILING, "m", args.force)
     report = recurrence_report(args.m)
-    status = 0 if report.equivalence.equal else 1
+    status = 0 if report.equal else 1
     if args.format == "json":
         from .docs import render_document
         out.write(render_document(report))
@@ -124,16 +124,15 @@ def _cmd_recurrence(args, out) -> int:
         for i, a in enumerate(report.recurrence.alphas, start=1):
             out.write(f"alpha_{i},{a}\n")
         out.write(f"relation,{report.recurrence}\n")
-        out.write(f"polynomials_equal,{str(report.equivalence.equal).lower()}\n")
+        out.write(f"polynomials_equal,{str(report.equal).lower()}\n")
         return status
-    eq = report.equivalence
     out.write(f"m={report.m} k={report.recurrence.k}\n")
     out.write(f"recurrence: {report.recurrence}\n")
     out.write("alphas: " + ", ".join(str(a) for a in report.recurrence.alphas) + "\n")
-    out.write(f"charpoly:         {format_poly(eq.charpoly, 'x')}\n")
-    out.write(f"operator poly:    {format_poly(eq.operator_poly, 'x')}\n")
-    out.write(f"recurrence poly:  {format_poly(eq.recurrence_poly, 'x')}\n")
-    out.write(f"polynomials equal: {'yes' if eq.equal else 'NO'}\n")
+    out.write(f"charpoly:         {format_poly(report.charpoly, 'x')}\n")
+    out.write(f"operator poly:    {format_poly(report.operator_poly, 'x')}\n")
+    out.write(f"recurrence poly:  {format_poly(report.recurrence_poly, 'x')}\n")
+    out.write(f"polynomials equal: {'yes' if report.equal else 'NO'}\n")
     return status
 
 
@@ -370,6 +369,11 @@ def main(argv: list[str] | None = None) -> int:
         # is the status a shell reports for a writer killed by the signal.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        # 130 = 128 + SIGINT, the status a shell reports for a process the
+        # signal ends, with one line in place of the traceback.
+        print("interrupted", file=sys.stderr)
+        return 130
     return status
 
 

@@ -557,22 +557,18 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
 # -- prime functions ---------------------------------------------------------
 
 
-def _prime_map(p: int, n: int, compositions: dict) -> tuple[DeltaPoly,
-                                                             DeltaPoly]:
+def _prime_map(p: int, n: int) -> tuple[DeltaPoly, DeltaPoly]:
     """The map that multiplies the index n of a member by p >= 1, as the
     pair (left, right): it sends X(n), the index-n member of any family X,
     to left * X(n) - right * X(0).  Iterating the prime maps over the
     factorization of any index rebuilds that member from the index-1 seed.
 
     left and right compose P(p-1) and P(p-2), P the prime family, with
-    Odd(n).  ``compositions``, a dict that one check call owns, keeps each
-    pair by (p, n), so a check composes it once however often it maps.
+    Odd(n).
     """
-    if (p, n) not in compositions:
-        base = multiplier(Family.ODD, n)
-        compositions[p, n] = (multiplier(Family.PRIME, p - 1).compose(base),
-                              multiplier(Family.PRIME, p - 2).compose(base))
-    return compositions[p, n]
+    base = multiplier(Family.ODD, n)
+    return (multiplier(Family.PRIME, p - 1).compose(base),
+            multiplier(Family.PRIME, p - 2).compose(base))
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -670,8 +666,7 @@ def verify_action_theorem(limit: int = 12) -> str | None:
 def verify_product_theorem(limit: int = 8) -> str | None:
     """X(a*b) from composing prime-family members with Odd(b): the prime
     map (left, right) of a at b sends X(b) to left*X(b) - right*X(0)."""
-    compositions = {}
-    maps = {(a, b): _prime_map(a, b, compositions)
+    maps = {(a, b): _prime_map(a, b)
             for a in range(1, limit + 1) for b in range(1, limit + 1)}
     members = {f: [multiplier(f, n) for n in range(limit * limit + 1)]
                for f in Family}
@@ -731,13 +726,13 @@ def verify_uniform_factorization(n_max: int = 40) -> str | None:
     constant = max(map(base_constant, Family))
     bound = max([max(map(abs, p.coeffs), default=0)
                  for xs in members.values() for p in xs])
-    compositions, chains = {}, {}
+    chains = {}
     norms = [0, max([sum(map(abs, xs[1].coeffs)) for xs in members.values()])
              if n_max else 0]
     for n in range(2, n_max + 1):
         prime = factor(n).factors[-1][0]
         inner = n // prime
-        left, right = _prime_map(prime, inner, compositions)
+        left, right = _prime_map(prime, inner)
         chains[n] = (inner, left, right)
         norms.append(sum(map(abs, left.coeffs)) * norms[inner]
                      + sum(map(abs, right.coeffs)) * constant)

@@ -15,9 +15,11 @@ converts each to its declared type and rejects what the producing function
 rejects (and factors that are not increasing prime powers), and the object
 must render back to the same JSON value (compared with ``json.dumps`` of the
 parsed document, which also checks the table writer), else DomainError; so
-every derived key of every kind is checked.  What only recomputing could
-check is not: a singer report's n_lo/n_hi against its entries, its verdicts
-and orders, and a recurrence or rows report's claims against its m.
+every derived key of every kind is checked, among them a recurrence
+report's recurrence_poly, which comes from its alphas, and a singer
+report's n_lo and n_hi, which come from its entries, themselves consecutive
+sizes >= 1.  What only recomputing could check is not: a singer report's
+verdicts and orders, and a recurrence or rows report's claims against m.
 Rendering writes every integer string through ``decimal``, which the
 interpreter's int-to-str digit limit does not govern; parsing reads with
 ``int`` and so keeps that limit.  Nothing in the package changes it.
@@ -149,35 +151,31 @@ def _encode_singer(r: SingerReport) -> dict:
 def _decode_singer(doc: dict) -> SingerReport:
     from .gfmatrix import (MatrixFamily, ScanEntry, SingerReport, Verdict,
                            is_prime)
-    q, n_lo, n_hi = int(doc["q"]), int(doc["n_lo"]), int(doc["n_hi"])
-    _at_least(1, n_lo=n_lo)
-    _at_least(n_lo, n_hi=n_hi)
+    q = int(doc["q"])
     if not is_prime(q):
         raise DomainError(f"q must be prime, got {q}")
     entries = tuple(
         ScanEntry(int(e["n"]), Verdict(e["verdict"]), _optional(int, e["order"]),
                   _optional(_decode_factorization, e["factorization"]))
         for e in doc["entries"])
-    return SingerReport(MatrixFamily(doc["family"]), q, n_lo, n_hi, entries)
+    return SingerReport(MatrixFamily(doc["family"]), q, entries)
 
 
 def _encode_recurrence(r: RecurrenceReport) -> dict:
-    eq = r.equivalence
     return {"kind": "recurrence_report", "m": r.m, "k": r.recurrence.k,
             "alphas": _strs(r.recurrence.alphas), "relation": str(r.recurrence),
-            "charpoly": _strs(eq.charpoly),
-            "operator_poly": _strs(eq.operator_poly),
-            "recurrence_poly": _strs(eq.recurrence_poly),
-            "polynomials_equal": eq.equal}
+            "charpoly": _strs(r.charpoly),
+            "operator_poly": _strs(r.operator_poly),
+            "recurrence_poly": _strs(r.recurrence_poly),
+            "polynomials_equal": r.equal}
 
 
 def _decode_recurrence(doc: dict) -> RecurrenceReport:
-    from .recurrence import EquivalenceReport, Recurrence, RecurrenceReport
-    m, alphas = int(doc["m"]), _ints(doc["alphas"])
+    from .recurrence import Recurrence, RecurrenceReport
+    m = int(doc["m"])
     _at_least(1, m=m)
-    return RecurrenceReport(Recurrence(alphas), EquivalenceReport(
-        m, _ints(doc["charpoly"]), _ints(doc["operator_poly"]),
-        _ints(doc["recurrence_poly"])))
+    return RecurrenceReport(m, Recurrence(_ints(doc["alphas"])),
+                            _ints(doc["charpoly"]), _ints(doc["operator_poly"]))
 
 
 def _encode_row_combo(r: RowComboReport) -> dict:
@@ -264,8 +262,10 @@ def render_document(obj) -> str:
 def parse_document(text: str):
     """Inverse of render_document: only a document that is the rendering of
     some object parses; anything else raises DomainError.  Every derived
-    key is checked; a singer report's n_lo/n_hi against its entries, its
-    verdicts and orders, and recurrence or rows claims against m are not."""
+    key is checked: a recurrence polynomial against alphas, and a singer
+    report's n_lo/n_hi against its entries, which must be consecutive.  A
+    singer report's verdicts and orders, and recurrence or rows claims
+    against m, are not."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

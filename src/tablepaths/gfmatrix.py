@@ -614,14 +614,16 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class OrderResult:
+class ScanEntry:
+    n: int
     verdict: Verdict
     order: int | None
     factorization: PrimeFactorization | None
 
 
-def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
-    """Decide whether x generates a cyclic group of order q**n - 1 mod f.
+def order_is_full(f, q: int, budget: int | None = None) -> ScanEntry:
+    """Decide whether x generates a cyclic group of order q**n - 1 mod f;
+    the entry's n is the degree of f.
 
     ``f`` is monic of degree n >= 1 in ascending integer coefficients, read
     mod the prime q.  A matrix whose minimal and characteristic polynomials
@@ -644,19 +646,19 @@ def order_is_full(f, q: int, budget: int | None = None) -> OrderResult:
     if len(f) < 2 or f[-1] != 1:
         raise DomainError(f"f must be monic of degree >= 1, got {tuple(f)}")
     budget = _checked_budget(budget)
-    f = [int(c) % q for c in f]
+    f, n = [int(c) % q for c in f], len(f) - 1
     if f[0] == 0:
-        return OrderResult(Verdict.NOT_INVERTIBLE, None, None)
-    n_group = q ** (len(f) - 1) - 1
+        return ScanEntry(n, Verdict.NOT_INVERTIBLE, None, None)
+    n_group = q ** n - 1
     fact = factor(n_group, budget)
     ring = _Residues(f, q)
     if ring.x_to_q_to_n() != ring.power_of_x(1):
-        return OrderResult(Verdict.NOT_FULL, None, fact)
+        return ScanEntry(n, Verdict.NOT_FULL, None, fact)
     if not fact.complete:
-        return OrderResult(Verdict.UNKNOWN, None, fact)
+        return ScanEntry(n, Verdict.UNKNOWN, None, fact)
     order = _order(ring, ring.power_of_x, fact.factors)
     verdict = Verdict.FULL_ORDER if order == n_group else Verdict.NOT_FULL
-    return OrderResult(verdict, order, fact)
+    return ScanEntry(n, verdict, order, fact)
 
 
 def _order(ring: _Residues, power, pieces) -> int:
@@ -691,27 +693,34 @@ class MatrixFamily(Enum):
 
 
 @dataclass(frozen=True)
-class ScanEntry:
-    n: int
-    verdict: Verdict
-    order: int | None
-    factorization: PrimeFactorization | None
-
-
-@dataclass(frozen=True)
 class SingerReport:
+    """Order entries for the consecutive sizes n_lo..n_hi, which the
+    entries determine: the first entry's n and the last's."""
+
     family: MatrixFamily
     q: int
-    n_lo: int
-    n_hi: int
     entries: tuple[ScanEntry, ...]
+
+    def __post_init__(self):
+        if not self.entries or self.n_lo < 1 or any(
+                e.n != n for n, e in enumerate(self.entries, self.n_lo)):
+            raise DomainError("scan entries must be consecutive sizes >= 1, "
+                              f"got {[e.n for e in self.entries]}")
+
+    @property
+    def n_lo(self) -> int:
+        return self.entries[0].n
+
+    @property
+    def n_hi(self) -> int:
+        return self.entries[-1].n
 
     def full_order_ns(self) -> tuple[int, ...]:
         return tuple(e.n for e in self.entries
                      if e.verdict is Verdict.FULL_ORDER)
 
     def entry(self, n: int) -> ScanEntry:
-        for e in self.entries:
-            if e.n == n:
-                return e
-        raise DomainError(f"n={n} not in scan range {self.n_lo}..{self.n_hi}")
+        if not self.n_lo <= n <= self.n_hi:
+            raise DomainError(
+                f"n={n} not in scan range {self.n_lo}..{self.n_hi}")
+        return self.entries[n - self.n_lo]

@@ -29,7 +29,7 @@ from operator import eq, mul, sub
 from .deltaops import (DeltaPoly, Family, Windows, _shape, _slot_width,
                        base_constant, multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
-from .gfmatrix import MatrixFamily, ScanEntry, SingerReport, order_is_full
+from .gfmatrix import MatrixFamily, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
 
 
@@ -291,34 +291,36 @@ def _table_recurrence(table: PathTable) -> Recurrence:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    """Three independently derived degree-k polynomials, compared."""
+class RecurrenceReport:
+    """The minimal recurrence of the m-row table and two independently
+    derived polynomials it is compared with: the characteristic polynomial
+    of the reduced matrix and the operator family's index-k member at
+    x - 1."""
 
     m: int
+    recurrence: Recurrence
     charpoly: tuple[int, ...]
     operator_poly: tuple[int, ...]
-    recurrence_poly: tuple[int, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.charpoly) - 1
+    def recurrence_poly(self) -> tuple[int, ...]:
+        return self.recurrence.poly()
 
     @property
     def equal(self) -> bool:
         return self.charpoly == self.operator_poly == self.recurrence_poly
 
 
-def equivalence_report(m: int) -> EquivalenceReport:
-    """Characteristic, shifted-operator and recurrence polynomials for m."""
-    return _equivalence(m, minimal_recurrence(m))
+def recurrence_report(m: int) -> RecurrenceReport:
+    """The minimal recurrence of the m-row table, with its two polynomials."""
+    return _table_report(build_table(m, (m + 1) // 2 + 1), {})
 
 
-def _equivalence(m: int, rec: Recurrence,
-                 charpolys: dict | None = None) -> EquivalenceReport:
-    family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
-    return EquivalenceReport(
-        m, _reduced_charpoly(m, {} if charpolys is None else charpolys),
-        family_charpoly(family, rec.k), rec.poly())
+def _table_report(table: PathTable, charpolys: dict) -> RecurrenceReport:
+    rec = _table_recurrence(table)
+    return RecurrenceReport(
+        table.m, rec, _reduced_charpoly(table.m, charpolys),
+        multiplier(parity_family(table.m), rec.k).shift_coeffs)
 
 
 def _reduced_charpoly(m: int, charpolys: dict) -> tuple[int, ...]:
@@ -327,23 +329,6 @@ def _reduced_charpoly(m: int, charpolys: dict) -> tuple[int, ...]:
     if m not in charpolys:
         charpolys[m] = charpoly(reduced_matrix(m))
     return charpolys[m]
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """Bundle of the minimal recurrence and its polynomial equivalence."""
-
-    recurrence: Recurrence
-    equivalence: EquivalenceReport
-
-    @property
-    def m(self) -> int:
-        return self.equivalence.m
-
-
-def recurrence_report(m: int) -> RecurrenceReport:
-    rec = minimal_recurrence(m)
-    return RecurrenceReport(rec, _equivalence(m, rec))
 
 
 # -- window determinants -----------------------------------------------------
@@ -657,7 +642,7 @@ def verify_polynomial_equivalence(table: PathTable,
     ``verify_charpoly_recursion``; a check called on its own takes a fresh
     dict.
     """
-    report = _equivalence(table.m, _table_recurrence(table), charpolys)
+    report = _table_report(table, {} if charpolys is None else charpolys)
     if not report.equal:
         return (f"m={table.m}: {report.charpoly} vs {report.operator_poly} "
                 f"vs {report.recurrence_poly}")
@@ -722,26 +707,12 @@ def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
     """Order verdicts for the family templates of sizes n_lo..n_hi mod q."""
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError(f"bad scan range {n_lo}..{n_hi}")
-    entries = []
-    for n in range(n_lo, n_hi + 1):
-        # Both templates have ones along the whole superdiagonal, so the
-        # rows e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over
-        # every field, mod 2 too, where the odd template's corner 2 vanishes.
-        # Each template is therefore nonderogatory: its minimal polynomial
-        # mod q is its characteristic polynomial for every q, and its order
-        # is the order of x modulo that polynomial.
-        result = order_is_full(family_charpoly(family, n), q, budget)
-        entries.append(ScanEntry(
-            n=n,
-            verdict=result.verdict,
-            order=result.order,
-            factorization=result.factorization,
-        ))
-    return SingerReport(
-        family=family,
-        q=q,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        entries=tuple(entries),
-    )
-
+    # Both templates have ones along the whole superdiagonal, so the rows
+    # e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over every
+    # field, mod 2 too, where the odd template's corner 2 vanishes.  Each
+    # template is therefore nonderogatory: its minimal polynomial mod q is
+    # its characteristic polynomial for every q, and its order is the order
+    # of x modulo that polynomial.
+    return SingerReport(family, q, tuple(
+        order_is_full(family_charpoly(family, n), q, budget)
+        for n in range(n_lo, n_hi + 1)))

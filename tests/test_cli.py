@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -713,6 +714,27 @@ def test_closed_output_pipe_exits_141_quietly(fmt):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_interrupt_exits_130_with_one_line():
+    # The scan of n = 80..140 runs far longer than the second before the
+    # interrupt, which lands in the order engine rather than in start-up.
+    with subprocess.Popen(
+            [sys.executable, "-m", "tablepaths", "singer", "--family", "E",
+             "--q", "3", "--n", "80..140"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=MODULE_ENV) as proc:
+        try:
+            proc.communicate(timeout=1)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGINT)
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 130
+    assert "Traceback" not in err
+    assert err.splitlines() == ["interrupted"]
 
 
 # Imports the CLI and builds its parser, runs main on the given arguments,

@@ -656,7 +656,7 @@ def test_identity_sweeps_find_nothing():
 # (prime member, odd member, error) -> the first failures of
 # verify_product_theorem(8) and verify_uniform_factorization(40) when every
 # composition of that prime member with that odd member comes out plus the
-# error; recorded before either check kept its compositions per call.
+# error.
 CORRUPTED_COMPOSITIONS = {
     (2, 2, (1,)): (
         "odd a=3 b=2: Δ^6 - 6Δ^4 + 9Δ^2 - 2 != Δ^6 - 6Δ^4 + 10Δ^2 - 4",
@@ -692,7 +692,7 @@ def test_prime_map_checks_report_a_corrupted_composition(monkeypatch, case):
 
 def test_prime_function_reaches_composite_indices():
     def prime_image(family, p, n):
-        left, right = deltaops._prime_map(p, n, {})
+        left, right = deltaops._prime_map(p, n)
         return left * multiplier(family, n) - right * base_constant(family)
 
     assert prime_image(Family.PRIME, 2, 1) == multiplier(Family.PRIME, 2)

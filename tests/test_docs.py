@@ -48,6 +48,8 @@ SUITE = {"kind": "verify_report", "m_max": 1, "n_max": 1, "passed": True,
 ROWS = json.loads(render_document(row_constant_combinations(2)))
 ROWS5 = json.loads(render_document(row_constant_combinations(5)))
 REC = json.loads(render_document(recurrence_report(3)))
+REC5 = json.loads(render_document(recurrence_report(5)))
+SCAN6 = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 6)))
 
 
 def _scan_with_factorization(**fields):
@@ -131,10 +133,50 @@ def test_unbroken_documents_parse():
                              factors=[["2", 1], ["2", 0], ["13", 1]]),
     # A relabel within the residue class of m mod 4: 8-entry vectors, m = 4.
     dict(json.loads(render_document(row_constant_combinations(8))), m=4),
+    # alphas and relation rewritten to agree, recurrence_poly left alone:
+    # the recurrence polynomial comes from alphas.
+    dict(REC5, alphas=["-2", "1", "3"],
+         relation="a(n+3)=3a(n+2)+a(n+1)-2a(n)"),
+    # A singer report's range comes from its entries, which must be
+    # consecutive: the first, a middle or the last entry dropped, two
+    # middle entries swapped, and no entries.
+    dict(SCAN6, entries=SCAN6["entries"][1:]),
+    dict(SCAN6, entries=SCAN6["entries"][:2] + SCAN6["entries"][3:]),
+    dict(SCAN6, entries=SCAN6["entries"][:-1]),
+    dict(SCAN6, entries=[*SCAN6["entries"][:2], SCAN6["entries"][3],
+                         SCAN6["entries"][2], *SCAN6["entries"][4:]]),
+    dict(SCAN6, entries=[]),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):
         parse_document(json.dumps(doc))
+
+
+def _frozen_documents():
+    """Each json document frozen in tests/data, as its text: a .json file
+    holds one, a .json.txt file the documents of one command for a range
+    of m, back to back."""
+    data = Path(__file__).parent / "data"
+    decoder = json.JSONDecoder()
+    for path in [*sorted(data.glob("singer_*.json")),
+                 *sorted(data.glob("*.json.txt"))]:
+        text, start, index = path.read_text(), 0, 0
+        while start < len(text):
+            _, end = decoder.raw_decode(text, start)
+            yield pytest.param(text[start:end + 1], id=f"{path.name}-{index}")
+            start, index = end + 1, index + 1
+
+
+FROZEN_DOCUMENTS = list(_frozen_documents())
+
+
+def test_frozen_documents_are_all_found():
+    assert len(FROZEN_DOCUMENTS) == 98
+
+
+@pytest.mark.parametrize("text", FROZEN_DOCUMENTS)
+def test_frozen_document_round_trips(text):
+    assert render_document(parse_document(text)) == text
 
 
 REPORTS = [
@@ -237,7 +279,7 @@ def test_render_never_touches_the_digit_limit(monkeypatch):
     assert table["column_sums"] == [digits, "3"]
     unknown = ScanEntry(1, Verdict.UNKNOWN, None,
                         PrimeFactorization(big, (), big))
-    report = SingerReport(MatrixFamily.EVEN, 2, 1, 1, (unknown,))
+    report = SingerReport(MatrixFamily.EVEN, 2, (unknown,))
     entry = json.loads(render_document(report))["entries"][0]
     assert entry["factorization"]["value"] == digits
     assert entry["factorization"]["cofactor"] == digits
@@ -248,8 +290,10 @@ def test_render_never_touches_the_digit_limit(monkeypatch):
 def test_render_raises_domain_error_for_what_it_cannot_write():
     with pytest.raises(DomainError):
         render_document(object())
+    huge_q = SingerReport(MatrixFamily.EVEN, 10**5000 + 1, (
+        ScanEntry(1, Verdict.NOT_INVERTIBLE, None, None),))
     with pytest.raises(DomainError):
-        render_document(SingerReport(MatrixFamily.EVEN, 10**5000 + 1, 1, 1, ()))
+        render_document(huge_q)
 
 
 def test_parse_keeps_the_digit_limit_while_another_thread_renders():

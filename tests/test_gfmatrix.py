@@ -16,7 +16,6 @@ from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import (
     GFMatrix,
     MatrixFamily,
-    OrderResult,
     ScanEntry,
     SingerReport,
     Verdict,
@@ -234,7 +233,7 @@ def test_factorization_product_and_round_trip():
     f = factor(3600)
     assert f.product() == 3600
     assert f.factors == ((2, 4), (3, 2), (5, 2))
-    report = SingerReport(MatrixFamily.EVEN, 2, 1, 1,
+    report = SingerReport(MatrixFamily.EVEN, 2,
                           (ScanEntry(1, Verdict.NOT_FULL, None, f),))
     assert parse_document(render_document(report)).entries[0].factorization == f
 
@@ -347,16 +346,16 @@ def test_unfactorable_group_order_yields_unknown():
     assert not res.factorization.complete
 
 
-def matrix_route(mat: GFMatrix) -> OrderResult:
+def matrix_route(mat: GFMatrix) -> ScanEntry:
     """Order verdict from matrix powers, the reference for the engine."""
     if mat.det() == 0:
-        return OrderResult(Verdict.NOT_INVERTIBLE, None, None)
+        return ScanEntry(mat.n, Verdict.NOT_INVERTIBLE, None, None)
     n_group = mat.q**mat.n - 1
     fact = factor(n_group)
     if not mat.pow(n_group).is_identity():
-        return OrderResult(Verdict.NOT_FULL, None, fact)
+        return ScanEntry(mat.n, Verdict.NOT_FULL, None, fact)
     if not fact.complete:
-        return OrderResult(Verdict.UNKNOWN, None, fact)
+        return ScanEntry(mat.n, Verdict.UNKNOWN, None, fact)
     order = n_group
     for p, e in fact.factors:
         for _ in range(e):
@@ -364,7 +363,7 @@ def matrix_route(mat: GFMatrix) -> OrderResult:
                 break
             order //= p
     verdict = Verdict.FULL_ORDER if order == n_group else Verdict.NOT_FULL
-    return OrderResult(verdict, order, fact)
+    return ScanEntry(mat.n, verdict, order, fact)
 
 
 @pytest.mark.parametrize("family", list(MatrixFamily))
@@ -382,20 +381,20 @@ def test_engine_matches_matrix_route(family, q, n_max):
 factor_once = lru_cache(maxsize=None)(factor)
 
 
-def refine_route(f, q, budget=None) -> OrderResult:
+def refine_route(f, q, budget=None) -> ScanEntry:
     """The order engine's earlier route, kept as its reference: x**N = 1 by
     binary powering of x, then the order lowered one prime at a time, each
     candidate a fresh power of x."""
-    f = [c % q for c in f]
+    f, n = [c % q for c in f], len(f) - 1
     if f[0] == 0:
-        return OrderResult(Verdict.NOT_INVERTIBLE, None, None)
-    n_group = q ** (len(f) - 1) - 1
+        return ScanEntry(n, Verdict.NOT_INVERTIBLE, None, None)
+    n_group = q ** n - 1
     fact = factor_once(n_group, budget)
     ring = gfmatrix._Residues(f, q)
     if ring.power_of_x(n_group) != 1:
-        return OrderResult(Verdict.NOT_FULL, None, fact)
+        return ScanEntry(n, Verdict.NOT_FULL, None, fact)
     if not fact.complete:
-        return OrderResult(Verdict.UNKNOWN, None, fact)
+        return ScanEntry(n, Verdict.UNKNOWN, None, fact)
     order = n_group
     for p, e in fact.factors:
         for _ in range(e):
@@ -403,7 +402,7 @@ def refine_route(f, q, budget=None) -> OrderResult:
                 break
             order //= p
     verdict = Verdict.FULL_ORDER if order == n_group else Verdict.NOT_FULL
-    return OrderResult(verdict, order, fact)
+    return ScanEntry(n, verdict, order, fact)
 
 
 # Every monic f of each size.  (2, 1) has N = 1 and an empty factorization;

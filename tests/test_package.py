@@ -10,15 +10,14 @@ import tablepaths
 
 PUBLIC = [
     "BudgetExceededError", "CheckResult", "DeltaPoly", "DomainError",
-    "EquivalenceReport", "Family", "GFMatrix", "InternalInconsistencyError",
-    "MatrixFamily", "OrderResult", "PathTable", "PrimeFactorization",
-    "Recurrence", "RecurrenceReport", "RowComboReport", "ScanEntry",
-    "SingerReport", "Verdict", "VerifyReport", "base_constant", "build_table",
-    "closed_form", "det_reduced", "enumerate_paths", "equivalence_report",
-    "factor", "is_prime", "minimal_recurrence", "multiplier", "order_is_full",
-    "parity_family", "parse_document", "recurrence_report", "reduced_matrix",
-    "render_document", "row_constant_combinations", "run_suite",
-    "singer_scan", "window_det",
+    "Family", "GFMatrix", "InternalInconsistencyError", "MatrixFamily",
+    "PathTable", "PrimeFactorization", "Recurrence", "RecurrenceReport",
+    "RowComboReport", "ScanEntry", "SingerReport", "Verdict", "VerifyReport",
+    "base_constant", "build_table", "closed_form", "det_reduced",
+    "enumerate_paths", "factor", "is_prime", "minimal_recurrence",
+    "multiplier", "order_is_full", "parity_family", "parse_document",
+    "recurrence_report", "reduced_matrix", "render_document",
+    "row_constant_combinations", "run_suite", "singer_scan", "window_det",
 ]
 
 

@@ -21,7 +21,6 @@ from tablepaths.recurrence import (
     det_reduced,
     det_reduced_direct,
     det_reduced_formula,
-    equivalence_report,
     minimal_recurrence,
     recurrence_report,
     reduced_matrix,
@@ -341,7 +340,7 @@ def test_recurrence_satisfied_by_rows_and_sums():
 
 def test_three_polynomials_agree(first_failure):
     for m in (1, 2, 3, 5, 8, 11):
-        report = equivalence_report(m)
+        report = recurrence_report(m)
         assert report.equal, m
         assert report.charpoly == report.operator_poly == report.recurrence_poly
     assert first_failure(verify_polynomial_equivalence, 20, 0) is None
