@@ -24,12 +24,13 @@ _HOMES = {name: module for module, names in {
                 "parity_family",
     "docs": "parse_document render_document",
     "errors": "BudgetExceededError DomainError InternalInconsistencyError",
-    "gfmatrix": "GFMatrix MatrixFamily PrimeFactorization ScanEntry "
-                "SingerReport Verdict factor is_prime order_is_full",
+    "gfmatrix": "GFMatrix PrimeFactorization ScanEntry Verdict factor "
+                "is_prime order_is_full",
     "pathtable": "PathTable build_table enumerate_paths",
     "recurrence": "Recurrence RecurrenceReport RowComboReport det_reduced "
                   "minimal_recurrence recurrence_report reduced_matrix "
-                  "row_constant_combinations singer_scan window_det",
+                  "row_constant_combinations window_det",
+    "singer": "MatrixFamily SingerReport singer_scan",
     "suite": "CheckResult VerifyReport run_suite",
 }.items() for name in names.split()}
 

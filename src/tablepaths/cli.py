@@ -238,14 +238,10 @@ def _load_fixture(path: str) -> dict[int, str]:
 
 
 def _cmd_singer(args, out) -> int:
-    from .gfmatrix import MatrixFamily
-    from .recurrence import singer_scan
+    from .singer import MatrixFamily, _member, singer_scan
     lo, hi = _parse_range(args.n)
     _check_ceiling(hi, SINGER_N_CEILING, "n", args.force)
-    try:
-        family = MatrixFamily(args.family)
-    except ValueError:
-        raise DomainError(f"family must be E or O, got {args.family!r}") from None
+    family = _member(args.family)
     budget = _factor_budget(args)
     # The fixture is read and checked before the scan, which may take long.
     expected = (sorted(_load_fixture(args.fixture).items())

@@ -18,8 +18,10 @@ parsed document, which also checks the table writer), else DomainError; so
 every derived key of every kind is checked, among them a recurrence
 report's recurrence_poly, which comes from its alphas, and a singer
 report's n_lo and n_hi, which come from its entries, themselves consecutive
-sizes >= 1.  What only recomputing could check is not: a singer report's
-verdicts and orders, and a recurrence or rows report's claims against m.
+sizes >= 1.  Each singer entry's verdict must agree with its own numbers
+(``_singer_contradiction``).  What only recomputing could check is not: a
+singer report's orders and NOT_FULL verdicts against powers of x, and a
+recurrence or rows report's claims against m.
 Rendering writes every integer string through ``decimal``, which the
 interpreter's int-to-str digit limit does not govern; parsing reads with
 ``int`` and so keeps that limit.  Nothing in the package changes it.
@@ -43,8 +45,9 @@ from .errors import DomainError
 from .pathtable import PathTable, joined_blocks
 
 if TYPE_CHECKING:
-    from .gfmatrix import PrimeFactorization, SingerReport
+    from .gfmatrix import PrimeFactorization, ScanEntry
     from .recurrence import RecurrenceReport, RowComboReport
+    from .singer import MatrixFamily, SingerReport
     from .suite import VerifyReport
 
 
@@ -149,8 +152,8 @@ def _encode_singer(r: SingerReport) -> dict:
 
 
 def _decode_singer(doc: dict) -> SingerReport:
-    from .gfmatrix import (MatrixFamily, ScanEntry, SingerReport, Verdict,
-                           is_prime)
+    from .gfmatrix import ScanEntry, Verdict, is_prime
+    from .singer import MatrixFamily, SingerReport
     q = int(doc["q"])
     if not is_prime(q):
         raise DomainError(f"q must be prime, got {q}")
@@ -158,7 +161,45 @@ def _decode_singer(doc: dict) -> SingerReport:
         ScanEntry(int(e["n"]), Verdict(e["verdict"]), _optional(int, e["order"]),
                   _optional(_decode_factorization, e["factorization"]))
         for e in doc["entries"])
-    return SingerReport(MatrixFamily(doc["family"]), q, entries)
+    report = SingerReport(MatrixFamily(doc["family"]), q, entries)
+    for e in entries:
+        if (broken := _singer_contradiction(report.family, q, e)) is not None:
+            raise DomainError(f"singer entry n={e.n}: {broken}")
+    return report
+
+
+def _singer_contradiction(family: MatrixFamily, q: int,
+                          e: ScanEntry) -> str | None:
+    """How the entry's verdict contradicts its own numbers, by the rules
+    that ``parse_document`` states, or None."""
+    from .gfmatrix import Verdict
+    from .singer import family_charpoly
+    # f(0) is the operator family's index-n member at -1, and the members'
+    # recursion X(n+2) = D X(n+1) - X(n) at D = -1 repeats with period 3, so
+    # a size of 1, 2 or 3 gives f(0) at any n, however large.
+    singular = family_charpoly(family, (e.n - 1) % 3 + 1)[0] % q == 0
+    if singular != (e.verdict is Verdict.NOT_INVERTIBLE):
+        divides = "divides" if singular else "does not divide"
+        return f"{e.verdict.value}, but q {divides} f(0)"
+    if singular:
+        return (None if e.order is None and e.factorization is None
+                else "NOT_INVERTIBLE with an order or a factorization")
+    fact = e.factorization
+    # q**n - 1 has at least n * (bits of q - 1) bits: no power of q is
+    # taken whose size the document's own value does not bound.
+    if (fact is None or e.n * (q.bit_length() - 1) > fact.value.bit_length()
+            or fact.value != q**e.n - 1):
+        return "the factorization is not of q**n - 1"
+    if e.order is not None and (e.order < 1 or fact.value % e.order
+                                or not fact.complete):
+        return (f"order {e.order} does not divide q**n - 1 "
+                "or has no complete factorization")
+    if (e.verdict is Verdict.FULL_ORDER) != (e.order == fact.value):
+        return f"{e.verdict.value} with order {e.order}"
+    if e.verdict is Verdict.UNKNOWN and (e.order is not None
+                                         or fact.complete):
+        return "UNKNOWN with an order or a complete factorization"
+    return None
 
 
 def _encode_recurrence(r: RecurrenceReport) -> dict:
@@ -220,8 +261,8 @@ def _decode_verify(doc: dict) -> VerifyReport:
 @functools.cache
 def _encoders() -> dict:
     """Report type -> encoder, built at the first rendering of a report."""
-    from .gfmatrix import SingerReport
     from .recurrence import RecurrenceReport, RowComboReport
+    from .singer import SingerReport
     from .suite import VerifyReport
     return {RecurrenceReport: _encode_recurrence,
             RowComboReport: _encode_row_combo, SingerReport: _encode_singer,
@@ -263,9 +304,15 @@ def parse_document(text: str):
     """Inverse of render_document: only a document that is the rendering of
     some object parses; anything else raises DomainError.  Every derived
     key is checked: a recurrence polynomial against alphas, and a singer
-    report's n_lo/n_hi against its entries, which must be consecutive.  A
-    singer report's verdicts and orders, and recurrence or rows claims
-    against m, are not."""
+    report's n_lo/n_hi against its entries, which must be consecutive.
+    Each singer entry's verdict is checked against its own numbers, with f
+    the template's characteristic polynomial and N = q**n - 1:
+    NOT_INVERTIBLE iff q | f(0), with no order or factorization; otherwise
+    a factorization of N; an order divides N, with a complete
+    factorization; FULL_ORDER iff the order is N; UNKNOWN with no order and
+    an incomplete factorization.  Nothing is powered, so a singer report's
+    orders and NOT_FULL verdicts are not confirmed, and recurrence or rows
+    claims against m are not checked."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

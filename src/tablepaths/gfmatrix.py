@@ -1,22 +1,21 @@
-"""Multiplicative orders of the transfer-matrix templates over prime fields.
+"""Orders of x modulo a polynomial over a prime field, and factoring.
 
-The question driving this module: reduced modulo a prime q, does the n x n
-template matrix generate the full cyclic group of order q**n - 1 (a Singer
-cycle)?  Answering it needs the factorization of q**n - 1, so the module
-carries the package's one exact integer factorization stack: trial division
-to a fixed bound (up to the square root for n below 2**16, else by the
-primes of one gcd with their product), perfect-power reduction, then
-Brent's variant of Pollard rho with deterministic seeding.  Primality is
-certified by Miller-Rabin below 3.3e24, to the first k prime bases for the
-smallest k whose proven bound psi_k lies above n (k <= 13, bases 2 to 41),
-and above that tested by BPSW (Miller-Rabin to base 2, then a strong Lucas
-test).
+The question this module answers: for a prime q and a monic f of degree n,
+what is the order of x in GF(q)[x]/(f), and is it the full q**n - 1?  It
+knows no templates; ``singer`` asks it about theirs.  Answering it needs
+the factorization of q**n - 1, so the module carries the package's one
+exact integer factorization stack: trial division to a fixed bound (up to
+the square root for n below 2**16, else by the primes of one gcd with their
+product), perfect-power reduction, then Brent's variant of Pollard rho with
+deterministic seeding.  Primality is certified by Miller-Rabin below
+3.3e24, to the first k prime bases for the smallest k whose proven bound
+psi_k lies above n (k <= 13, bases 2 to 41), and above that tested by BPSW
+(Miller-Rabin to base 2, then a strong Lucas test).
 
 Factoring is budgeted.  When the budget runs out the factorization is
 returned incomplete and order checks report UNKNOWN rather than guessing.
 
-Orders are decided on the characteristic polynomial f of a template: its
-order mod q is the order of x in GF(q)[x]/(f), powered in pure Python with
+The order of x in GF(q)[x]/(f) is found by powering in pure Python with
 each residue packed into one integer, one slot per coefficient.  Every
 product is reduced mod f by Barrett reduction, three big-int multiplies,
 each followed by one step that takes every slot mod q.  Over GF(2) that
@@ -32,10 +31,9 @@ larger n keep binary powering.  The exact order then comes down a product
 tree over the prime powers of N (Sutherland, Order computations in generic
 groups, 2007).  ``GFMatrix`` keeps the plain matrix route as a reference.
 
-The module is a leaf: it imports only ``errors`` from the package.  The
-templates' characteristic polynomials and the scan over a range of sizes
-(``singer_scan``) live in ``recurrence``; ``deltaops`` takes its
-factorization from here.
+The module is a leaf: it imports only ``errors`` from the package.
+``singer`` scans the templates' characteristic polynomials with
+``order_is_full``, and ``deltaops`` takes its factorization from here.
 """
 
 from __future__ import annotations
@@ -683,44 +681,3 @@ def _order(ring: _Residues, power, pieces) -> int:
         g = ring.power(g, p)
     return order
 
-
-# -- scan reports ---------------------------------------------------------------
-
-
-class MatrixFamily(Enum):
-    EVEN = "E"
-    ODD = "O"
-
-
-@dataclass(frozen=True)
-class SingerReport:
-    """Order entries for the consecutive sizes n_lo..n_hi, which the
-    entries determine: the first entry's n and the last's."""
-
-    family: MatrixFamily
-    q: int
-    entries: tuple[ScanEntry, ...]
-
-    def __post_init__(self):
-        if not self.entries or self.n_lo < 1 or any(
-                e.n != n for n, e in enumerate(self.entries, self.n_lo)):
-            raise DomainError("scan entries must be consecutive sizes >= 1, "
-                              f"got {[e.n for e in self.entries]}")
-
-    @property
-    def n_lo(self) -> int:
-        return self.entries[0].n
-
-    @property
-    def n_hi(self) -> int:
-        return self.entries[-1].n
-
-    def full_order_ns(self) -> tuple[int, ...]:
-        return tuple(e.n for e in self.entries
-                     if e.verdict is Verdict.FULL_ORDER)
-
-    def entry(self, n: int) -> ScanEntry:
-        if not self.n_lo <= n <= self.n_hi:
-            raise DomainError(
-                f"n={n} not in scan range {self.n_lo}..{self.n_hi}")
-        return self.entries[n - self.n_lo]

@@ -6,18 +6,17 @@ folded at that symmetry: ones on the tridiagonal, plus one more 1 in row k,
 where its missing neighbour k + 1 mirrors onto row k for even m and onto
 row k - 1 for odd m.  This module builds those matrices,
 computes their determinants and characteristic polynomials exactly, derives
-each table's minimal linear column recurrence, analyses which constant
-linear combinations of full rows exist, and scans the templates' orders over
-prime fields.  Each m-indexed identity check reads one table and takes m
-from it, so that ``suite.run_suite`` can build one table per m and hand it
-to every such check, the recurrence and row-combination checks included.
+each table's minimal linear column recurrence, and analyses which constant
+linear combinations of full rows exist.  Each m-indexed identity check reads
+one table and takes m from it, so that ``suite.run_suite`` can build one
+table per m and hand it to every such check, the recurrence and
+row-combination checks included.  The orders of the templates over prime
+fields are ``singer``'s, which imports nothing from here.
 
 All linear algebra here is exact and runs through one fraction-free
 (Bareiss) Gauss-Jordan elimination over the integers: determinants, the
 recurrence solve, ranks and nullspaces.  Fractions appear only in the
-reported nullspace vectors.  A template's characteristic polynomial is the
-operator family's member at x - 1 (``family_charpoly``); the singer scan
-decides each order on it with ``gfmatrix.order_is_full``.
+reported nullspace vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from operator import eq, mul, sub
 from .deltaops import (DeltaPoly, Family, Windows, _shape, _slot_width,
                        base_constant, multiplier, parity_family)
 from .errors import DomainError, InternalInconsistencyError
-from .gfmatrix import MatrixFamily, SingerReport, order_is_full
 from .pathtable import PathTable, build_table
 
 
@@ -159,15 +157,6 @@ def det_reduced(m: int) -> int:
 
 
 # -- characteristic polynomial -----------------------------------------------
-
-
-def family_charpoly(family: MatrixFamily, n: int) -> tuple[int, ...]:
-    """Characteristic polynomial of the family's n x n template, ascending
-    coefficients: the operator family's index-n member evaluated at x - 1,
-    i.e. its ``shift_coeffs``, the same Taylor shift that backs
-    ``DeltaPoly.apply``."""
-    ops = Family.EVEN if family is MatrixFamily.EVEN else Family.ODD
-    return multiplier(ops, n).shift_coeffs
 
 
 def charpoly(rows) -> tuple[int, ...]:
@@ -698,21 +687,3 @@ def verify_constant_combinations(table: PathTable) -> str | None:
         return f"m={m}: trivial dimension {report.trivial_dim} != {m // 2}"
     return None
 
-
-# -- template orders over prime fields ----------------------------------------
-
-
-def singer_scan(family: MatrixFamily, q: int, n_lo: int, n_hi: int,
-                budget: int | None = None) -> SingerReport:
-    """Order verdicts for the family templates of sizes n_lo..n_hi mod q."""
-    if n_lo < 1 or n_hi < n_lo:
-        raise DomainError(f"bad scan range {n_lo}..{n_hi}")
-    # Both templates have ones along the whole superdiagonal, so the rows
-    # e1, e1 A, ..., e1 A^(n-1) are triangular with unit pivots over every
-    # field, mod 2 too, where the odd template's corner 2 vanishes.  Each
-    # template is therefore nonderogatory: its minimal polynomial mod q is
-    # its characteristic polynomial for every q, and its order is the order
-    # of x modulo that polynomial.
-    return SingerReport(family, q, tuple(
-        order_is_full(family_charpoly(family, n), q, budget)
-        for n in range(n_lo, n_hi + 1)))

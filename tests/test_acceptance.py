@@ -20,18 +20,18 @@ from tablepaths.deltaops import (
     verify_product_theorem,
     verify_uniform_factorization,
 )
-from tablepaths.gfmatrix import MatrixFamily, Verdict
+from tablepaths.gfmatrix import Verdict
 from tablepaths.pathtable import build_table, verify_oracle
 from tablepaths.recurrence import (
     minimal_recurrence,
     row_constant_combinations,
-    singer_scan,
     verify_constant_combinations,
     verify_determinants,
     verify_minimality,
     verify_polynomial_equivalence,
     verify_window_determinants,
 )
+from tablepaths.singer import MatrixFamily, singer_scan
 
 FULL_ORDER_GF2 = (2, 3, 5, 9, 11, 14, 23, 26, 29, 35, 39, 41, 53)
 FULL_ORDER_GF3 = (3, 5, 9, 11, 23, 29, 35, 39, 41)

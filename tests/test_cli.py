@@ -554,7 +554,7 @@ def test_bad_fixture_exits_before_the_scan(capsys, monkeypatch, tmp_path,
     def no_scan(*args):
         raise AssertionError("singer_scan ran on a bad fixture")
 
-    monkeypatch.setattr("tablepaths.recurrence.singer_scan", no_scan)
+    monkeypatch.setattr("tablepaths.singer.singer_scan", no_scan)
     path = tmp_path / "fixture.txt"
     if content is not None:
         path.write_bytes(content)
@@ -761,6 +761,10 @@ print(*sorted(name for name in sys.modules
     (("--format", "csv", "table", "--m", "3", "--n", "4"), ("pathtable",)),
     (("--format", "json", "table", "--m", "3", "--n", "4"),
      ("docs", "pathtable")),
+    (("--format", "csv", "singer", "--family", "E", "--q", "3", "--n", "1..4"),
+     ("deltaops", "gfmatrix", "singer")),
+    (("singer", "--family", "O", "--q", "2", "--n", "1..4"),
+     ("deltaops", "gfmatrix", "singer")),
 ])
 def test_commands_import_only_what_they_run(argv, added):
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],

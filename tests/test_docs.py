@@ -12,11 +12,10 @@ import tablepaths
 from tablepaths.cli import main
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
-from tablepaths.gfmatrix import (MatrixFamily, PrimeFactorization, ScanEntry,
-                                 SingerReport, Verdict)
+from tablepaths.gfmatrix import PrimeFactorization, ScanEntry, Verdict
 from tablepaths.pathtable import PathTable, build_table
-from tablepaths.recurrence import (recurrence_report, row_constant_combinations,
-                                   singer_scan)
+from tablepaths.recurrence import recurrence_report, row_constant_combinations
+from tablepaths.singer import MatrixFamily, SingerReport, singer_scan
 from tablepaths.suite import CheckResult, VerifyReport
 
 
@@ -50,6 +49,15 @@ ROWS5 = json.loads(render_document(row_constant_combinations(5)))
 REC = json.loads(render_document(recurrence_report(3)))
 REC5 = json.loads(render_document(recurrence_report(5)))
 SCAN6 = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 6)))
+E_Q2 = json.loads((Path(__file__).parent / "data" / "singer_E_q2.json")
+                  .read_text())
+
+
+def _e_q2_with_entry_6(**fields):
+    """The frozen E scan over GF(2), n = 6 (NOT_FULL, order 21) changed."""
+    entries = list(E_Q2["entries"])
+    entries[5] = dict(entries[5], **fields)
+    return dict(E_Q2, entries=entries)
 
 
 def _scan_with_factorization(**fields):
@@ -146,6 +154,22 @@ def test_unbroken_documents_parse():
     dict(SCAN6, entries=[*SCAN6["entries"][:2], SCAN6["entries"][3],
                          SCAN6["entries"][2], *SCAN6["entries"][4:]]),
     dict(SCAN6, entries=[]),
+    # Verdicts that contradict their own numbers: n = 6 called FULL_ORDER,
+    # its order tripled to q**n - 1, family E relabelled O (over GF(2) the
+    # E templates are singular at n = 1, 4, 7, ... and the O ones at
+    # n = 3, 6, 9, ...), n = 6 called UNKNOWN, and its order negated.
+    _e_q2_with_entry_6(verdict="FULL_ORDER"),
+    _e_q2_with_entry_6(order="63"),
+    dict(E_Q2, family="O"),
+    _e_q2_with_entry_6(verdict="UNKNOWN", order=None),
+    _e_q2_with_entry_6(order="-21"),
+    # A size whose q**n - 1 no computer holds, with a factorization of 3:
+    # rejected from the sizes, before any power of q is taken.
+    {"kind": "singer_report", "family": "E", "q": 2, "n_lo": 10**30 + 1,
+     "n_hi": 10**30 + 1, "entries": [
+         {"n": 10**30 + 1, "verdict": "NOT_FULL", "order": None,
+          "factorization": {"value": "3", "factors": [["3", 1]],
+                            "complete": True, "cofactor": "1"}}]},
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):

@@ -15,18 +15,17 @@ from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import (
     GFMatrix,
-    MatrixFamily,
     ScanEntry,
-    SingerReport,
     Verdict,
     factor,
     is_prime,
     order_is_full,
 )
-from tablepaths.recurrence import (
-    charpoly,
+from tablepaths.recurrence import charpoly, reduced_matrix
+from tablepaths.singer import (
+    MatrixFamily,
+    SingerReport,
     family_charpoly,
-    reduced_matrix,
     singer_scan,
 )
 
@@ -233,8 +232,11 @@ def test_factorization_product_and_round_trip():
     f = factor(3600)
     assert f.product() == 3600
     assert f.factors == ((2, 4), (3, 2), (5, 2))
-    report = SingerReport(MatrixFamily.EVEN, 2,
-                          (ScanEntry(1, Verdict.NOT_FULL, None, f),))
+    # A singer document's factorization is of q**n - 1: 61**2 - 1 = 3720.
+    f = factor(3720)
+    assert f.factors == ((2, 3), (3, 1), (5, 1), (31, 1))
+    report = SingerReport(MatrixFamily.EVEN, 61,
+                          (ScanEntry(2, Verdict.NOT_FULL, None, f),))
     assert parse_document(render_document(report)).entries[0].factorization == f
 
 
@@ -513,6 +515,13 @@ def test_family_charpoly_is_the_reduced_matrix_charpoly(q):
         assert [c % q for c in got] == [c % q for c in charpoly(reduced_matrix(m))]
 
 
+def test_template_constant_term_repeats_every_three_sizes():
+    # What lets a singer document's NOT_INVERTIBLE claims be checked at any n.
+    for family in MatrixFamily:
+        heads = [family_charpoly(family, n)[0] for n in range(1, 61)]
+        assert heads == heads[:3] * 20
+
+
 # -- scans ------------------------------------------------------------------------
 
 
@@ -544,6 +553,16 @@ def test_scan_report_round_trip_ignores_timing():
     assert render_document(again) == doc
 
 
+def test_scan_takes_a_family_or_its_value_and_nothing_else():
+    assert singer_scan("E", 3, 1, 4) == singer_scan(MatrixFamily.EVEN, 3, 1, 4)
+    assert singer_scan("O", 3, 1, 4) == singer_scan(MatrixFamily.ODD, 3, 1, 4)
+    for family in ("X", "e", "EVEN", None, 0, ["E"]):
+        with pytest.raises(DomainError, match="family must be E or O, got "):
+            singer_scan(family, 3, 1, 4)
+        with pytest.raises(DomainError, match="family must be E or O, got "):
+            family_charpoly(family, 4)
+
+
 def test_scan_entry_lookup():
     report = singer_scan(MatrixFamily.ODD, 3, 2, 5)
     assert report.entry(4).verdict is Verdict.FULL_ORDER
@@ -554,11 +573,23 @@ def test_scan_entry_lookup():
 # -- layering --------------------------------------------------------------------
 
 
-def test_gfmatrix_imports_only_errors():
-    tree = ast.parse(Path(gfmatrix.__file__).read_text(encoding="utf-8"))
-    local = [node.module for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.level]
-    assert local == ["errors"]
+# module -> the package modules it imports
+LOCAL_IMPORTS = {
+    "gfmatrix": {"errors"},
+    "singer": {"deltaops", "errors", "gfmatrix"},
+    "recurrence": {"deltaops", "errors", "pathtable"},
+}
+
+
+@pytest.mark.parametrize("name", LOCAL_IMPORTS)
+def test_module_imports_only_its_layers(name):
+    path = Path(gfmatrix.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = {module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for module in ([node.module] if node.module
+                            else [alias.name for alias in node.names])}
+    assert local == LOCAL_IMPORTS[name]
 
 
 # -- Brent rho -----------------------------------------------------------------
