@@ -27,14 +27,14 @@ interpreter's int-to-str digit limit does not govern; parsing reads with
 ``int`` and so keeps that limit.  Nothing in the package changes it.
 Per-check timings are diagnostic and excluded from format and equality.
 Importing this module loads only ``errors`` and ``pathtable`` of the
-package: the encoder table is built at the first rendering of a report, and
-each decoder imports the types it builds, so writing a table never loads
-the report modules.
+package: encoders are looked up by the defining module and name of a
+report's class, and each decoder imports the types it builds, so rendering
+a table or a report loads no module that the object's own did not, and
+``--format json singer`` never loads ``recurrence`` or ``suite``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
@@ -258,15 +258,14 @@ def _decode_verify(doc: dict) -> VerifyReport:
     return VerifyReport(m_max, n_max, checks)
 
 
-@functools.cache
-def _encoders() -> dict:
-    """Report type -> encoder, built at the first rendering of a report."""
-    from .recurrence import RecurrenceReport, RowComboReport
-    from .singer import SingerReport
-    from .suite import VerifyReport
-    return {RecurrenceReport: _encode_recurrence,
-            RowComboReport: _encode_row_combo, SingerReport: _encode_singer,
-            VerifyReport: _encode_verify}
+# (defining module, class name) of each report type -> its encoder.  A
+# report's class is looked up by name, so rendering imports no report
+# module: a report's own module is loaded before the report exists.
+_ENCODERS = {
+    (f"{__package__}.recurrence", "RecurrenceReport"): _encode_recurrence,
+    (f"{__package__}.recurrence", "RowComboReport"): _encode_row_combo,
+    (f"{__package__}.singer", "SingerReport"): _encode_singer,
+    (f"{__package__}.suite", "VerifyReport"): _encode_verify}
 
 _DECODERS = {"path_table": _decode_table,
              "recurrence_report": _decode_recurrence,
@@ -288,7 +287,8 @@ def render_document(obj) -> str:
     """
     if type(obj) is PathTable:
         encode = None
-    elif (encode := _encoders().get(type(obj))) is None:
+    elif (encode := _ENCODERS.get((type(obj).__module__,
+                                   type(obj).__qualname__))) is None:
         raise DomainError(f"no document kind for {type(obj).__name__}")
     try:
         if encode is None:

@@ -10,8 +10,12 @@ each table's minimal linear column recurrence, and analyses which constant
 linear combinations of full rows exist.  Each m-indexed identity check reads
 one table and takes m from it, so that ``suite.run_suite`` can build one
 table per m and hand it to every such check, the recurrence and
-row-combination checks included.  The orders of the templates over prime
-fields are ``singer``'s, which imports nothing from here.
+row-combination checks included.  The six checks that apply Δ-polynomials
+to rows and column sums share packed window sets kept on the table
+(``_TableWindows``), so the suite packs each table once per window length
+it reads: n_max, and min(n_max, 25).  The orders of
+the templates over prime fields are ``singer``'s, which imports nothing
+from here.
 
 All linear algebra here is exact and runs through one fraction-free
 (Bareiss) Gauss-Jordan elimination over the integers: determinants, the
@@ -231,14 +235,6 @@ class Recurrence:
         """x^k minus the recurrence combination, ascending coefficients."""
         return tuple(-a for a in self.alphas) + (1,)
 
-    def satisfied_by(self, seq, n: int) -> bool:
-        """Check the recurrence at index n of a 1-based sequence."""
-        if n < 1 or n - 1 + self.k >= len(seq):
-            raise DomainError(f"need sequence values up to index {n + self.k}")
-        lhs = seq[n - 1 + self.k]
-        rhs = sum(self.alphas[j] * seq[n - 1 + j] for j in range(self.k))
-        return lhs == rhs
-
 
 def minimal_recurrence(m: int) -> Recurrence:
     """Minimal linear recurrence advancing the reduced columns of the table.
@@ -443,19 +439,87 @@ _SHIFT = DeltaPoly((1, 1))
 _TWO_MINUS_DELTA, _TWO = DeltaPoly((2, -1)), DeltaPoly((2,))
 
 
+# The suite runs row-equivalence, table-action and column-sum-formulas, the
+# capped checks, on min(n_max, 25) values, and the other three windowed
+# checks on n_max.
+_CAP = 25
+
+
+class _TableWindows:
+    """What the six windowed checks below read of one table.
+
+    The sequences are rows 1..k, then each lower row y > k that differs
+    from its mirror m + 1 - y, which only annihilation reads (a lower row
+    equal to its mirror has its values), then the column sums.  The
+    uncapped checks apply the shift, the index-k family member, 2 - Δ and
+    2; the capped checks apply the family members of index 0..k, the prime
+    members of index 0..k-1, Odd(0..k//2) and the two column-sum forms.
+    ``windows(count, capped)`` packs the sequences once per window length
+    up to ``_CAP``, with both kinds' polynomials, and past it once per
+    length and kind, with that kind's only, since the suite runs no capped
+    check there; so the suite packs each table once, or twice when
+    n_max > 25.  The weight is the largest a check needs: the
+    transfer check's largest row sum of the reduced matrix, or the 2 of a
+    split.  Every window then holds the values whichever check reads it,
+    so sharing changes no comparison; and every check needs count + k
+    values of each sequence, the reach of the index-k family member.
+    """
+
+    def __init__(self, table: PathTable):
+        m, k, rows = table.m, table.k, table.rows
+        fam = parity_family(m)
+        self.matrix = reduced_matrix(m)
+        self.family = [multiplier(fam, j) for j in range(k + 1)]
+        self.prime = [multiplier(Family.PRIME, j) for j in range(k)]
+        self.odd = [multiplier(Family.ODD, b) for b in range(k // 2 + 1)]
+        self.twice_members = 2 * sum(self.family[1:k], DeltaPoly((1,)))
+        if fam is Family.ODD:
+            self.prime_side = self.prime[k - 1] + 2 * sum(self.prime[:k - 1],
+                                                          DeltaPoly(()))
+        else:
+            self.prime_side = 2 * sum(self.prime, DeltaPoly(()))
+        self.checked = [y for y in range(1, m + 1)
+                        if y <= k or rows[y - 1] != rows[m - y]]
+        self._seqs = [*(rows[y - 1] for y in self.checked),
+                      table.column_sums()]
+        # Indexed by ``capped``.
+        self._polys = ({_SHIFT, self.family[k], _TWO_MINUS_DELTA, _TWO},
+                       {*self.family, *self.prime, *self.odd,
+                        self.twice_members, self.prime_side})
+        self._weight = max(2, *map(sum, self.matrix))
+        self._windows: dict = {}
+
+    def windows(self, count: int, capped: bool) -> Windows:
+        key = count if count <= _CAP else (count, capped)
+        if key not in self._windows:
+            polys = (self._polys[capped] if count > _CAP
+                     else self._polys[False] | self._polys[True])
+            self._windows[key] = Windows(count, self._seqs, polys,
+                                         weight=self._weight)
+        return self._windows[key]
+
+
+def _table_windows(table: PathTable) -> _TableWindows:
+    """The table's ``_TableWindows``, built at its first use and kept in the
+    table's instance __dict__, which equality and hashing never read."""
+    shared = vars(table).get("_table_windows")
+    if shared is None:
+        shared = vars(table)["_table_windows"] = _TableWindows(table)
+    return shared
+
+
 def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
     """Reduced matrix advances reduced columns: on rows, the shift E sends
     row y to the combination of rows 1..k in row y of the matrix."""
-    mat = reduced_matrix(table.m)
-    w = Windows(n_max, table.rows[:len(mat)], (_SHIFT,),
-                weight=max(map(sum, mat)))
+    shared = _table_windows(table)
+    w = shared.windows(n_max, False)
     # The matrix is tridiagonal but for one entry: at most 3k + 1 of its k^2
     # entries are nonzero, and only those scale a packed row.  All but one
     # of them are 1, which adds the row itself with no copy.
-    seqs = w.seqs
+    seqs = w.seqs[:table.k]
     got = [w.window(sum([seqs[j] if a == 1 else a * seqs[j]
                          for j, a in enumerate(r) if a]))
-           for r in mat]
+           for r in shared.matrix]
     want = [w.apply(_SHIFT, row) for row in seqs]
     if hit := w.first_difference(zip(got, want)):
         n = hit[0]
@@ -467,28 +531,21 @@ def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
 
 def verify_annihilation(table: PathTable, n_max: int = 30) -> str | None:
     """The index-k family member sends every row and the column sums to 0."""
-    m, k = table.m, table.k
-    poly = multiplier(parity_family(m), k)
-    rows = table.rows
-    # A lower row y > k equal to its mirror m + 1 - y has the same values,
-    # so only lower rows that differ are applied.
-    checked = [y for y in range(1, m + 1)
-               if y <= k or rows[y - 1] != rows[m - y]]
-    w = Windows(n_max, [*(rows[y - 1] for y in checked), table.column_sums()],
-                (poly,))
+    shared = _table_windows(table)
+    w, poly = shared.windows(n_max, False), shared.family[-1]
+    checked = shared.checked
     if hit := w.first_difference((w.apply(poly, seq), w.zero)
                                  for seq in w.seqs):
         n, i = hit
         where = f"row {checked[i]}" if i < len(checked) else "sums"
-        return f"m={m} {where} n={n}: not annihilated"
+        return f"m={table.m} {where} n={n}: not annihilated"
     return None
 
 
 def verify_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
     """(2 - D) applied to the column sums equals twice the first row."""
-    w = Windows(n_max, (table.column_sums(), table.row(1)),
-                (_TWO_MINUS_DELTA, _TWO))
-    sums, first = w.seqs
+    w = _table_windows(table).windows(n_max, False)
+    sums, first = w.seqs[-1], w.seqs[0]
     if hit := w.first_difference([(w.apply(_TWO_MINUS_DELTA, sums),
                                    w.apply(_TWO, first))]):
         return f"m={table.m} n={hit[0]}: bridge identity fails"
@@ -498,9 +555,8 @@ def verify_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
 def verify_row_equivalence(table: PathTable, n_max: int = 25) -> str | None:
     """Any row determines any other through the two transport identities."""
     m, k = table.m, table.k
-    family = [multiplier(parity_family(m), j) for j in range(k)]
-    prime = [multiplier(Family.PRIME, j) for j in range(k)]
-    w = Windows(n_max, table.rows[:k], family + prime)
+    shared = _table_windows(table)
+    w, family, prime = shared.windows(n_max, True), shared.family, shared.prime
     rows = w.seqs
     # The pair (b, a) compares the two sequences that (a, b) compares, and
     # (a, a) compares a sequence with itself, so the pairs a < b, taken in
@@ -521,8 +577,8 @@ def verify_row_equivalence(table: PathTable, n_max: int = 25) -> str | None:
 def verify_table_action(table: PathTable, n_max: int = 25) -> str | None:
     """Odd(b) applied to row a splits into rows a-b and a+b."""
     k = table.k
-    odd = [multiplier(Family.ODD, b) for b in range(k // 2 + 1)]
-    w = Windows(n_max, table.rows[:k], odd, weight=2)
+    shared = _table_windows(table)
+    w, odd = shared.windows(n_max, True), shared.odd
     rows = w.seqs
     for a in range(1, k + 1):
         for b in range(0, min(a, k - a) + 1):
@@ -537,31 +593,21 @@ def verify_table_action(table: PathTable, n_max: int = 25) -> str | None:
 def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     """Column sums are determined by any single row, three ways."""
     m, k = table.m, table.k
-    fam = parity_family(m)
-    base = base_constant(fam)
+    base = base_constant(parity_family(m))
+    shared = _table_windows(table)
+    family, prime = shared.family, shared.prime
+    twice_members, prime_side = shared.twice_members, shared.prime_side
     # Twice the partial sum of the family equals twice its closed form (the
     # partial-sums identity), so the two are compared once, not per row.
-    twice_members = 2 * sum((multiplier(fam, j) for j in range(1, k)),
-                            DeltaPoly((1,)))
     if twice_members != 2 * (multiplier(Family.PRIME, k - 1)
                              + (base - 1) * multiplier(Family.PRIME, k - 2)):
         return f"m={m}: combined form differs from the partial-sum form"
-    if fam is Family.ODD:
-        prime_side = (multiplier(Family.PRIME, k - 1)
-                      + 2 * sum((multiplier(Family.PRIME, j)
-                                 for j in range(k - 1)), DeltaPoly(())))
-    else:
-        prime_side = 2 * sum((multiplier(Family.PRIME, j)
-                              for j in range(k)), DeltaPoly(()))
-    lhs_polys = [multiplier(fam, k - a) for a in range(1, k + 1)]
-    prime_lhs = [multiplier(Family.PRIME, a - 1) for a in range(1, k + 1)]
-    w = Windows(n_max, [*table.rows[:k], table.column_sums()],
-                (*lhs_polys, *prime_lhs, twice_members, prime_side))
-    *rows, sums = w.seqs
+    w = shared.windows(n_max, True)
+    rows, sums = w.seqs[:k], w.seqs[-1]
     for a, row_a in enumerate(rows, 1):
         hit = w.first_difference((
-            (w.apply(lhs_polys[a - 1], sums), w.apply(twice_members, row_a)),
-            (w.apply(prime_lhs[a - 1], sums), w.apply(prime_side, row_a))))
+            (w.apply(family[k - a], sums), w.apply(twice_members, row_a)),
+            (w.apply(prime[a - 1], sums), w.apply(prime_side, row_a))))
         if hit:
             n, i = hit
             return (f"m={m} a={a} n={n}: "

@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 
 from tablepaths.pathtable import build_table
@@ -15,3 +17,13 @@ def first_failure():
                 return detail
         return None
     return run
+
+
+@pytest.fixture
+def recurrence_holds():
+    """Whether a recurrence holds at index n of a 1-based sequence:
+    a(n+k) = alphas[0]*a(n) + ... + alphas[k-1]*a(n+k-1)."""
+    def holds(rec, seq, n):
+        window = seq[n - 1:n - 1 + rec.k]
+        return seq[n - 1 + rec.k] == sum(map(mul, rec.alphas, window))
+    return holds

@@ -63,7 +63,7 @@ def test_criterion_02_seven_row_figure():
     _report(2, "m=7 table opens 1,2,5,13,35 / 1,3,8,22 / 1,3,9", ok)
 
 
-def test_criterion_03_minimal_recurrences(first_failure):
+def test_criterion_03_minimal_recurrences(first_failure, recurrence_holds):
     rec3 = minimal_recurrence(3)
     rec5 = minimal_recurrence(5)
     ok = (str(rec3) == "a(n+2)=2a(n+1)+a(n)"
@@ -71,9 +71,9 @@ def test_criterion_03_minimal_recurrences(first_failure):
     detail = ""
     for m, rec in ((3, rec3), (5, rec5)):
         table = build_table(m, 30 + rec.k)
-        rows_ok = all(rec.satisfied_by(table.row(y), 30)
+        rows_ok = all(recurrence_holds(rec, table.row(y), 30)
                       for y in range(1, m + 1))
-        sums_ok = rec.satisfied_by(table.column_sums(), 30)
+        sums_ok = recurrence_holds(rec, table.column_sums(), 30)
         ok = ok and rows_ok and sums_ok
         if not (rows_ok and sums_ok):
             detail = f"m={m} fails to annihilate"

@@ -765,6 +765,10 @@ print(*sorted(name for name in sys.modules
      ("deltaops", "gfmatrix", "singer")),
     (("singer", "--family", "O", "--q", "2", "--n", "1..4"),
      ("deltaops", "gfmatrix", "singer")),
+    # Rendering a report loads no report module but its own: neither
+    # recurrence nor suite.
+    (("--format", "json", "singer", "--family", "E", "--q", "3", "--n", "1..5"),
+     ("deltaops", "docs", "gfmatrix", "pathtable", "singer")),
 ])
 def test_commands_import_only_what_they_run(argv, added):
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],

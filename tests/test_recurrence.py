@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablepaths import pathtable, recurrence
-from tablepaths.deltaops import (DeltaPoly, Family, format_poly, multiplier,
-                                 parity_family)
+from tablepaths.deltaops import (DeltaPoly, Family, Windows, format_poly,
+                                 multiplier, parity_family)
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.pathtable import PathTable, build_table
@@ -329,13 +329,13 @@ def test_recurrence_rendering_and_poly():
     assert str(Recurrence((1,))) == "a(n+1)=a(n)"
 
 
-def test_recurrence_satisfied_by_rows_and_sums():
+def test_recurrence_satisfied_by_rows_and_sums(recurrence_holds):
     table = build_table(5, 20)
     rec = minimal_recurrence(5)
     for y in range(1, 6):
-        assert rec.satisfied_by(table.row(y), 17)
-    assert rec.satisfied_by(table.column_sums(), 17)
-    assert not rec.satisfied_by((1, 1, 2, 9, 9, 9), 3)
+        assert recurrence_holds(rec, table.row(y), 17)
+    assert recurrence_holds(rec, table.column_sums(), 17)
+    assert not recurrence_holds(rec, (1, 1, 2, 9, 9, 9), 3)
 
 
 def test_three_polynomials_agree(first_failure):
@@ -406,17 +406,57 @@ def test_sliced_checks_reject_a_narrow_table(check, args, message):
                None,
                None,
                "m=7: nullspace dimension 2 != 3")),
+    # The suite's two window lengths, n_max and min(n_max, 25), are read
+    # from one packed window set each; each table is n_max + k columns wide,
+    # with n_max = max(12, x + 5).  A wrong cell in lower row 9 of 10, so
+    # annihilation packs that row too:
+    (10, 28, 9, (None,
+                 "m=10 row 9 n=23: not annihilated",
+                 "m=10 n=27: bridge identity fails",
+                 None,
+                 None,
+                 "m=10 a=1 n=24: partial-sum form fails",
+                 None,
+                 None,
+                 None)),
+    # past every column the length-25 checks read (25 + k - 1 = 28):
+    (8, 35, 3, ("m=8 n=34: (1781205892316331, 3347567030312267, "
+                "4510157143717134, 5128755742759414) != (1781205892316331, "
+                "3347567030312267, 4510157143717135, 5128755742759414)",
+                "m=8 row 3 n=31: not annihilated",
+                "m=8 n=34: bridge identity fails",
+                None,
+                None,
+                None,
+                None,
+                None,
+                None)),
+    # and in row 1, which the bridge compares with the column sums:
+    (6, 27, 1, ("m=6 n=26: (233790820762, 421276495414, 525323190505) != "
+                "(233790820763, 421276495414, 525323190505)",
+                "m=6 row 1 n=24: not annihilated",
+                "m=6 n=26: bridge identity fails",
+                "m=6 a=1 b=3 n=25: prime transport fails",
+                None,
+                "m=6 a=1 n=25: partial-sum form fails",
+                None,
+                None,
+                None)),
 ])
 def test_table_checks_fail_where_a_wrong_cell_is(m, x, y, details):
-    cells = [list(row) for row in build_table(m, 12 + (m + 1) // 2).rows]
+    n_max = max(12, x + 5)
+    cells = [list(row) for row in build_table(m, n_max + (m + 1) // 2).rows]
     cells[y - 1][x - 1] += 1
     table = PathTable(m, len(cells[0]), tuple(map(tuple, cells)))
-    checks = (verify_transfer, verify_annihilation, verify_column_sum_bridge,
-              verify_row_equivalence, verify_table_action,
-              verify_column_sum_formulas, verify_window_determinants)
-    got = tuple(check(table, 12) for check in checks) + (
+    lengths = (n_max,) * 3 + (min(n_max, 25),) * 3
+    got = tuple(check(table, n) for (check, _), n in zip(WINDOWED_CHECKS,
+                                                       lengths)) + (
+        verify_window_determinants(table, 12),
         verify_polynomial_equivalence(table), verify_constant_combinations(table))
     assert got == details
+    # Each windowed check reports what its per-n route reports.
+    assert got[:6] == tuple(reference(table, n) for (_, reference), n
+                            in zip(WINDOWED_CHECKS, lengths))
 
 
 # -- the per-n reference routes of the windowed table checks -------------------
@@ -580,6 +620,33 @@ def test_windowed_checks_report_what_the_per_n_routes_report_at_edges(bits):
             table = PathTable(m, width, ((edge,) * width,) * m)
             for check, reference in WINDOWED_CHECKS:
                 assert check(table, 5) == reference(table, 5), check.__name__
+
+
+@pytest.mark.parametrize("check", [check for check, _ in WINDOWED_CHECKS])
+def test_windowed_checks_need_count_plus_k_columns(check):
+    # Every check reads the table's shared window set, whose longest
+    # polynomial, the index-k family member, reaches column count + k.
+    assert check(build_table(7, 10 + 4), 10) is None
+    with pytest.raises(DomainError,
+                       match="^need sequence values up to index 14, have 13$"):
+        check(build_table(7, 10 + 3), 10)
+
+
+@pytest.mark.parametrize("m_max, n_max, per_table", [(9, 30, 2), (9, 25, 1)])
+def test_suite_packs_each_table_once_per_window_length(monkeypatch, m_max,
+                                                       n_max, per_table):
+    # The six windowed checks read n_max and min(n_max, 25) values of each
+    # table from one Windows per length.
+    built = []
+
+    def counting(count, *args, **kwargs):
+        built.append(count)
+        return Windows(count, *args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "Windows", counting)
+    assert run_suite(m_max, n_max).passed
+    assert len(built) == per_table * m_max
+    assert set(built) == {n_max, min(n_max, 25)}
 
 
 def test_recurrence_report_round_trip():
