@@ -16,11 +16,12 @@ and one balanced decode reads either result back.  ``Windows`` evaluates a
 polynomial at n = 1..N of a sequence as one product of the packed sequence
 with the packed reversed shift coefficients, or, for a long window of a
 narrow polynomial, as a sum of the packed sequence shifted by each nonzero
-shift coefficient's power; it compares such windows as ints without
-decoding them.  ``DeltaPoly.apply`` takes the dot product at one n directly
-and is the windows' independent reference.  The checks of the addition,
-action, product and uniform-factorization identities pack each member once
-and compare the two sides of each identity as two ints.
+shift coefficient's power, building each route at its polynomial's first
+use; it compares windows as ints without decoding them.  ``DeltaPoly.apply``
+takes the dot product at one n directly and is the windows' independent
+reference.  The checks of the addition, action, product and
+uniform-factorization identities pack each member once and compare the two
+sides of each identity as two ints.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -346,9 +347,10 @@ class Windows:
     windows read (d the largest degree in ``polys``; the zero polynomial
     reads none), at one slot width that holds ``weight`` times their
     largest value times the largest sum of |shift_coeffs| in ``polys`` in
-    the lower half of a slot.  Packed sequences add and scale like the
-    sequences they pack while the values stay within ``weight`` times that
-    largest value.
+    the lower half of a slot.  A polynomial past either bound raises
+    ``DomainError`` at ``apply``; any other has its route built there,
+    once.  Packed sequences add and scale like the sequences they pack
+    while the values stay within ``weight`` times that largest value.
 
     A window holds the values at n = 1..count in count slots with half a
     slot added to each, so no slot borrows from the next, and two windows
@@ -380,7 +382,8 @@ class Windows:
     def __init__(self, count: int, seqs, polys, weight: int = 1):
         if count < 0:
             raise DomainError(f"window length must be >= 0, got {count}")
-        length = max((count + p.degree for p in polys if p.coeffs), default=0)
+        degree = max(len(p.coeffs) for p in polys) - 1
+        length = count + degree if degree >= 0 else 0
         for seq in seqs:
             if len(seq) < length:
                 raise DomainError(f"need sequence values up to index "
@@ -391,36 +394,42 @@ class Windows:
         bound = weight * max([*highs, *map(neg, lows)], default=0)
         reach = max(p._shift_terms[2] for p in polys)
         width = _slot_width(bound.bit_length() + reach.bit_length() + 1)
-        bits = 8 * width
-        self.width, self.count = width, count
-        self._slot_bits = bits
-        self._mask = (1 << bits * count) - 1
+        self.width, self.count, self._slot_bits = width, count, 8 * width
+        self._mask = (1 << 8 * width * count) - 1
+        self._bounds = (degree, reach)
         # The window whose values are all zero.
         self.zero = _shape(width, count)[0]
         # Half slots up to the end of the longest window: either route
         # reads no slot above its window's end, and a carry only moves up.
         self._half = _shape(width, max(length, count))[0]
-        # poly -> (packed reversed shift coefficients, bit offset of the
-        # window, None) on the product route; (None, (bit shift,
-        # coefficient) of each nonzero shift coefficient, (sum of the
-        # coefficients - 1) times the zero window) on the shift route.
-        self._polys = {}
-        long = count >= _SHIFT_MIN_COUNT
-        for p in polys:
-            terms, total, _ = p._shift_terms
-            if long and len(terms) > 1:
-                self._polys[p] = (None, [(bits * j, c) for j, c in terms],
-                                  (total - 1) * self.zero)
-            else:
-                self._polys[p] = (_pack(p.shift_coeffs[::-1], width),
-                                  bits * max(p.degree, 0), None)
+        self._polys = {}  # poly -> its route, from its first ``apply``
         self.seqs = [_pack(seq, width, low >= 0)
                      for seq, low in zip(seqs, lows)]
 
+    def _route(self, poly: DeltaPoly):
+        """(packed reversed shift coefficients, bit offset of the window,
+        None) on the product route; (None, (bit shift, coefficient) of each
+        nonzero shift coefficient, (sum of the coefficients - 1) times the
+        zero window) on the shift route."""
+        terms, total, reach = poly._shift_terms
+        if poly.degree > self._bounds[0] or reach > self._bounds[1]:
+            raise DomainError(f"{poly}: degree and sum of |shift coefficients|"
+                              f" {poly.degree, reach} past these windows' "
+                              f"{self._bounds}")
+        bits = self._slot_bits
+        if self.count >= _SHIFT_MIN_COUNT and len(terms) > 1:
+            return (None, [(bits * j, c) for j, c in terms],
+                    (total - 1) * self.zero)
+        return (_pack(poly.shift_coeffs[::-1], self.width),
+                bits * max(poly.degree, 0), None)
+
     def apply(self, poly: DeltaPoly, packed: int) -> int:
-        """The window of ``poly``, one of the constructor's polynomials,
-        applied to a packed sequence."""
-        coeffs, at, excess = self._polys[poly]
+        """The window of ``poly``, within the constructor's bounds, applied
+        to a packed sequence."""
+        try:
+            coeffs, at, excess = self._polys[poly]
+        except KeyError:
+            coeffs, at, excess = self._polys[poly] = self._route(poly)
         if excess is None:
             return ((packed * coeffs + self._half) >> at) & self._mask
         mask, packed = self._mask, packed + self._half

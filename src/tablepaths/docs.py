@@ -213,9 +213,11 @@ def _encode_recurrence(r: RecurrenceReport) -> dict:
 
 def _decode_recurrence(doc: dict) -> RecurrenceReport:
     from .recurrence import Recurrence, RecurrenceReport
-    m = int(doc["m"])
+    m, alphas = int(doc["m"]), _ints(doc["alphas"])
     _at_least(1, m=m)
-    return RecurrenceReport(m, Recurrence(_ints(doc["alphas"])),
+    if len(alphas) != (m + 1) // 2:
+        raise DomainError(f"m = {m} needs {(m + 1) // 2} alphas")
+    return RecurrenceReport(m, Recurrence(alphas),
                             _ints(doc["charpoly"]), _ints(doc["operator_poly"]))
 
 
@@ -310,9 +312,10 @@ def parse_document(text: str):
     NOT_INVERTIBLE iff q | f(0), with no order or factorization; otherwise
     a factorization of N; an order divides N, with a complete
     factorization; FULL_ORDER iff the order is N; UNKNOWN with no order and
-    an incomplete factorization.  Nothing is powered, so a singer report's
-    orders and NOT_FULL verdicts are not confirmed, and recurrence or rows
-    claims against m are not checked."""
+    an incomplete factorization; a recurrence report has ceil(m/2) alphas.
+    Nothing is powered or recomputed from m, so a singer report's orders
+    and NOT_FULL verdicts, a recurrence report relabelled to an m with the
+    same ceil(m/2) and other rows claims are not confirmed."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

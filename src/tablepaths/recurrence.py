@@ -12,8 +12,8 @@ one table and takes m from it, so that ``suite.run_suite`` can build one
 table per m and hand it to every such check, the recurrence and
 row-combination checks included.  The six checks that apply Δ-polynomials
 to rows and column sums share packed window sets kept on the table
-(``_TableWindows``), so the suite packs each table once per window length
-it reads: n_max, and min(n_max, 25).  The orders of
+(``_TableWindows``), one per window length, each building a polynomial's
+route at its first use.  The orders of
 the templates over prime fields are ``singer``'s, which imports nothing
 from here.
 
@@ -434,15 +434,9 @@ def _table_combinations(table: PathTable, n_probe: int) -> RowComboReport:
 # -- identity verifiers over tables ------------------------------------------
 
 # Fixed operators of the checks below, built once so that their hashes and
-# window routes are worked out once.
+# shift coefficients are worked out once.
 _SHIFT = DeltaPoly((1, 1))
 _TWO_MINUS_DELTA, _TWO = DeltaPoly((2, -1)), DeltaPoly((2,))
-
-
-# The suite runs row-equivalence, table-action and column-sum-formulas, the
-# capped checks, on min(n_max, 25) values, and the other three windowed
-# checks on n_max.
-_CAP = 25
 
 
 class _TableWindows:
@@ -451,16 +445,13 @@ class _TableWindows:
     The sequences are rows 1..k, then each lower row y > k that differs
     from its mirror m + 1 - y, which only annihilation reads (a lower row
     equal to its mirror has its values), then the column sums.  The
-    uncapped checks apply the shift, the index-k family member, 2 - Δ and
-    2; the capped checks apply the family members of index 0..k, the prime
-    members of index 0..k-1, Odd(0..k//2) and the two column-sum forms.
-    ``windows(count, capped)`` packs the sequences once per window length
-    up to ``_CAP``, with both kinds' polynomials, and past it once per
-    length and kind, with that kind's only, since the suite runs no capped
-    check there; so the suite packs each table once, or twice when
-    n_max > 25.  The weight is the largest a check needs: the
-    transfer check's largest row sum of the reduced matrix, or the 2 of a
-    split.  Every window then holds the values whichever check reads it,
+    polynomials are all six checks': the shift, the family members of
+    index 0..k, the prime members of index 0..k-1, Odd(0..k//2), the two
+    column-sum forms, 2 - Δ and 2.  ``windows(count)`` packs the sequences
+    once per window length, and its ``Windows`` builds each route at the
+    first check that applies it.  The weight is the largest a check needs:
+    the transfer check's largest row sum of the reduced matrix, or the 2 of
+    a split.  Every window then holds the values whichever check reads it,
     so sharing changes no comparison; and every check needs count + k
     values of each sequence, the reach of the index-k family member.
     """
@@ -482,21 +473,17 @@ class _TableWindows:
                         if y <= k or rows[y - 1] != rows[m - y]]
         self._seqs = [*(rows[y - 1] for y in self.checked),
                       table.column_sums()]
-        # Indexed by ``capped``.
-        self._polys = ({_SHIFT, self.family[k], _TWO_MINUS_DELTA, _TWO},
-                       {*self.family, *self.prime, *self.odd,
-                        self.twice_members, self.prime_side})
+        self._polys = {_SHIFT, _TWO_MINUS_DELTA, _TWO, *self.family,
+                       *self.prime, *self.odd, self.twice_members,
+                       self.prime_side}
         self._weight = max(2, *map(sum, self.matrix))
         self._windows: dict = {}
 
-    def windows(self, count: int, capped: bool) -> Windows:
-        key = count if count <= _CAP else (count, capped)
-        if key not in self._windows:
-            polys = (self._polys[capped] if count > _CAP
-                     else self._polys[False] | self._polys[True])
-            self._windows[key] = Windows(count, self._seqs, polys,
-                                         weight=self._weight)
-        return self._windows[key]
+    def windows(self, count: int) -> Windows:
+        if count not in self._windows:
+            self._windows[count] = Windows(count, self._seqs, self._polys,
+                                           weight=self._weight)
+        return self._windows[count]
 
 
 def _table_windows(table: PathTable) -> _TableWindows:
@@ -512,7 +499,7 @@ def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
     """Reduced matrix advances reduced columns: on rows, the shift E sends
     row y to the combination of rows 1..k in row y of the matrix."""
     shared = _table_windows(table)
-    w = shared.windows(n_max, False)
+    w = shared.windows(n_max)
     # The matrix is tridiagonal but for one entry: at most 3k + 1 of its k^2
     # entries are nonzero, and only those scale a packed row.  All but one
     # of them are 1, which adds the row itself with no copy.
@@ -532,7 +519,7 @@ def verify_transfer(table: PathTable, n_max: int = 30) -> str | None:
 def verify_annihilation(table: PathTable, n_max: int = 30) -> str | None:
     """The index-k family member sends every row and the column sums to 0."""
     shared = _table_windows(table)
-    w, poly = shared.windows(n_max, False), shared.family[-1]
+    w, poly = shared.windows(n_max), shared.family[-1]
     checked = shared.checked
     if hit := w.first_difference((w.apply(poly, seq), w.zero)
                                  for seq in w.seqs):
@@ -544,7 +531,7 @@ def verify_annihilation(table: PathTable, n_max: int = 30) -> str | None:
 
 def verify_column_sum_bridge(table: PathTable, n_max: int = 30) -> str | None:
     """(2 - D) applied to the column sums equals twice the first row."""
-    w = _table_windows(table).windows(n_max, False)
+    w = _table_windows(table).windows(n_max)
     sums, first = w.seqs[-1], w.seqs[0]
     if hit := w.first_difference([(w.apply(_TWO_MINUS_DELTA, sums),
                                    w.apply(_TWO, first))]):
@@ -556,7 +543,7 @@ def verify_row_equivalence(table: PathTable, n_max: int = 25) -> str | None:
     """Any row determines any other through the two transport identities."""
     m, k = table.m, table.k
     shared = _table_windows(table)
-    w, family, prime = shared.windows(n_max, True), shared.family, shared.prime
+    w, family, prime = shared.windows(n_max), shared.family, shared.prime
     rows = w.seqs
     # The pair (b, a) compares the two sequences that (a, b) compares, and
     # (a, a) compares a sequence with itself, so the pairs a < b, taken in
@@ -578,7 +565,7 @@ def verify_table_action(table: PathTable, n_max: int = 25) -> str | None:
     """Odd(b) applied to row a splits into rows a-b and a+b."""
     k = table.k
     shared = _table_windows(table)
-    w, odd = shared.windows(n_max, True), shared.odd
+    w, odd = shared.windows(n_max), shared.odd
     rows = w.seqs
     for a in range(1, k + 1):
         for b in range(0, min(a, k - a) + 1):
@@ -602,7 +589,7 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     if twice_members != 2 * (multiplier(Family.PRIME, k - 1)
                              + (base - 1) * multiplier(Family.PRIME, k - 2)):
         return f"m={m}: combined form differs from the partial-sum form"
-    w = shared.windows(n_max, True)
+    w = shared.windows(n_max)
     rows, sums = w.seqs[:k], w.seqs[-1]
     for a, row_a in enumerate(rows, 1):
         hit = w.first_difference((

@@ -374,8 +374,10 @@ def window_values_of(windows, poly, packed):
 
 
 def route_of(windows, poly):
-    """The route ``windows`` takes for poly: its entry holds packed
-    coefficients on the product route and None on the shift route."""
+    """The route ``windows`` takes for poly, which its first apply builds:
+    its entry holds packed coefficients on the product route and None on
+    the shift route."""
+    windows.apply(poly, 0)
     return "product" if windows._polys[poly][0] is not None else "shift"
 
 
@@ -499,6 +501,41 @@ def test_windows_take_each_route_and_match_apply(count, ends, poly, route):
     assert route_of(windows, poly) == rule_route(windows, poly) == route
     assert (window_values_of(windows, poly, windows.seqs[0])
             == [poly.apply(seq, n) for n in range(1, count + 1)])
+
+
+def test_windows_reject_a_polynomial_past_their_bounds():
+    # Δ^2 (shift coefficients 1, -2, 1) sets degree 2 and reach 4, the sum
+    # of |shift coefficients|.  E^3 = (Δ + 1)^3 is past the degree with
+    # reach 1, and 5 past the reach with degree 0; 3 is within both.
+    seq = list(range(1, 20))
+    windows = Windows(10, (seq,), (DELTA, DeltaPoly((0, 0, 1))))
+    cube = DeltaPoly((1, 3, 3, 1))
+    assert cube.shift_coeffs == (0, 0, 0, 1)
+    for poly in (cube, DeltaPoly((5,))):
+        with pytest.raises(DomainError, match=r"past these windows' \(2, 4\)$"):
+            windows.apply(poly, windows.seqs[0])
+        assert poly not in windows._polys
+    assert (window_values_of(windows, DeltaPoly((3,)), windows.seqs[0])
+            == [3 * v for v in seq[:10]])
+
+
+@given(polys=st.lists(window_polys, min_size=1, max_size=4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_windows_build_the_same_routes_in_any_order(polys, data):
+    # A route is built at its polynomial's first apply, so the order in
+    # which the constructor's polynomials are applied changes no window
+    # and no route.
+    d = max(max(p.degree for p in polys), 0)
+    count = data.draw(window_counts)
+    seq = data.draw(st.lists(window_values, min_size=count + d,
+                             max_size=count + d + 3))
+    order = data.draw(st.permutations(polys))
+    first, second = Windows(count, (seq,), polys), Windows(count, (seq,), polys)
+    assert first._polys == second._polys == {}
+    got = {p: first.apply(p, first.seqs[0]) for p in polys}
+    assert {p: second.apply(p, second.seqs[0]) for p in order} == got
+    assert first._polys == second._polys
+    assert list(first._polys) == list(dict.fromkeys(polys))
 
 
 def test_windows_reject_a_negative_length():

@@ -48,6 +48,7 @@ ROWS = json.loads(render_document(row_constant_combinations(2)))
 ROWS5 = json.loads(render_document(row_constant_combinations(5)))
 REC = json.loads(render_document(recurrence_report(3)))
 REC5 = json.loads(render_document(recurrence_report(5)))
+REC7 = json.loads(render_document(recurrence_report(7)))
 SCAN6 = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 6)))
 E_Q2 = json.loads((Path(__file__).parent / "data" / "singer_E_q2.json")
                   .read_text())
@@ -170,6 +171,9 @@ def test_unbroken_documents_parse():
          {"n": 10**30 + 1, "verdict": "NOT_FULL", "order": None,
           "factorization": {"value": "3", "factors": [["3", 1]],
                             "complete": True, "cofactor": "1"}}]},
+    # A recurrence report relabelled to an m whose ceil(m/2) is not its
+    # number of alphas.
+    *(dict(REC7, m=m) for m in (9, 1, 64)),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):

@@ -632,11 +632,9 @@ def test_windowed_checks_need_count_plus_k_columns(check):
         check(build_table(7, 10 + 3), 10)
 
 
-@pytest.mark.parametrize("m_max, n_max, per_table", [(9, 30, 2), (9, 25, 1)])
-def test_suite_packs_each_table_once_per_window_length(monkeypatch, m_max,
-                                                       n_max, per_table):
-    # The six windowed checks read n_max and min(n_max, 25) values of each
-    # table from one Windows per length.
+@pytest.fixture
+def built_windows(monkeypatch):
+    """The window length of each Windows the checks build, in order."""
     built = []
 
     def counting(count, *args, **kwargs):
@@ -644,9 +642,27 @@ def test_suite_packs_each_table_once_per_window_length(monkeypatch, m_max,
         return Windows(count, *args, **kwargs)
 
     monkeypatch.setattr(recurrence, "Windows", counting)
+    return built
+
+
+@pytest.mark.parametrize("m_max, n_max, per_table",
+                         [(9, 30, 2), (9, 25, 1), (9, 26, 2)])
+def test_suite_packs_each_table_once_per_window_length(built_windows, m_max,
+                                                       n_max, per_table):
+    # The six windowed checks read n_max and min(n_max, 25) values of each
+    # table from one Windows per length.
     assert run_suite(m_max, n_max).passed
-    assert len(built) == per_table * m_max
-    assert set(built) == {n_max, min(n_max, 25)}
+    assert len(built_windows) == per_table * m_max
+    assert set(built_windows) == {n_max, min(n_max, 25)}
+
+
+def test_windowed_checks_at_one_length_share_one_windows(built_windows):
+    # Called directly at one length, the checks the suite runs at n_max and
+    # those it runs at min(n_max, 25) read one Windows.
+    table = build_table(9, 40 + 5)
+    for check, _ in WINDOWED_CHECKS:
+        assert check(table, 40) is None
+    assert built_windows == [40]
 
 
 def test_recurrence_report_round_trip():
