@@ -19,9 +19,10 @@ narrow polynomial, as a sum of the packed sequence shifted by each nonzero
 shift coefficient's power, building each route at its polynomial's first
 use; it compares windows as ints without decoding them.  ``DeltaPoly.apply``
 takes the dot product at one n directly and is the windows' independent
-reference.  The checks of the addition, action, product and
-uniform-factorization identities pack each member once and compare the two
-sides of each identity as two ints.
+reference.  The addition, action, product and uniform-factorization checks
+write their identities as rows X(t) = A * X(i) - B * X(j) and hand them to
+one routine, which packs each member and factor once, at one slot width
+from one bound, and compares the two sides of each row as two ints.
 
 Three operator families drive everything else in this package.  All share
 the recursion
@@ -382,7 +383,7 @@ class Windows:
     def __init__(self, count: int, seqs, polys, weight: int = 1):
         if count < 0:
             raise DomainError(f"window length must be >= 0, got {count}")
-        degree = max(len(p.coeffs) for p in polys) - 1
+        degree = max((len(p.coeffs) for p in polys), default=0) - 1
         length = count + degree if degree >= 0 else 0
         for seq in seqs:
             if len(seq) < length:
@@ -392,7 +393,7 @@ class Windows:
         lows = [min(seq) if seq else 0 for seq in seqs]
         highs = [max(seq) if seq else 0 for seq in seqs]
         bound = weight * max([*highs, *map(neg, lows)], default=0)
-        reach = max(p._shift_terms[2] for p in polys)
+        reach = max((p._shift_terms[2] for p in polys), default=0)
         width = _slot_width(bound.bit_length() + reach.bit_length() + 1)
         self.width, self.count, self._slot_bits = width, count, 8 * width
         self._mask = (1 << 8 * width * count) - 1
@@ -508,7 +509,11 @@ def parity_family(m: int) -> Family:
 
 def base_constant(family: Family) -> int:
     """The index-0 member (a constant polynomial)."""
-    return 2 if family is Family.ODD else 1
+    if family is Family.ODD:
+        return 2
+    if family is Family.EVEN or family is Family.PRIME:
+        return 1
+    raise DomainError(f"not an operator family: {family!r}")
 
 
 # Members are built iteratively and memoised; entry i of the list holds the
@@ -529,10 +534,13 @@ def _lowest_index(family: Family) -> int:
 
 def multiplier(family: Family, n: int) -> DeltaPoly:
     """Member of index n, generated by X(n+2) = D*X(n+1) - X(n)."""
+    try:
+        seq = _members[family]
+    except KeyError:
+        raise DomainError(f"not an operator family: {family!r}") from None
     lo = _lowest_index(family)
     if n < lo:
         raise DomainError(f"{family.value} family has no index {n}")
-    seq = _members[family]
     if n - lo >= len(seq):
         with _members_lock:
             while len(seq) <= n - lo:
@@ -556,10 +564,12 @@ def closed_form(family: Family, n: int) -> DeltaPoly:
         for i in range(n + 1):
             c = _binom(n - (i + 1) // 2, i // 2)
             out[n - i] = c if ((i + 1) // 2) % 2 == 0 else -c
-    else:
+    elif family is Family.PRIME:
         for i in range(n // 2 + 1):
             c = _binom(n - i, i)
             out[n - 2 * i] = c if i % 2 == 0 else -c
+    else:
+        raise DomainError(f"not an operator family: {family!r}")
     return DeltaPoly(tuple(out))
 
 
@@ -598,100 +608,88 @@ def verify_closed_forms(n_max: int = 40) -> str | None:
     return None
 
 
-def _block_width(left, right, terms: int, others=()) -> int:
-    """Bytes per slot for sums of ``terms`` products of a member of
-    ``left`` with a member of ``right``, and for sums of ``terms`` members
-    of ``right`` or ``others``.  As in ``DeltaPoly.__mul__``, every product
-    coefficient is below 2**(bitlen(max|left|) + bitlen(max|right|) +
-    bitlen(shorter length)) in size, and a sum of ``terms`` values takes
-    bitlen(terms - 1) bits more; one more bit puts it in the lower half."""
-    def largest(polys):
-        return max([max(map(abs, p.coeffs), default=0) for p in polys],
-                   default=0)
-
-    def longest(polys):
-        return max([len(p.coeffs) for p in polys], default=0)
-
-    left, right = list(left), list(right)
-    product = (largest(left).bit_length() + largest(right).bit_length()
-               + min(longest(left), longest(right)).bit_length())
-    bits = max(product, largest([*right, *others]).bit_length())
-    return _slot_width(bits + (terms - 1).bit_length() + 1)
+# The addition, action, product and uniform-factorization checks write
+# their identities as rows X(t) = A * X(i) - B * X(j), X each family, and
+# compare the two sides as packed ints.  Packing evaluates a polynomial at
+# x = 2**(8*w), a ring homomorphism into the integers.  Each coefficient of
+# A * X(i) - B * X(j) is at most |A| max|X(i)| + |B| max|X(j)| in size, |A|
+# the sum of A's absolute coefficients, so at a width w that holds that
+# bound of every row, every member and every factor below a half slot, the
+# two sides are equal ints exactly when they are equal polynomials.  The
+# loops run over the families, then the rows, so the failure reported is
+# the first in that order, and only it is recomputed as polynomials.
 
 
-# The addition, action, product and uniform-factorization checks compare
-# polynomials as packed ints.  Packing evaluates a polynomial at
-# x = 2**(8*w), a ring homomorphism into the integers, so each side of an
-# identity is a sum of products of packed members.  Each check packs every
-# member it reads once, at one slot width w that holds both sides of every
-# identity it checks below a half slot in size (``_block_width``).  Then the
-# two sides are equal ints exactly when they are equal polynomials: each slot
-# of their difference is smaller than a whole slot.  The loops run over the
-# families, then the indices, so the failure reported is the first in that
-# order, and only a failing identity is recomputed as polynomials for its
-# detail.
-
-
-def _packed_members(left, limit: int) -> dict:
-    """Each family's members X(0..2*limit) and their packed ints, at a slot
-    width that holds every product of a member of ``left`` with an
-    X(0..limit), and every sum of two such products or of two members."""
-    members = {f: [multiplier(f, n) for n in range(2 * limit + 1)]
-               for f in Family}
-    low = [x for xs in members.values() for x in xs[:limit + 1]]
-    width = _block_width(left, low, 2, chain(*members.values()))
-    return {f: (xs, [_pack(x.coeffs, width) for x in xs])
-            for f, xs in members.items()}
+def _first_failure(members: dict, factors: list, rows: list):
+    """(family, key) of the first row (key, t, a, i, b, j) at which
+    X(t) != factors[a] * X(i) - factors[b] * X(j), X a family's list of
+    members in ``members``; None when every row holds."""
+    norms = [sum(map(abs, p.coeffs)) for p in factors]
+    tops = [max([max(map(abs, x.coeffs), default=0) for x in xs])
+            for xs in zip(*members.values())]
+    bound = max([*norms, *tops, *(norms[a] * tops[i] + norms[b] * tops[j]
+                                  for _, _, a, i, b, j in rows)])
+    width = _slot_width(bound.bit_length() + 1)
+    packed = [_pack(p.coeffs, width) for p in factors]
+    rows = [(key, t, packed[a], i, packed[b], j)
+            for key, t, a, i, b, j in rows]
+    for family, xs in members.items():
+        v = [_pack(x.coeffs, width) for x in xs]
+        for key, t, a, i, b, j in rows:
+            if v[t] != a * v[i] - b * v[j]:
+                return family, key
+    return None
 
 
 def verify_addition_theorem(limit: int = 12) -> str | None:
     """X(a+b) = P(a)*X(b) - P(a-1)*X(b-1) with P the prime family."""
     primes = [multiplier(Family.PRIME, a) for a in range(limit + 1)]
-    members = _packed_members(primes, limit)
-    p = members[Family.PRIME][1]
-    for family, (xs, v) in members.items():
-        for a in range(1, limit + 1):
-            for b in range(1, limit + 1):
-                if v[a + b] != p[a] * v[b] - p[a - 1] * v[b - 1]:
-                    rhs = primes[a] * xs[b] - primes[a - 1] * xs[b - 1]
-                    return f"{family.value} a={a} b={b}: {xs[a + b]} != {rhs}"
+    members = {f: [multiplier(f, n) for n in range(2 * limit + 1)]
+               for f in Family}
+    found = _first_failure(members, primes, [
+        ((a, b), a + b, a, b, a - 1, b - 1)
+        for a in range(1, limit + 1) for b in range(1, limit + 1)])
+    if found:
+        family, (a, b) = found
+        xs = members[family]
+        rhs = primes[a] * xs[b] - primes[a - 1] * xs[b - 1]
+        return f"{family.value} a={a} b={b}: {xs[a + b]} != {rhs}"
     return None
 
 
 def verify_action_theorem(limit: int = 12) -> str | None:
-    """Odd(b) * X(a) = X(a+b) + X(a-b) for a >= b >= 0."""
+    """Odd(b) * X(a) = X(a+b) + X(a-b) for a >= b >= 0, checked as
+    X(a+b) = Odd(b) * X(a) - 1 * X(a-b)."""
     odds = [multiplier(Family.ODD, b) for b in range(limit + 1)]
-    members = _packed_members(odds, limit)
-    o = members[Family.ODD][1]
-    for family, (xs, v) in members.items():
-        for a in range(limit + 1):
-            for b in range(a + 1):
-                if o[b] * v[a] != v[a + b] + v[a - b]:
-                    return (f"{family.value} a={a} b={b}: {odds[b] * xs[a]} "
-                            f"!= {xs[a + b] + xs[a - b]}")
+    members = {f: [multiplier(f, n) for n in range(2 * limit + 1)]
+               for f in Family}
+    found = _first_failure(members, [*odds, ONE], [
+        ((a, b), a + b, b, a, -1, a - b)
+        for a in range(limit + 1) for b in range(a + 1)])
+    if found:
+        family, (a, b) = found
+        xs = members[family]
+        return (f"{family.value} a={a} b={b}: {odds[b] * xs[a]} "
+                f"!= {xs[a + b] + xs[a - b]}")
     return None
 
 
 def verify_product_theorem(limit: int = 8) -> str | None:
     """X(a*b) from composing prime-family members with Odd(b): the prime
     map (left, right) of a at b sends X(b) to left*X(b) - right*X(0)."""
-    maps = {(a, b): _prime_map(a, b)
-            for a in range(1, limit + 1) for b in range(1, limit + 1)}
-    members = {f: [multiplier(f, n) for n in range(limit * limit + 1)]
+    keys = [(a, b) for a in range(1, limit + 1) for b in range(1, limit + 1)]
+    members = {f: [DeltaPoly((base_constant(f),)),
+                   *(multiplier(f, n) for n in range(1, limit * limit + 1))]
                for f in Family}
-    low = [*(DeltaPoly((base_constant(f),)) for f in Family),
-           *(x for xs in members.values() for x in xs[:limit + 1])]
-    width = _block_width(chain(*maps.values()), low, 2,
-                         chain(*members.values()))
-    packed = {key: (_pack(left.coeffs, width), _pack(right.coeffs, width))
-              for key, (left, right) in maps.items()}
-    for family, xs in members.items():
-        v, c = [_pack(x.coeffs, width) for x in xs], base_constant(family)
-        for (a, b), (left, right) in packed.items():
-            if v[a * b] != left * v[b] - right * c:
-                left, right = maps[a, b]
-                return (f"{family.value} a={a} b={b}: {xs[a * b]} != "
-                        f"{left * xs[b] - right * c}")
+    found = _first_failure(
+        members, [*chain.from_iterable(_prime_map(a, b) for a, b in keys)],
+        [((a, b), a * b, 2 * k, b, 2 * k + 1, 0)
+         for k, (a, b) in enumerate(keys)])
+    if found:
+        family, (a, b) = found
+        xs, (left, right) = members[family], _prime_map(a, b)
+        return (f"{family.value} a={a} b={b}: {xs[a * b]} != "
+                f"{left * xs[b] - right * xs[0]}")
     return None
 
 
@@ -699,8 +697,10 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
     """Odd(ab) = Odd(a) o Odd(b), and the multi-prime composition chain.
 
     The chain of n composes Odd(p) over the primes p of n, smallest
-    innermost, onto Odd(1); so it is Odd(P) o chain(n / P), P the largest
-    prime of n, and each n takes one composition onto a chain already built.
+    innermost, onto Odd(1): Odd(P) o chain(n / P), P the largest prime of
+    n.  The check ends at the first n whose chain fails, so chain(n / P) is
+    Odd(n / P) there: the chain of n holds exactly when Odd(P) o Odd(n / P)
+    = Odd(n).
     """
     for a in range(1, pair_limit + 1):
         for b in range(1, pair_limit + 1):
@@ -708,13 +708,11 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
             direct = multiplier(Family.ODD, a * b)
             if composed != direct:
                 return f"a={a} b={b}: {composed} != {direct}"
-    chains = {1: multiplier(Family.ODD, 1)}
-    for n in range(1, n_max + 1):
-        if n > 1:
-            largest = factor(n).factors[-1][0]
-            chains[n] = multiplier(Family.ODD, largest).compose(
-                chains[n // largest])
-        if chains[n] != multiplier(Family.ODD, n):
+    for n in range(2, n_max + 1):
+        largest = factor(n).factors[-1][0]
+        composed = multiplier(Family.ODD, largest).compose(
+            multiplier(Family.ODD, n // largest))
+        if composed != multiplier(Family.ODD, n):
             return f"n={n}: prime composition chain disagrees"
     return None
 
@@ -723,38 +721,22 @@ def verify_uniform_factorization(n_max: int = 40) -> str | None:
     """Iterated prime maps rebuild every family member from index 1.
 
     The chain of n applies the prime maps of n's primes, smallest first,
-    to X(1); so it is the map of P at n / P applied to the chain of n / P,
-    P the largest prime of n, and each n takes one map of an image already
-    built.  In the norm |v| = sum |v_i|, |left * v - right * c| is at most
-    |left| |v| + |right| |c|.  So a slot that holds the largest norm along
-    the chains, and every member's coefficients, in its lower half holds
-    every coefficient the chains reach.
+    to X(1): the map of P at n / P applied to the chain of n / P, P the
+    largest prime of n.  As in ``verify_compose_factorization``, the chain
+    of n holds exactly when the product identity of P at n / P does.
     """
-    members = {f: [multiplier(f, n) for n in range(n_max + 1)]
+    members = {f: [DeltaPoly((base_constant(f),)),
+                   *(multiplier(f, n) for n in range(1, n_max + 1))]
                for f in Family}
-    constant = max(map(base_constant, Family))
-    bound = max([max(map(abs, p.coeffs), default=0)
-                 for xs in members.values() for p in xs])
-    chains = {}
-    norms = [0, max([sum(map(abs, xs[1].coeffs)) for xs in members.values()])
-             if n_max else 0]
+    maps, rows = [], []
     for n in range(2, n_max + 1):
         prime = factor(n).factors[-1][0]
-        inner = n // prime
-        left, right = _prime_map(prime, inner)
-        chains[n] = (inner, left, right)
-        norms.append(sum(map(abs, left.coeffs)) * norms[inner]
-                     + sum(map(abs, right.coeffs)) * constant)
-    width = _slot_width(max([bound, *norms[2:]]).bit_length() + 1)
-    packed = {n: (inner, _pack(left.coeffs, width), _pack(right.coeffs, width))
-              for n, (inner, left, right) in chains.items()}
-    for family, xs in members.items():
-        v, c = [_pack(x.coeffs, width) for x in xs], base_constant(family)
-        images = v[:2]
-        for n, (inner, left, right) in packed.items():
-            images.append(left * images[inner] - right * c)
-            if images[n] != v[n]:
-                return f"{family.value} n={n}: prime map chain disagrees"
+        rows.append((n, n, len(maps), n // prime, len(maps) + 1, 0))
+        maps += _prime_map(prime, n // prime)
+    found = _first_failure(members, maps, rows)
+    if found:
+        family, n = found
+        return f"{family.value} n={n}: prime map chain disagrees"
     return None
 
 

@@ -3,6 +3,7 @@ import threading
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add, mul, sub
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -538,6 +539,19 @@ def test_windows_build_the_same_routes_in_any_order(polys, data):
     assert list(first._polys) == list(dict.fromkeys(polys))
 
 
+def test_windows_of_no_polynomial_match_the_zero_polynomial():
+    # No polynomial reads no value, as the zero polynomial reads none, so
+    # every nonzero polynomial is past the bounds.
+    seqs = ((1, 2, 3),)
+    empty, zero = Windows(3, seqs, ()), Windows(3, seqs, (ZERO,))
+    assert ((empty.width, empty.seqs, empty._bounds)
+            == (zero.width, zero.seqs, zero._bounds) == (1, [0], (-1, 0)))
+    assert empty.values(empty.apply(ZERO, empty.seqs[0])) == [0, 0, 0]
+    for poly in (ONE, DELTA):
+        with pytest.raises(DomainError, match=r"past these windows' \(-1, 0\)$"):
+            empty.apply(poly, empty.seqs[0])
+
+
 def test_windows_reject_a_negative_length():
     with pytest.raises(DomainError, match=r"^window length must be >= 0, got -1$"):
         Windows(-1, ((1, 2),), (ONE,))
@@ -660,6 +674,23 @@ def test_threads_growing_the_memo_agree(monkeypatch):
             assert deltaops._members[Family.ODD] == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_multiplier_rejects_what_is_not_a_family():
+    for n in (3, -3):
+        with pytest.raises(DomainError, match=r"^not an operator family: 'odd'$"):
+            multiplier("odd", n)
+
+
+def test_base_constant_rejects_what_is_not_a_family():
+    with pytest.raises(DomainError, match=r"^not an operator family: 'odd'$"):
+        base_constant("odd")
+
+
+def test_closed_form_rejects_what_is_not_a_family():
+    for n in (0, 3):
+        with pytest.raises(DomainError, match=r"^not an operator family: 'odd'$"):
+            closed_form("odd", n)
 
 
 def test_parity_family_and_base_constant():
@@ -1103,6 +1134,34 @@ def test_compose_chains_pass_where_the_per_n_loop_passes():
         assert reference_compose_factorization(pair_limit, n_max) is None
 
 
+CHECKS = {**BATCHED, "compose": (verify_compose_factorization,
+                                 reference_compose_factorization)}
+# The lowest and highest member index each check reads at its defaults.
+CHECK_INDICES = {"addition": (0, 24), "action": (0, 24), "product": (-1, 64),
+                 "uniform": (-1, 40), "compose": (1, 100)}
+
+
+@given(name=st.sampled_from(sorted(CHECKS)),
+       family=st.sampled_from(list(Family)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_planted_fault_is_reported_as_the_reference_loops_report(
+        name, family, data):
+    # One fault delta * D**i on one member; a delta of 2**32 or 2**64 may
+    # come with -D**(i+1), the aliasing pair of PLANTED_FAULTS, which
+    # cancels at the slot width of that size.
+    lo, hi = CHECK_INDICES[name]
+    n, power = data.draw(st.integers(lo, hi)), data.draw(st.integers(0, 66))
+    delta = data.draw(st.one_of(st.integers(-3, 3), st.sampled_from(
+        (2**32, -2**32, 2**64, -2**64))))
+    faults = ((family, n, power, delta),)
+    if abs(delta) > 3 and data.draw(st.booleans()):
+        faults += ((family, n, power + 1, -1 if delta > 0 else 1),)
+    check, reference = CHECKS[name]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        plant(monkeypatch, faults)
+        assert check() == reference()
+
+
 # Coefficients at bit-length edges, so that slot widths meet their bounds,
 # and polynomials whose coefficients all share one such value, whose
 # products have the largest coefficients that their sizes allow.
@@ -1113,42 +1172,44 @@ width_polys = st.one_of(
         lambda vn: DeltaPoly((vn[0],) * vn[1])))
 
 
-@given(left=st.lists(width_polys, min_size=1, max_size=4),
-       right=st.lists(width_polys, min_size=1, max_size=4),
-       others=st.lists(width_polys, max_size=3), terms=st.integers(1, 4),
-       data=st.data())
+@given(factors=st.lists(width_polys, min_size=1, max_size=4),
+       low=st.lists(width_polys, min_size=1, max_size=4), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_block_width_holds_both_sides_of_every_identity(left, right, others,
-                                                        terms, data):
-    # The one premise of the packed identity checks: at this width every
-    # sum of `terms` products of a member of `left` with one of `right`, and
-    # every sum of `terms` members of `right` or `others`, is below half a
-    # slot in size.  Then such a sum packs to the same sum of packed ints,
-    # and two sums pack to equal ints exactly when they are equal.
-    width = deltaops._block_width(left, right, terms, others)
+def test_row_bound_holds_both_sides_of_every_row(factors, low, data):
+    # The one premise of the packed identity checks: at the width that
+    # _first_failure takes, both sides of every row, X(t) and
+    # A * X(i) - B * X(j), are below half a slot in size.  Then the right
+    # side packs to the same sum of products of packed ints, and the two
+    # sides pack to equal ints exactly when they are equal.  A target X(t)
+    # is its right side, that plus an error, or a polynomial of its own, so
+    # a right side may be far larger than every member.
+    pick = st.integers(0, len(factors) - 1)
+    index = st.integers(0, len(low) - 1)
+    rows, targets = [], []
+    for r in range(data.draw(st.integers(1, 4))):
+        a, b, i, j = data.draw(st.tuples(pick, pick, index, index))
+        rhs = factors[a] * low[i] - factors[b] * low[j]
+        rows.append((r, len(low) + r, a, i, b, j))
+        targets.append(data.draw(st.one_of(
+            st.just(rhs), width_polys.map(rhs.__add__), width_polys)))
+    xs = low + targets
+    with mock.patch.object(deltaops, "_slot_width",
+                           wraps=deltaops._slot_width) as spy:
+        found = deltaops._first_failure({O: xs}, factors, rows)
+    assert spy.call_count == 1
+    width = deltaops._slot_width(*spy.call_args.args)
     half = 2 ** (8 * width - 1)
 
     def pack(p):
         return deltaops._pack(p.coeffs, width)
 
-    sign = st.sampled_from((-1, 1))
-    # The same product or member `terms` times over is the largest sum.
-    sides = [(terms * x * y, terms * pack(x) * pack(y))
-             for x in left for y in right]
-    sides += [(terms * x, terms * pack(x)) for x in [*right, *others]]
-    for _ in range(3):
-        chosen = data.draw(st.lists(st.tuples(sign, st.sampled_from(left),
-                                              st.sampled_from(right)),
-                                    min_size=terms, max_size=terms))
-        sides.append((sum((s * x * y for s, x, y in chosen), ZERO),
-                      sum(s * pack(x) * pack(y) for s, x, y in chosen)))
-        chosen = data.draw(st.lists(st.tuples(
-            sign, st.sampled_from([*right, *others])),
-            min_size=terms, max_size=terms))
-        sides.append((sum((s * x for s, x in chosen), ZERO),
-                      sum(s * pack(x) for s, x in chosen)))
-    for poly, packed in sides:
-        assert all(abs(c) < half for c in poly.coeffs)
-        assert pack(poly) == packed
-    for (p, packed_p), (q, packed_q) in zip(sides, sides[1:] + sides[:1]):
-        assert (packed_p == packed_q) == (p == q)
+    first = None
+    for key, t, a, i, b, j in rows:
+        rhs = factors[a] * xs[i] - factors[b] * xs[j]
+        assert all(abs(c) < half for c in (*xs[t].coeffs, *rhs.coeffs))
+        packed = pack(factors[a]) * pack(xs[i]) - pack(factors[b]) * pack(xs[j])
+        assert pack(rhs) == packed
+        assert (pack(xs[t]) == packed) == (xs[t] == rhs)
+        if first is None and xs[t] != rhs:
+            first = (O, key)
+    assert found == first
