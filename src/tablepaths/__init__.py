@@ -1,10 +1,11 @@
 """Exact count tables for bounded lattice walks and their algebra.
 
 The package builds the walk-count tables for a strip of a given height,
-derives the minimal linear recurrence satisfied by every row and by the
-column sums, manipulates the difference-operator polynomials that encode
-those recurrences, and scans the reduced transfer matrices for full
-multiplicative order over prime fields.
+derives the linear recurrence that every row and the column sums satisfy
+(minimal for row 1 and the column sums; some other rows satisfy shorter
+ones, ROADMAP item 14), manipulates the difference-operator polynomials
+that encode those recurrences, and scans the reduced transfer matrices
+for full multiplicative order over prime fields.
 
 Every public name loads on first use: ``import tablepaths`` imports only
 ``errors``, and ``tablepaths.build_table`` (or ``from tablepaths import
@@ -30,7 +31,7 @@ _HOMES = {name: module for module, names in {
     "recurrence": "Recurrence RecurrenceReport RowComboReport det_reduced "
                   "minimal_recurrence recurrence_report reduced_matrix "
                   "row_constant_combinations window_det",
-    "singer": "MatrixFamily SingerReport singer_scan",
+    "singer": "SingerReport singer_scan",
     "suite": "CheckResult VerifyReport run_suite",
 }.items() for name in names.split()}
 

@@ -224,7 +224,7 @@ def _load_fixture(path: str) -> dict[int, str]:
                     raise DomainError(
                         f"{path}:{lineno}: bad index {parts[0]!r}") from None
                 verdict = parts[1].strip()
-                if verdict not in Verdict.__members__:
+                if verdict not in {v.value for v in Verdict}:
                     raise DomainError(
                         f"{path}:{lineno}: unknown verdict {verdict!r}")
                 if n in expected:
@@ -238,10 +238,10 @@ def _load_fixture(path: str) -> dict[int, str]:
 
 
 def _cmd_singer(args, out) -> int:
-    from .singer import MatrixFamily, _member, singer_scan
+    from .singer import singer_scan, template_height
     lo, hi = _parse_range(args.n)
     _check_ceiling(hi, SINGER_N_CEILING, "n", args.force)
-    family = _member(args.family)
+    template_height(args.family, 1)
     budget = _factor_budget(args)
     # The fixture is read and checked before the scan, which may take long.
     expected = (sorted(_load_fixture(args.fixture).items())
@@ -250,7 +250,7 @@ def _cmd_singer(args, out) -> int:
         if not lo <= n <= hi:
             raise DomainError(
                 f"fixture index {n} outside scanned range {lo}..{hi}")
-    report = singer_scan(family, args.q, lo, hi, budget)
+    report = singer_scan(args.family, args.q, lo, hi, budget)
     mismatches = [f"n={n}: expected {verdict}, got {got}"
                   for n, verdict in expected
                   if (got := report.entry(n).verdict.value) != verdict]
@@ -262,14 +262,14 @@ def _cmd_singer(args, out) -> int:
         for e in report.entries:
             out.write(f"{e.n},{e.verdict.value}\n")
     else:
-        out.write(f"family={family.value} q={report.q} "
+        out.write(f"family={args.family} q={report.q} "
                   f"n={report.n_lo}..{report.n_hi}\n")
         for e in report.entries:
             line = f"n={e.n:<4} {e.verdict.value:<15}"
             if e.order is not None:
                 line += f" order={e.order}"
             if e.n == 1:
-                if family is MatrixFamily.ODD:
+                if args.family == "O":
                     line += "  [boundary case: the 1x1 template is the identity]"
                 else:
                     line += ("  [boundary case: 1x1 template (2), full order "

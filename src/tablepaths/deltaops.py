@@ -36,7 +36,8 @@ and differ only in their seeds:
     prime family  1,  D        (the auxiliary family; index -1 is 0)
 
 ``multiplier`` generates members by the recursion, ``closed_form`` by an
-explicit binomial sum, and the verify_* functions check the identity suite
+explicit binomial sum, ``strip_charpoly`` reads a strip's characteristic
+polynomial off one, and the verify_* functions check the identity suite
 that relates the families to each other and to classical polynomial
 families (Chebyshev, Fibonacci, Lucas).
 """
@@ -524,8 +525,8 @@ _SEEDS: dict[Family, list[DeltaPoly]] = {
     Family.EVEN: [ONE, DeltaPoly((-1, 1))],
     Family.PRIME: [ZERO, ONE],   # indices -1 and 0
 }
-_members: dict[Family, list[DeltaPoly]] = {f: list(s) for f, s in _SEEDS.items()}
-_members_lock = threading.Lock()
+_memo: dict[Family, list[DeltaPoly]] = {f: list(s) for f, s in _SEEDS.items()}
+_memo_lock = threading.Lock()
 
 
 def _lowest_index(family: Family) -> int:
@@ -535,17 +536,23 @@ def _lowest_index(family: Family) -> int:
 def multiplier(family: Family, n: int) -> DeltaPoly:
     """Member of index n, generated by X(n+2) = D*X(n+1) - X(n)."""
     try:
-        seq = _members[family]
+        seq = _memo[family]
     except KeyError:
         raise DomainError(f"not an operator family: {family!r}") from None
     lo = _lowest_index(family)
     if n < lo:
         raise DomainError(f"{family.value} family has no index {n}")
     if n - lo >= len(seq):
-        with _members_lock:
+        with _memo_lock:
             while len(seq) <= n - lo:
                 seq.append(DELTA * seq[-1] - seq[-2])
     return seq[n - lo]
+
+
+def strip_charpoly(m: int) -> tuple[int, ...]:
+    """Characteristic polynomial of the m-row strip's reduced transfer
+    matrix, ascending: its family's index-ceil(m/2) member at x - 1."""
+    return multiplier(parity_family(m), (m + 1) // 2).shift_coeffs
 
 
 def closed_form(family: Family, n: int) -> DeltaPoly:
@@ -710,6 +717,8 @@ def verify_compose_factorization(pair_limit: int = 10, n_max: int = 64) -> str |
                 return f"a={a} b={b}: {composed} != {direct}"
     for n in range(2, n_max + 1):
         largest = factor(n).factors[-1][0]
+        if largest <= pair_limit and n // largest <= pair_limit:
+            continue   # the pair loop has compared this composition
         composed = multiplier(Family.ODD, largest).compose(
             multiplier(Family.ODD, n // largest))
         if composed != multiplier(Family.ODD, n):

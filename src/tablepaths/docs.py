@@ -47,7 +47,7 @@ from .pathtable import PathTable, joined_blocks
 if TYPE_CHECKING:
     from .gfmatrix import PrimeFactorization, ScanEntry
     from .recurrence import RecurrenceReport, RowComboReport
-    from .singer import MatrixFamily, SingerReport
+    from .singer import SingerReport
     from .suite import VerifyReport
 
 
@@ -142,7 +142,7 @@ def _decode_factorization(doc: dict) -> PrimeFactorization:
 
 
 def _encode_singer(r: SingerReport) -> dict:
-    return {"kind": "singer_report", "family": r.family.value, "q": r.q,
+    return {"kind": "singer_report", "family": r.family, "q": r.q,
             "n_lo": r.n_lo, "n_hi": r.n_hi,
             "entries": [{"n": e.n, "verdict": e.verdict.value,
                          "order": _optional(_digits, e.order),
@@ -153,7 +153,7 @@ def _encode_singer(r: SingerReport) -> dict:
 
 def _decode_singer(doc: dict) -> SingerReport:
     from .gfmatrix import ScanEntry, Verdict, is_prime
-    from .singer import MatrixFamily, SingerReport
+    from .singer import SingerReport
     q = int(doc["q"])
     if not is_prime(q):
         raise DomainError(f"q must be prime, got {q}")
@@ -161,23 +161,24 @@ def _decode_singer(doc: dict) -> SingerReport:
         ScanEntry(int(e["n"]), Verdict(e["verdict"]), _optional(int, e["order"]),
                   _optional(_decode_factorization, e["factorization"]))
         for e in doc["entries"])
-    report = SingerReport(MatrixFamily(doc["family"]), q, entries)
+    report = SingerReport(doc["family"], q, entries)
     for e in entries:
         if (broken := _singer_contradiction(report.family, q, e)) is not None:
             raise DomainError(f"singer entry n={e.n}: {broken}")
     return report
 
 
-def _singer_contradiction(family: MatrixFamily, q: int,
-                          e: ScanEntry) -> str | None:
+def _singer_contradiction(family: str, q: int, e: ScanEntry) -> str | None:
     """How the entry's verdict contradicts its own numbers, by the rules
     that ``parse_document`` states, or None."""
     from .gfmatrix import Verdict
-    from .singer import family_charpoly
+    from .deltaops import strip_charpoly
+    from .singer import template_height
     # f(0) is the operator family's index-n member at -1, and the members'
     # recursion X(n+2) = D X(n+1) - X(n) at D = -1 repeats with period 3, so
     # a size of 1, 2 or 3 gives f(0) at any n, however large.
-    singular = family_charpoly(family, (e.n - 1) % 3 + 1)[0] % q == 0
+    height = template_height(family, (e.n - 1) % 3 + 1)
+    singular = strip_charpoly(height)[0] % q == 0
     if singular != (e.verdict is Verdict.NOT_INVERTIBLE):
         divides = "divides" if singular else "does not divide"
         return f"{e.verdict.value}, but q {divides} f(0)"

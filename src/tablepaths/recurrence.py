@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import eq, mul, sub
 
 from .deltaops import (DeltaPoly, Family, Windows, _shape, _slot_width,
-                       base_constant, multiplier, parity_family)
+                       base_constant, multiplier, parity_family, strip_charpoly)
 from .errors import DomainError, InternalInconsistencyError
 from .pathtable import PathTable, build_table
 
@@ -305,7 +305,7 @@ def _table_report(table: PathTable, charpolys: dict) -> RecurrenceReport:
     rec = _table_recurrence(table)
     return RecurrenceReport(
         table.m, rec, _reduced_charpoly(table.m, charpolys),
-        multiplier(parity_family(table.m), rec.k).shift_coeffs)
+        strip_charpoly(table.m))
 
 
 def _reduced_charpoly(m: int, charpolys: dict) -> tuple[int, ...]:
@@ -463,7 +463,7 @@ class _TableWindows:
         self.family = [multiplier(fam, j) for j in range(k + 1)]
         self.prime = [multiplier(Family.PRIME, j) for j in range(k)]
         self.odd = [multiplier(Family.ODD, b) for b in range(k // 2 + 1)]
-        self.twice_members = 2 * sum(self.family[1:k], DeltaPoly((1,)))
+        self.twice_sum = 2 * sum(self.family[1:k], DeltaPoly((1,)))
         if fam is Family.ODD:
             self.prime_side = self.prime[k - 1] + 2 * sum(self.prime[:k - 1],
                                                           DeltaPoly(()))
@@ -474,7 +474,7 @@ class _TableWindows:
         self._seqs = [*(rows[y - 1] for y in self.checked),
                       table.column_sums()]
         self._polys = {_SHIFT, _TWO_MINUS_DELTA, _TWO, *self.family,
-                       *self.prime, *self.odd, self.twice_members,
+                       *self.prime, *self.odd, self.twice_sum,
                        self.prime_side}
         self._weight = max(2, *map(sum, self.matrix))
         self._windows: dict = {}
@@ -583,17 +583,17 @@ def verify_column_sum_formulas(table: PathTable, n_max: int = 25) -> str | None:
     base = base_constant(parity_family(m))
     shared = _table_windows(table)
     family, prime = shared.family, shared.prime
-    twice_members, prime_side = shared.twice_members, shared.prime_side
+    twice_sum, prime_side = shared.twice_sum, shared.prime_side
     # Twice the partial sum of the family equals twice its closed form (the
     # partial-sums identity), so the two are compared once, not per row.
-    if twice_members != 2 * (multiplier(Family.PRIME, k - 1)
-                             + (base - 1) * multiplier(Family.PRIME, k - 2)):
+    if twice_sum != 2 * (multiplier(Family.PRIME, k - 1)
+                         + (base - 1) * multiplier(Family.PRIME, k - 2)):
         return f"m={m}: combined form differs from the partial-sum form"
     w = shared.windows(n_max)
     rows, sums = w.seqs[:k], w.seqs[-1]
     for a, row_a in enumerate(rows, 1):
         hit = w.first_difference((
-            (w.apply(family[k - a], sums), w.apply(twice_members, row_a)),
+            (w.apply(family[k - a], sums), w.apply(twice_sum, row_a)),
             (w.apply(prime[a - 1], sums), w.apply(prime_side, row_a))))
         if hit:
             n, i = hit

@@ -186,6 +186,10 @@ def test_bad_family_and_nonprime_q_rejected(capsys):
                            "--n", "1..3")
     assert code == 2
     assert "family" in err
+    # The family is checked before the fixture is read.
+    code, _, err = run_cli(capsys, "singer", "--family", "Q", "--q", "2",
+                           "--n", "1..3", "--fixture", "no/such/fixture")
+    assert (code, err) == (2, "error: family must be E or O, got 'Q'\n")
     code, _, _ = run_cli(capsys, "singer", "--family", "E", "--q", "6",
                          "--n", "1..3")
     assert code == 2

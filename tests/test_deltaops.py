@@ -655,7 +655,7 @@ def test_threads_growing_the_memo_agree(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(deltaops, "_members", {
+            monkeypatch.setattr(deltaops, "_memo", {
                 f: list(seed) for f, seed in deltaops._SEEDS.items()})
             start = threading.Barrier(8)
             results = []
@@ -671,7 +671,7 @@ def test_threads_growing_the_memo_agree(monkeypatch):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert results == [want[300]] * 8
-            assert deltaops._members[Family.ODD] == want
+            assert deltaops._memo[Family.ODD] == want
     finally:
         sys.setswitchinterval(interval)
 

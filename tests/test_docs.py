@@ -15,7 +15,7 @@ from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import PrimeFactorization, ScanEntry, Verdict
 from tablepaths.pathtable import PathTable, build_table
 from tablepaths.recurrence import recurrence_report, row_constant_combinations
-from tablepaths.singer import MatrixFamily, SingerReport, singer_scan
+from tablepaths.singer import SingerReport, singer_scan
 from tablepaths.suite import CheckResult, VerifyReport
 
 
@@ -41,7 +41,7 @@ def test_table_writer_matches_json_dumps(table):
 
 
 TABLE = json.loads(render_document(build_table(3, 2)))
-SCAN = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 2)))
+SCAN = json.loads(render_document(singer_scan("O", 3, 1, 2)))
 SUITE = {"kind": "verify_report", "m_max": 1, "n_max": 1, "passed": True,
          "checks": []}
 ROWS = json.loads(render_document(row_constant_combinations(2)))
@@ -49,7 +49,7 @@ ROWS5 = json.loads(render_document(row_constant_combinations(5)))
 REC = json.loads(render_document(recurrence_report(3)))
 REC5 = json.loads(render_document(recurrence_report(5)))
 REC7 = json.loads(render_document(recurrence_report(7)))
-SCAN6 = json.loads(render_document(singer_scan(MatrixFamily.ODD, 3, 1, 6)))
+SCAN6 = json.loads(render_document(singer_scan("O", 3, 1, 6)))
 E_Q2 = json.loads((Path(__file__).parent / "data" / "singer_E_q2.json")
                   .read_text())
 
@@ -174,6 +174,8 @@ def test_unbroken_documents_parse():
     # A recurrence report relabelled to an m whose ceil(m/2) is not its
     # number of alphas.
     *(dict(REC7, m=m) for m in (9, 1, 64)),
+    # A family other than the letters E and O ("X" is above).
+    *(dict(SCAN, family=family) for family in ("e", 0, None)),
 ])
 def test_malformed_documents_raise_domain_error(doc):
     with pytest.raises(DomainError):
@@ -209,7 +211,7 @@ def test_frozen_document_round_trips(text):
 
 REPORTS = [
     build_table(3, 2),
-    singer_scan(MatrixFamily.ODD, 3, 1, 2),
+    singer_scan("O", 3, 1, 2),
     recurrence_report(3),
     row_constant_combinations(5),
     VerifyReport(2, 3, (CheckResult("a", None), CheckResult("b", "2 != 3"))),
@@ -307,18 +309,18 @@ def test_render_never_touches_the_digit_limit(monkeypatch):
     assert table["column_sums"] == [digits, "3"]
     unknown = ScanEntry(1, Verdict.UNKNOWN, None,
                         PrimeFactorization(big, (), big))
-    report = SingerReport(MatrixFamily.EVEN, 2, (unknown,))
+    report = SingerReport("E", 2, (unknown,))
     entry = json.loads(render_document(report))["entries"][0]
     assert entry["factorization"]["value"] == digits
     assert entry["factorization"]["cofactor"] == digits
-    scan = singer_scan(MatrixFamily.EVEN, 2, 1, 12)
+    scan = singer_scan("E", 2, 1, 12)
     assert parse_document(render_document(scan)) == scan
 
 
 def test_render_raises_domain_error_for_what_it_cannot_write():
     with pytest.raises(DomainError):
         render_document(object())
-    huge_q = SingerReport(MatrixFamily.EVEN, 10**5000 + 1, (
+    huge_q = SingerReport("E", 10**5000 + 1, (
         ScanEntry(1, Verdict.NOT_INVERTIBLE, None, None),))
     with pytest.raises(DomainError):
         render_document(huge_q)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablepaths import gfmatrix
+from tablepaths.deltaops import Family, multiplier, strip_charpoly
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.gfmatrix import (
@@ -21,13 +22,8 @@ from tablepaths.gfmatrix import (
     is_prime,
     order_is_full,
 )
-from tablepaths.recurrence import charpoly, reduced_matrix
-from tablepaths.singer import (
-    MatrixFamily,
-    SingerReport,
-    family_charpoly,
-    singer_scan,
-)
+from tablepaths.recurrence import charpoly, recurrence_report, reduced_matrix
+from tablepaths.singer import SingerReport, singer_scan, template_height
 
 # -- primality -------------------------------------------------------------------
 
@@ -235,8 +231,7 @@ def test_factorization_product_and_round_trip():
     # A singer document's factorization is of q**n - 1: 61**2 - 1 = 3720.
     f = factor(3720)
     assert f.factors == ((2, 3), (3, 1), (5, 1), (31, 1))
-    report = SingerReport(MatrixFamily.EVEN, 61,
-                          (ScanEntry(2, Verdict.NOT_FULL, None, f),))
+    report = SingerReport("E", 61, (ScanEntry(2, Verdict.NOT_FULL, None, f),))
     assert parse_document(render_document(report)).entries[0].factorization == f
 
 
@@ -321,29 +316,34 @@ def test_templates_invertible_mod_three():
 # -- order classification -------------------------------------------------------------
 
 
+def template_charpoly(family, n):
+    """Characteristic polynomial of the family's n x n template."""
+    return strip_charpoly(template_height(family, n))
+
+
 def test_identity_matrix_is_not_full_order():
-    res = order_is_full(family_charpoly(MatrixFamily.ODD, 1), 3)
+    res = order_is_full(template_charpoly("O", 1), 3)
     assert res.verdict is Verdict.NOT_FULL
     assert res.order == 1
 
 
 def test_singular_matrix_flagged():
-    res = order_is_full(family_charpoly(MatrixFamily.EVEN, 1), 2)
+    res = order_is_full(template_charpoly("E", 1), 2)
     assert res.verdict is Verdict.NOT_INVERTIBLE
     assert res.order is None
 
 
 def test_full_order_with_exact_order_attached():
-    res = order_is_full(family_charpoly(MatrixFamily.EVEN, 2), 2)
+    res = order_is_full(template_charpoly("E", 2), 2)
     assert res.verdict is Verdict.FULL_ORDER
     assert res.order == 3
-    res = order_is_full(family_charpoly(MatrixFamily.ODD, 2), 3)
+    res = order_is_full(template_charpoly("O", 2), 3)
     assert res.verdict is Verdict.FULL_ORDER
     assert res.order == 8
 
 
 def test_unfactorable_group_order_yields_unknown():
-    res = order_is_full(family_charpoly(MatrixFamily.EVEN, 53), 2, budget=0)
+    res = order_is_full(template_charpoly("E", 53), 2, budget=0)
     assert res.verdict is Verdict.UNKNOWN
     assert not res.factorization.complete
 
@@ -368,16 +368,18 @@ def matrix_route(mat: GFMatrix) -> ScanEntry:
     return ScanEntry(mat.n, verdict, order, fact)
 
 
-@pytest.mark.parametrize("family", list(MatrixFamily))
+# The ids are the names these cases had while a family was an enum member.
+@pytest.mark.parametrize("family", ["E", "O"],
+                         ids=["MatrixFamily.EVEN", "MatrixFamily.ODD"])
 @pytest.mark.parametrize("q, n_max", [(2, 12), (3, 12), (5, 12), (7, 12),
                                       (1031, 6), (65521, 4), (2**31 - 1, 3)])
 def test_engine_matches_matrix_route(family, q, n_max):
     # 2**31 - 1 needs slots wider than 8 bytes; 1031 and 65521 take the
     # q-power map up to n = 6 and 4, the 2**16 end of the benchmark's q range.
-    parity = 1 if family is MatrixFamily.ODD else 0
     for n in range(1, n_max + 1):
-        want = matrix_route(GFMatrix.from_rows(reduced_matrix(2 * n - parity), q))
-        assert order_is_full(family_charpoly(family, n), q) == want, n
+        want = matrix_route(GFMatrix.from_rows(
+            reduced_matrix(template_height(family, n)), q))
+        assert order_is_full(template_charpoly(family, n), q) == want, n
 
 
 factor_once = lru_cache(maxsize=None)(factor)
@@ -509,16 +511,25 @@ def test_order_engine_finds_primitive_f(q, n):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_family_charpoly_is_the_reduced_matrix_charpoly(q):
-    for m in range(1, 25):
-        family = MatrixFamily.ODD if m % 2 else MatrixFamily.EVEN
-        got = family_charpoly(family, (m + 1) // 2)
-        assert [c % q for c in got] == [c % q for c in charpoly(reduced_matrix(m))]
+    # One strip polynomial serves the recurrence report, the reduced matrix
+    # and, at the template heights, the Singer scan over GF(q).
+    strips = {m: strip_charpoly(m) for m in range(1, 65)}
+    for m, got in strips.items():
+        want = charpoly(reduced_matrix(m))
+        assert got == want == recurrence_report(m).recurrence_poly, m
+    for family, ops in (("E", Family.EVEN), ("O", Family.ODD)):
+        for n in range(1, 33):
+            want = multiplier(ops, n).shift_coeffs
+            assert strips[template_height(family, n)] == want, (family, n)
+        assert singer_scan(family, q, 1, 16).entries == tuple(
+            order_is_full(strips[template_height(family, n)], q)
+            for n in range(1, 17))
 
 
 def test_template_constant_term_repeats_every_three_sizes():
     # What lets a singer document's NOT_INVERTIBLE claims be checked at any n.
-    for family in MatrixFamily:
-        heads = [family_charpoly(family, n)[0] for n in range(1, 61)]
+    for family in "EO":
+        heads = [template_charpoly(family, n)[0] for n in range(1, 61)]
         assert heads == heads[:3] * 20
 
 
@@ -526,7 +537,7 @@ def test_template_constant_term_repeats_every_three_sizes():
 
 
 def test_scan_handles_small_even_family():
-    report = singer_scan(MatrixFamily.EVEN, 2, 1, 8)
+    report = singer_scan("E", 2, 1, 8)
     verdicts = {e.n: e.verdict for e in report.entries}
     assert verdicts[1] is Verdict.NOT_INVERTIBLE
     assert verdicts[2] is Verdict.FULL_ORDER
@@ -538,15 +549,15 @@ def test_scan_handles_small_even_family():
 
 def test_scan_validates_inputs():
     with pytest.raises(DomainError):
-        singer_scan(MatrixFamily.EVEN, 4, 1, 3)
+        singer_scan("E", 4, 1, 3)
     with pytest.raises(DomainError):
-        singer_scan(MatrixFamily.EVEN, 2, 5, 3)
+        singer_scan("E", 2, 5, 3)
     with pytest.raises(DomainError):
-        singer_scan(MatrixFamily.EVEN, 2, 0, 3)
+        singer_scan("E", 2, 0, 3)
 
 
 def test_scan_report_round_trip_ignores_timing():
-    report = singer_scan(MatrixFamily.ODD, 3, 1, 6)
+    report = singer_scan("O", 3, 1, 6)
     doc = render_document(report)
     again = parse_document(doc)
     assert again == report
@@ -554,17 +565,20 @@ def test_scan_report_round_trip_ignores_timing():
 
 
 def test_scan_takes_a_family_or_its_value_and_nothing_else():
-    assert singer_scan("E", 3, 1, 4) == singer_scan(MatrixFamily.EVEN, 3, 1, 4)
-    assert singer_scan("O", 3, 1, 4) == singer_scan(MatrixFamily.ODD, 3, 1, 4)
+    assert singer_scan("E", 3, 1, 4).family == "E"
+    assert singer_scan("O", 3, 1, 4).family == "O"
+    entry = ScanEntry(1, Verdict.NOT_FULL, 1, factor(2))
     for family in ("X", "e", "EVEN", None, 0, ["E"]):
         with pytest.raises(DomainError, match="family must be E or O, got "):
             singer_scan(family, 3, 1, 4)
         with pytest.raises(DomainError, match="family must be E or O, got "):
-            family_charpoly(family, 4)
+            template_height(family, 4)
+        with pytest.raises(DomainError, match="family must be E or O, got "):
+            SingerReport(family, 3, (entry,))
 
 
 def test_scan_entry_lookup():
-    report = singer_scan(MatrixFamily.ODD, 3, 2, 5)
+    report = singer_scan("O", 3, 2, 5)
     assert report.entry(4).verdict is Verdict.FULL_ORDER
     with pytest.raises(DomainError):
         report.entry(9)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -10,7 +11,7 @@ import tablepaths
 
 PUBLIC = [
     "BudgetExceededError", "CheckResult", "DeltaPoly", "DomainError",
-    "Family", "GFMatrix", "InternalInconsistencyError", "MatrixFamily",
+    "Family", "GFMatrix", "InternalInconsistencyError",
     "PathTable", "PrimeFactorization", "Recurrence", "RecurrenceReport",
     "RowComboReport", "ScanEntry", "SingerReport", "Verdict", "VerifyReport",
     "base_constant", "build_table", "closed_form", "det_reduced",
@@ -60,3 +61,28 @@ def test_bare_import_resolves_submodules_on_first_use():
     assert proc.stdout.split() == ["tablepaths", "tablepaths.errors",
                                    "tablepaths.pathtable",
                                    "tablepaths.pathtable"]
+
+
+def test_readme_library_block_gives_its_commented_values():
+    """Each commented line of README's Library block evaluates to its
+    comment: a literal, whose trailing ``...`` marks a prefix, or else the
+    value's str."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = map(str.strip, line.partition("#"))
+        if not comment:
+            exec(code, namespace)
+            continue
+        got = eval(code, namespace)
+        try:
+            want = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            assert str(got) == comment, line
+        else:
+            if isinstance(want, tuple) and want[-1:] == (...,):
+                got, want = got[:len(want) - 1], want[:-1]
+            assert got == want, line
+        checked += 1
+    assert checked == 6
