@@ -306,7 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recurrence", help="minimal column recurrence")
     p_rec.add_argument("--m", type=int, required=True, help="number of rows")
 
-    p_verify = sub.add_parser("verify", help="run the identity-check suite")
+    p_verify = sub.add_parser(
+        "verify", help="run the identity-check suite",
+        description="Run every identity check.  Row-equivalence, "
+                    "table-action and column-sum-formulas read "
+                    "min(n-max, max(25, k)) values of each m, k = ceil(m/2); "
+                    "once they read k values, they prove their identities "
+                    "for every n.  More values stress the packed windows "
+                    "and large cells; they add no proof.")
     p_verify.add_argument("--m-max", type=int, default=8)
     p_verify.add_argument("--n-max", type=int, default=20)
     p_verify.add_argument("--node-budget", type=int, default=None,

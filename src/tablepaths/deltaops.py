@@ -685,16 +685,20 @@ def verify_product_theorem(limit: int = 8) -> str | None:
     """X(a*b) from composing prime-family members with Odd(b): the prime
     map (left, right) of a at b sends X(b) to left*X(b) - right*X(0)."""
     keys = [(a, b) for a in range(1, limit + 1) for b in range(1, limit + 1)]
-    members = {f: [DeltaPoly((base_constant(f),)),
-                   *(multiplier(f, n) for n in range(1, limit * limit + 1))]
+    # Only X(0) and the products a*b, which include every b, are read.
+    indices = sorted({0, *(a * b for a, b in keys)})
+    at = {n: i for i, n in enumerate(indices)}
+    members = {f: [multiplier(f, n) if n else DeltaPoly((base_constant(f),))
+                   for n in indices]
                for f in Family}
     found = _first_failure(
         members, [*chain.from_iterable(_prime_map(a, b) for a, b in keys)],
-        [((a, b), a * b, 2 * k, b, 2 * k + 1, 0)
+        [((a, b), at[a * b], 2 * k, at[b], 2 * k + 1, at[0])
          for k, (a, b) in enumerate(keys)])
     if found:
         family, (a, b) = found
-        xs, (left, right) = members[family], _prime_map(a, b)
+        xs = dict(zip(indices, members[family]))
+        left, right = _prime_map(a, b)
         return (f"{family.value} a={a} b={b}: {xs[a * b]} != "
                 f"{left * xs[b] - right * xs[0]}")
     return None

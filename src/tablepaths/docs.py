@@ -4,18 +4,21 @@ Every report renders to a self-describing dict with a "kind" key, and each
 kind has one encoder and one decoder here.  The frozen format is irregular:
 unbounded integers are decimal strings while small counts are numbers, cells
 are written row-major, and some keys are derived rather than stored.
-Rendering is byte-deterministic.  A ``path_table`` document is not built as
-a dict: ``path_table_chunks`` writes the text of
-``json.dumps(..., sort_keys=True, indent=2)`` a row at a time, each row as
-chunks of at most ``pathtable.ROW_BLOCK`` joined cells, so the CLI can
-stream a table too large to hold as one string and never copies more than a
-block of a row into a longer string.  Parsing accepts exactly
-what rendering writes: a decoder reads only the keys a report stores,
-converts each to its declared type and rejects what the producing function
-rejects (and factors that are not increasing prime powers), and the object
-must render back to the same JSON value (compared with ``json.dumps`` of the
-parsed document, which also checks the table writer), else DomainError; so
-every derived key of every kind is checked, among them a recurrence
+Rendering is byte-deterministic, and both writers write the text of
+``json.dumps(..., sort_keys=True, indent=2)``.  A report's dict goes
+through this module's own writer, ``_write``, which appends its pieces to
+one list (json's indented encoder is pure Python and about twice as slow).
+A ``path_table`` document is not built as a dict: ``path_table_chunks``
+writes it a row at a time, each row as chunks of at most
+``pathtable.ROW_BLOCK`` joined cells, so the CLI can stream a table too
+large to hold as one string and never copies more than a block of a row
+into a longer string.  Parsing accepts exactly what rendering writes: a
+decoder reads only the keys a report stores, converts each to its declared
+type and rejects what the producing function rejects (and factors that are
+not increasing prime powers), and the object must render back to the same
+text that ``json.dumps`` writes for the parsed document, the parse-side
+reference that checks both writers, else DomainError; so every derived key
+of every kind is checked, among them a recurrence
 report's recurrence_poly, which comes from its alphas, and a singer
 report's n_lo and n_hi, which come from its entries, themselves consecutive
 sizes >= 1.  Each singer entry's verdict must agree with its own numbers
@@ -277,12 +280,47 @@ _DECODERS = {"path_table": _decode_table,
              "verify_report": _decode_verify}
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(value, parts: list[str], pad: str) -> None:
+    """Append to ``parts`` the pieces of json.dumps(value, sort_keys=True,
+    indent=2) for a value on a line that ``pad``, a newline and an indent,
+    starts: json's own string escaper, int.__repr__, true, false and null, tuples
+    as lists.  A dict key that is not a str or a value of any other type
+    raises TypeError; an int past the digit limit raises ValueError."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None or isinstance(value, bool):
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "[" + pad + "  "
+        for item in value:
+            parts.append(sep)
+            _write(item, parts, inner)
+            sep = "," + inner
+        parts.append(pad + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{" + pad + "  "
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{sep}{_escape(key)}: ")
+            _write(item, parts, inner)
+            sep = "," + inner
+        parts.append(pad + "}" if value else "{}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 def render_document(obj) -> str:
-    """Deterministic JSON text for a table or report object.
+    """Deterministic JSON text for a table or report object: a report's
+    dict through this module's writer, a table through
+    ``path_table_chunks``, each the text of ``json.dumps(doc,
+    sort_keys=True, indent=2)`` and a newline.
 
     DomainError for an object of no document kind, and for one whose
     integer fields written as JSON numbers (a singer report's ``q``, say)
@@ -298,7 +336,10 @@ def render_document(obj) -> str:
             return "".join(path_table_chunks(
                 obj.m, obj.n_max, map(_strs, obj.rows),
                 _strs(obj.column_sums())))
-        return _json_text(encode(obj)) + "\n"
+        parts: list[str] = []
+        _write(encode(obj), parts, "\n")
+        parts.append("\n")
+        return "".join(parts)
     except ValueError as exc:
         raise DomainError(f"cannot write {type(obj).__name__}: {exc}") from exc
 
@@ -316,7 +357,9 @@ def parse_document(text: str):
     an incomplete factorization; a recurrence report has ceil(m/2) alphas.
     Nothing is powered or recomputed from m, so a singer report's orders
     and NOT_FULL verdicts, a recurrence report relabelled to an m with the
-    same ceil(m/2) and other rows claims are not confirmed."""
+    same ceil(m/2) and other rows claims are not confirmed.  The parsed
+    document's ``json.dumps(doc, sort_keys=True, indent=2)`` is the
+    reference that the object's rendering must equal."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -328,7 +371,8 @@ def parse_document(text: str):
         raise DomainError(f"unknown document kind {kind!r}")
     try:
         obj = _DECODERS[kind](doc)
-        canonical = render_document(obj) == _json_text(doc) + "\n"
+        canonical = (render_document(obj)
+                     == json.dumps(doc, sort_keys=True, indent=2) + "\n")
     except DomainError:
         raise
     except (LookupError, TypeError, ValueError, ArithmeticError,

@@ -40,9 +40,14 @@ def run_suite(m_max: int, n_max: int,
     One table per m = 1..m_max, as wide as any table check reads, goes to
     every table check whose m range covers m and that has not failed yet.
     Operator-level identities do not depend on a table, so they always run
-    over their standard parameter ranges.  The polynomial-equivalence and
-    charpoly-recursion checks share one dict of the reduced matrices'
-    characteristic polynomials, so each call computes each m's once.
+    over their standard parameter ranges.  Row-equivalence, table-action
+    and column-sum-formulas read min(n_max, max(25, k)) values at each m,
+    k = ceil(m/2): where the transfer-matrix check holds, both sides of
+    each identity they compare satisfy one recurrence of order k, so once
+    they read k values they prove it for every n.  The
+    polynomial-equivalence and charpoly-recursion checks share one dict of
+    the reduced matrices' characteristic polynomials, so each call computes
+    each m's once.
     node_budget caps the brute-force enumeration behind the path-oracle
     check.
     """
@@ -52,6 +57,10 @@ def run_suite(m_max: int, n_max: int,
     # m -> characteristic polynomial of the reduced matrix, computed once per
     # call for the two checks that read it.
     charpolys: dict[int, tuple[int, ...]] = {}
+
+    def proving(check):
+        return lambda table: check(table, min(n_max, max(25, table.k)))
+
     # (name, last m of its tables or 0 for a check without one, check, *args)
     registry = [
         ("path-oracle", min(m_max, 6), pathtable.verify_oracle, min(n_max, 10), budget),
@@ -68,10 +77,10 @@ def run_suite(m_max: int, n_max: int,
         ("transfer-matrix", m_max, recurrence.verify_transfer, n_max),
         ("annihilation", m_max, recurrence.verify_annihilation, n_max),
         ("column-sum-bridge", m_max, recurrence.verify_column_sum_bridge, n_max),
-        ("row-equivalence", m_max, recurrence.verify_row_equivalence, min(n_max, 25)),
-        ("table-action", m_max, recurrence.verify_table_action, min(n_max, 25)),
-        ("column-sum-formulas", m_max, recurrence.verify_column_sum_formulas,
-         min(n_max, 25)),
+        ("row-equivalence", m_max, proving(recurrence.verify_row_equivalence)),
+        ("table-action", m_max, proving(recurrence.verify_table_action)),
+        ("column-sum-formulas", m_max,
+         proving(recurrence.verify_column_sum_formulas)),
         ("determinant-lemma", 0, recurrence.verify_determinants, max(m_max, 48)),
         ("window-determinants", min(m_max, 10), recurrence.verify_window_determinants),
         ("polynomial-equivalence", m_max, recurrence.verify_polynomial_equivalence,

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tablepaths
+from tablepaths import docs
 from tablepaths.cli import main
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
@@ -38,6 +39,37 @@ def test_table_writer_matches_json_dumps(table):
            "column_sums": [str(v) for v in table.column_sums()]}
     assert render_document(table) == json.dumps(doc, sort_keys=True,
                                                  indent=2) + "\n"
+
+
+def _written(value) -> str:
+    parts: list[str] = []
+    docs._write(value, parts, "\n")
+    return "".join(parts)
+
+
+# Quotes, backslashes, control, non-ASCII and astral characters, lone
+# surrogates included.
+JSON_STRINGS = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+    st.characters(blacklist_categories=())))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-2**200, 2**200), JSON_STRINGS),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(JSON_STRINGS, inner)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1, 2}, [0, {"a": [0.0]}], {"a": frozenset()}, {1: "a"}])
+def test_report_writer_raises_type_error_for_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        _written(value)
 
 
 TABLE = json.loads(render_document(build_table(3, 2)))

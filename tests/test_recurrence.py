@@ -646,14 +646,16 @@ def built_windows(monkeypatch):
 
 
 @pytest.mark.parametrize("m_max, n_max, per_table",
-                         [(9, 30, 2), (9, 25, 1), (9, 26, 2)])
+                         [(9, 30, 2), (9, 25, 1), (9, 26, 2), (64, 40, 2)])
 def test_suite_packs_each_table_once_per_window_length(built_windows, m_max,
                                                        n_max, per_table):
-    # The six windowed checks read n_max and min(n_max, 25) values of each
-    # table from one Windows per length.
+    # The six windowed checks read n_max and min(n_max, max(25, k)) values
+    # of each table from one Windows per length; from m = 51 on, k > 25.
     assert run_suite(m_max, n_max).passed
     assert len(built_windows) == per_table * m_max
-    assert set(built_windows) == {n_max, min(n_max, 25)}
+    assert built_windows == [
+        length for m in range(1, m_max + 1)
+        for length in dict.fromkeys((n_max, min(n_max, max(25, (m + 1) // 2))))]
 
 
 def test_windowed_checks_at_one_length_share_one_windows(built_windows):
