@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
@@ -656,6 +657,33 @@ def test_suite_packs_each_table_once_per_window_length(built_windows, m_max,
     assert built_windows == [
         length for m in range(1, m_max + 1)
         for length in dict.fromkeys((n_max, min(n_max, max(25, (m + 1) // 2))))]
+
+
+def test_column_sum_formulas_read_k_values_to_prove_their_identity(
+        monkeypatch):
+    # At m = 64 (k = 32) the column sums' shifts by E^0..E^31 have rank 25
+    # at n = 1..25, so a Δ-polynomial P of that nullspace sends the sums to
+    # 0 there but not at n = 26.  Planted in the family's X(0), which the
+    # a = k formula applies to the sums, P passes at 25 values and fails
+    # at k, the count the suite reads at m = 64.
+    m, k = 64, 32
+    sums = build_table(m, 25 + k).column_sums()
+    vector = _nullspace([sums[n:n + k] for n in range(25)], k)[0]
+    scale = lcm(*(v.denominator for v in vector))
+    planted, power = DeltaPoly(()), DeltaPoly((1,))
+    for v in vector:   # P(D) = sum of v_j (D + 1)^j, so P(E - 1) = v . E^j
+        planted += int(v * scale) * power
+        power *= DeltaPoly((1, 1))
+    family = parity_family(m)
+
+    def faulty(fam, n):
+        poly = multiplier(fam, n)
+        return poly + planted if (fam, n) == (family, 0) else poly
+
+    monkeypatch.setattr(recurrence, "multiplier", faulty)
+    assert verify_column_sum_formulas(build_table(m, 25 + k), 25) is None
+    assert verify_column_sum_formulas(build_table(m, 2 * k), k) == (
+        "m=64 a=32 n=26: partial-sum form fails")
 
 
 def test_windowed_checks_at_one_length_share_one_windows(built_windows):
