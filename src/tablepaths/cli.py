@@ -9,9 +9,9 @@ Subcommands:
   singer      order scan of a template family over a prime field
 
 Exit codes: 0 when everything requested passed, 1 when a verification
-failed, 2 for configuration errors, 141 when the reader of the output closed
-it early.  Output formats: plain text (default), json (deterministic
-structured documents), csv.
+failed, 2 for configuration errors, 130 when an interrupt (SIGINT) ended the
+command, 141 when the reader of the output closed it early.  Output formats:
+plain text (default), json (deterministic structured documents), csv.
 
 Importing this module and building its parser loads no other module of the
 package than ``errors``.  Each command imports what it runs when it is
@@ -33,8 +33,6 @@ M_CEILING = 64
 N_CEILING = 10_000
 SINGER_N_CEILING = 200
 
-FACTOR_BUDGET_ENV = "TABLEPATHS_FACTOR_BUDGET"
-
 
 def _parse_range(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive) or a single integer."""
@@ -53,19 +51,6 @@ def _check_ceiling(value: int, ceiling: int, what: str, force: bool) -> None:
         raise DomainError(
             f"{what} {value} exceeds the default ceiling {ceiling}; "
             f"pass --force to run anyway")
-
-
-def _factor_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(FACTOR_BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(
-                f"{FACTOR_BUDGET_ENV} must be an integer, got {env!r}") from None
-    return None
 
 
 # -- table --------------------------------------------------------------------
@@ -143,7 +128,7 @@ def _cmd_verify(args, out) -> int:
     from .suite import run_suite
     _check_ceiling(args.m_max, M_CEILING, "m-max", args.force)
     _check_ceiling(args.n_max, N_CEILING, "n-max", args.force)
-    report = run_suite(args.m_max, args.n_max, node_budget=args.node_budget)
+    report = run_suite(args.m_max, args.n_max)
     status = 0 if report.passed else 1
     if args.format == "json":
         from .docs import render_document
@@ -242,7 +227,6 @@ def _cmd_singer(args, out) -> int:
     lo, hi = _parse_range(args.n)
     _check_ceiling(hi, SINGER_N_CEILING, "n", args.force)
     template_height(args.family, 1)
-    budget = _factor_budget(args)
     # The fixture is read and checked before the scan, which may take long.
     expected = (sorted(_load_fixture(args.fixture).items())
                 if args.fixture else [])
@@ -250,7 +234,7 @@ def _cmd_singer(args, out) -> int:
         if not lo <= n <= hi:
             raise DomainError(
                 f"fixture index {n} outside scanned range {lo}..{hi}")
-    report = singer_scan(args.family, args.q, lo, hi, budget)
+    report = singer_scan(args.family, args.q, lo, hi, args.budget)
     mismatches = [f"n={n}: expected {verdict}, got {got}"
                   for n, verdict in expected
                   if (got := report.entry(n).verdict.value) != verdict]
@@ -316,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and large cells; they add no proof.")
     p_verify.add_argument("--m-max", type=int, default=8)
     p_verify.add_argument("--n-max", type=int, default=20)
-    p_verify.add_argument("--node-budget", type=int, default=None,
-                          help="visited-state cap for the enumeration oracle")
 
     p_rows = sub.add_parser("rows", help="constant row-combination analysis")
     p_rows.add_argument("--m", type=int, required=True, help="number of rows")
@@ -331,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_singer.add_argument("--n", required=True,
                           help="size or inclusive range a..b")
     p_singer.add_argument("--budget", type=int, default=None,
-                          help=f"factorization budget in rho iterations "
-                               f"(also {FACTOR_BUDGET_ENV})")
+                          help="factorization budget in rho iterations, 0 or "
+                               "more (default gfmatrix.DEFAULT_FACTOR_BUDGET)")
     p_singer.add_argument("--fixture", default=None,
                           help="file of expected 'n,verdict' lines to check")
     return parser

@@ -65,34 +65,6 @@ def test_verify_small_run_passes(capsys):
     assert "checks passed" in out
 
 
-def test_verify_starved_node_budget_fails_oracle_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--m-max", "4", "--n-max", "10",
-                           "--node-budget", "5")
-    assert code == 1
-    assert "FAIL  path-oracle" in out or "FAIL" in out
-
-
-@pytest.mark.parametrize("budget, code, detail", [
-    ("5", 1, "node budget 5 exceeded in strip m=1 up to column 10"),
-    ("90813", 1, "node budget 90813 exceeded in strip m=6 up to column 10"),
-    ("90814", 0, None),
-])
-def test_verify_node_budget_caps_each_strip(capsys, budget, code, detail):
-    got, out, _ = run_cli(capsys, "--format", "json", "verify", "--m-max", "6",
-                          "--n-max", "10", "--node-budget", budget)
-    assert got == code
-    assert json.loads(out)["checks"][0] == {
-        "name": "path-oracle", "passed": detail is None, "detail": detail}
-
-
-def test_verify_negative_node_budget_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "--m-max", "4", "--n-max",
-                             "10", "--node-budget", "-1")
-    assert code == 2
-    assert "node budget" in err
-    assert "FAIL" not in out
-
-
 def test_rows_plain(capsys):
     code, out, _ = run_cli(capsys, "rows", "--m", "5")
     assert code == 0
@@ -222,14 +194,11 @@ table_argv = st.one_of(
 recurrence_argv = flag("--m", st.one_of(near(cli.M_CEILING), small)).map(
     lambda a: ["recurrence", *a])
 # An m-max at the ceiling runs for seconds, so only sizes past it are drawn.
-verify_argv = st.tuples(
-    st.one_of(st.tuples(st.integers(cli.M_CEILING + 1, cli.M_CEILING + 2), small),
-              st.tuples(st.integers(0, 3), st.integers(0, 6)),
-              st.tuples(st.integers(-1, 1), near(cli.N_CEILING))),
-    st.sampled_from([[], ["--node-budget", "-1"], ["--node-budget", "0"],
-                     ["--node-budget", "5000"]]),
-).map(lambda t: ["verify", "--m-max", str(t[0][0]), "--n-max", str(t[0][1]),
-                 *t[1]])
+verify_argv = st.one_of(
+    st.tuples(st.integers(cli.M_CEILING + 1, cli.M_CEILING + 2), small),
+    st.tuples(st.integers(0, 3), st.integers(0, 6)),
+    st.tuples(st.integers(-1, 1), near(cli.N_CEILING)),
+).map(lambda mn: ["verify", "--m-max", str(mn[0]), "--n-max", str(mn[1])])
 rows_argv = st.one_of(
     st.tuples(flag("--m", st.one_of(near(cli.M_CEILING), small)),
               st.just([])),
@@ -411,21 +380,18 @@ VERIFY_SHA256 = json.loads((DATA / "verify_sha256.json").read_text())
 
 @pytest.mark.parametrize("key", VERIFY_SHA256)
 def test_verify_json_matches_frozen_digest(capsys, key):
-    # Keys are "format m_max n_max [node_budget]".  "json 40 120" was frozen
-    # before the suite built one table per m, "json 64 120" before the
-    # determinant lemma read its determinants from one elimination per
-    # parity (m_max 64 takes that check past its default 48, to 32 x 32
-    # reduced matrices), "json 64 400" before long windows could take the
-    # shift route (annihilation, column-sum-bridge), the others before
-    # every m-indexed check read the suite's tables.  13 x 1 gives the
-    # narrowest table that constant-combinations reads; a node budget of
-    # 5000 starves the path oracle, so that run exits 1.
-    fmt, m_max, n_max, *budget = key.split()
-    argv = ["--format", fmt, "verify", "--m-max", m_max, "--n-max", n_max]
-    if budget:
-        argv += ["--node-budget", *budget]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == (1 if budget else 0)
+    # Keys are "format m_max n_max".  "json 40 120" was frozen before the
+    # suite built one table per m, "json 64 120" before the determinant
+    # lemma read its determinants from one elimination per parity (m_max 64
+    # takes that check past its default 48, to 32 x 32 reduced matrices),
+    # "json 64 400" before long windows could take the shift route
+    # (annihilation, column-sum-bridge), the others before every m-indexed
+    # check read the suite's tables.  13 x 1 gives the narrowest table that
+    # constant-combinations reads.
+    fmt, m_max, n_max = key.split()
+    code, out, _ = run_cli(capsys, "--format", fmt, "verify", "--m-max", m_max,
+                           "--n-max", n_max)
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[key]
 
 
@@ -634,23 +600,21 @@ def test_shared_parser_parses_alike_in_threads():
         assert namespaces == [want[i]] * 200, argvs[i]
 
 
-# -- environment -----------------------------------------------------------------
+# -- factorization budget ----------------------------------------------------------
 
 
-def test_env_var_budget_is_read(capsys, monkeypatch):
+def test_budget_environment_variable_is_not_read(capsys, monkeypatch):
+    # singer takes its budget from --budget only; q = 2, n = 53 needs rho
+    # steps, so a budget of 0 read from anywhere would make it UNKNOWN.
+    argv = ("singer", "--family", "E", "--q", "2", "--n", "53")
+    monkeypatch.delenv("TABLEPATHS_FACTOR_BUDGET", raising=False)
+    unset = run_cli(capsys, *argv)
     monkeypatch.setenv("TABLEPATHS_FACTOR_BUDGET", "0")
-    code, out, _ = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "53")
-    assert code == 0
-    assert "UNKNOWN" in out
-
-
-def test_env_var_budget_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TABLEPATHS_FACTOR_BUDGET", "lots")
-    code, _, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "3")
-    assert code == 2
-    assert "TABLEPATHS_FACTOR_BUDGET" in err
+    assert run_cli(capsys, *argv) == unset
+    assert unset[0] == 0
+    assert "FULL_ORDER" in unset[1]
+    assert "UNKNOWN" not in unset[1]
+    assert run_cli(capsys, *argv, "--budget", "0")[1] != unset[1]
 
 
 @pytest.mark.parametrize("n", ["1", "53"])
@@ -660,23 +624,6 @@ def test_negative_budget_flag_is_usage_error(capsys, n):
     assert code == 2
     assert "budget" in err
     assert "UNKNOWN" not in out
-
-
-def test_negative_env_var_budget_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("TABLEPATHS_FACTOR_BUDGET", "-1")
-    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                             "--n", "53")
-    assert code == 2
-    assert "budget" in err
-    assert "UNKNOWN" not in out
-
-
-def test_explicit_budget_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("TABLEPATHS_FACTOR_BUDGET", "0")
-    code, out, _ = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "53", "--budget", "4000000")
-    assert code == 0
-    assert "FULL_ORDER" in out
 
 
 # -- module entry point --------------------------------------------------------------
@@ -695,6 +642,23 @@ def test_module_invocation_round_trips():
         capture_output=True, text=True, check=False, env=MODULE_ENV)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "sum,2,4,8"
+
+
+def test_verify_node_budget_is_unknown_argument():
+    # The suite's path oracle enumerates at most 90 814 walks (m = 6 up to
+    # column 10), far below the oracle's default cap, so verify takes no
+    # cap of its own.
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablepaths", "verify", "--m-max", "4",
+         "--n-max", "10", "--node-budget", "5"],
+        capture_output=True, text=True, check=False, env=MODULE_ENV)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: tablepaths ")
+    assert proc.stderr.count("usage:") == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "tablepaths: error: unrecognized arguments: --node-budget 5")
 
 
 def test_no_subcommand_is_usage_error():
@@ -727,7 +691,11 @@ def test_interrupt_exits_130_with_one_line():
             [sys.executable, "-m", "tablepaths", "singer", "--family", "E",
              "--q", "3", "--n", "80..140"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=MODULE_ENV) as proc:
+            env=MODULE_ENV,
+            # A job started with & from a non-interactive shell runs with
+            # SIGINT ignored, and the child would inherit that.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as proc:
         try:
             proc.communicate(timeout=1)
         except subprocess.TimeoutExpired:
