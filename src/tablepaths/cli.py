@@ -8,10 +8,12 @@ Subcommands:
   rows        constant row-combination analysis for one table
   singer      order scan of a template family over a prime field
 
-Exit codes: 0 when everything requested passed, 1 when a verification
-failed, 2 for configuration errors, 130 when an interrupt (SIGINT) ended the
-command, 141 when the reader of the output closed it early.  Output formats:
-plain text (default), json (deterministic structured documents), csv.
+Exit codes: 0 when everything requested passed, 1 when a check of
+``verify`` or ``recurrence`` failed (or an internal inconsistency was
+found), 2 for configuration errors, 130 when an interrupt (SIGINT) ended
+the command, 141 when the reader of the output closed it early.  Output
+formats: plain text (default), json (deterministic structured documents),
+csv; the csv form of ``singer`` is one 'n,verdict' line per size.
 
 Importing this module and building its parser loads no other module of the
 package than ``errors``.  Each command imports what it runs when it is
@@ -157,9 +159,7 @@ def _cmd_verify(args, out) -> int:
 def _cmd_rows(args, out) -> int:
     from .recurrence import row_constant_combinations
     _check_ceiling(args.m, M_CEILING, "m", args.force)
-    if args.n_probe is not None:
-        _check_ceiling(args.n_probe, N_CEILING, "n-probe", args.force)
-    report = row_constant_combinations(args.m, args.n_probe)
+    report = row_constant_combinations(args.m)
     if args.format == "json":
         from .docs import render_document
         out.write(render_document(report))
@@ -167,14 +167,13 @@ def _cmd_rows(args, out) -> int:
     if args.format == "csv":
         out.write("key,value\n")
         out.write(f"m,{report.m}\n")
-        out.write(f"n_probe,{report.n_probe}\n")
         out.write(f"exists,{str(report.exists).lower()}\n")
         out.write(f"lambda,{'' if report.lam is None else report.lam}\n")
         out.write("alphas," + " ".join(str(a) for a in report.alphas) + "\n")
         out.write(f"nullspace_dim,{report.nullspace_dim}\n")
         out.write(f"trivial_dim,{report.trivial_dim}\n")
         return 0
-    out.write(f"m={report.m} n_probe={report.n_probe}\n")
+    out.write(f"m={report.m}\n")
     tag = "yes (m = 1 mod 4)" if report.exists else "no"
     out.write(f"nontrivial constant combination exists: {tag}\n")
     if report.exists:
@@ -190,55 +189,11 @@ def _cmd_rows(args, out) -> int:
 # -- singer ----------------------------------------------------------------------
 
 
-def _load_fixture(path: str) -> dict[int, str]:
-    from .gfmatrix import Verdict
-    expected: dict[int, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise DomainError(
-                        f"{path}:{lineno}: expected 'n,verdict', got {line!r}")
-                try:
-                    n = int(parts[0])
-                except ValueError:
-                    raise DomainError(
-                        f"{path}:{lineno}: bad index {parts[0]!r}") from None
-                verdict = parts[1].strip()
-                if verdict not in {v.value for v in Verdict}:
-                    raise DomainError(
-                        f"{path}:{lineno}: unknown verdict {verdict!r}")
-                if n in expected:
-                    raise DomainError(f"{path}:{lineno}: duplicate index {n}")
-                expected[n] = verdict
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read fixture {path}: {exc}") from exc
-    if not expected:
-        raise DomainError(f"fixture {path} contains no expectations")
-    return expected
-
-
 def _cmd_singer(args, out) -> int:
-    from .singer import singer_scan, template_height
+    from .singer import singer_scan
     lo, hi = _parse_range(args.n)
     _check_ceiling(hi, SINGER_N_CEILING, "n", args.force)
-    template_height(args.family, 1)
-    # The fixture is read and checked before the scan, which may take long.
-    expected = (sorted(_load_fixture(args.fixture).items())
-                if args.fixture else [])
-    for n, _ in expected:
-        if not lo <= n <= hi:
-            raise DomainError(
-                f"fixture index {n} outside scanned range {lo}..{hi}")
     report = singer_scan(args.family, args.q, lo, hi, args.budget)
-    mismatches = [f"n={n}: expected {verdict}, got {got}"
-                  for n, verdict in expected
-                  if (got := report.entry(n).verdict.value) != verdict]
-    status = 1 if mismatches else 0
     if args.format == "json":
         from .docs import render_document
         out.write(render_document(report))
@@ -262,11 +217,7 @@ def _cmd_singer(args, out) -> int:
         full = report.full_order_ns()
         out.write("full order at: "
                   + (", ".join(str(n) for n in full) if full else "none") + "\n")
-    for line in mismatches:
-        print(f"fixture mismatch: {line}", file=sys.stderr)
-    if args.fixture and not mismatches:
-        print(f"fixture {args.fixture}: all expectations met", file=sys.stderr)
-    return status
+    return 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -301,10 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m-max", type=int, default=8)
     p_verify.add_argument("--n-max", type=int, default=20)
 
-    p_rows = sub.add_parser("rows", help="constant row-combination analysis")
+    p_rows = sub.add_parser(
+        "rows", help="constant row-combination analysis",
+        description="Solve for the row combinations whose column totals do "
+                    "not depend on n, on the first m + 5 columns.  The "
+                    "differences of consecutive columns follow the m x m "
+                    "column transfer, so the first m of them, read from "
+                    "m + 1 columns, span all the others: no deeper probe "
+                    "changes the basis.")
     p_rows.add_argument("--m", type=int, required=True, help="number of rows")
-    p_rows.add_argument("--n-probe", type=int, default=None,
-                        help="probe depth (default m + 5)")
 
     p_singer = sub.add_parser("singer", help="order scan over a prime field")
     p_singer.add_argument("--family", required=True,
@@ -315,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_singer.add_argument("--budget", type=int, default=None,
                           help="factorization budget in rho iterations, 0 or "
                                "more (default gfmatrix.DEFAULT_FACTOR_BUDGET)")
-    p_singer.add_argument("--fixture", default=None,
-                          help="file of expected 'n,verdict' lines to check")
     return parser
 
 

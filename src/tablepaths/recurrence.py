@@ -19,7 +19,7 @@ from here.
 
 All linear algebra here is exact and runs through one fraction-free
 (Bareiss) Gauss-Jordan elimination over the integers: determinants, the
-recurrence solve, ranks and nullspaces.  Fractions appear only in the
+recurrence solve and nullspaces.  Fractions appear only in the
 reported nullspace vectors.
 """
 
@@ -694,16 +694,15 @@ def verify_charpoly_recursion(m_max: int = 24,
 def verify_minimality(table: PathTable) -> str | None:
     """No recurrence of order below k fits the first row.
 
-    For each candidate order below k, the shift matrix built from the first
-    3k cells of the first row must have full column rank; a rank drop would
-    admit a shorter recurrence.
+    A recurrence of order r < k would make column r of the k x k Hankel
+    block [a(i+j+1)], i, j < k, a combination of columns 0..r-1.  So a
+    nonzero determinant of that block, read from the first 2k - 1 cells of
+    the first row, rules out every shorter order at once.
     """
     k = table.k
-    for kp in range(1, k):
-        first = _head(table, 1, 2 * kp + k + 2)[0]
-        rows = [first[n:n + kp + 1] for n in range(kp + k + 2)]
-        if len(_gauss_jordan(rows)[1]) != kp + 1:
-            return f"m={table.m}: rank drop at candidate order {kp}"
+    first = _head(table, 1, 2 * k - 1)[0]
+    if det_bareiss([first[i:i + k] for i in range(k)]) == 0:
+        return f"m={table.m}: Hankel determinant of row 1 is 0"
     return None
 
 

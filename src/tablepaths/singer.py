@@ -58,12 +58,6 @@ class SingerReport:
         return tuple(e.n for e in self.entries
                      if e.verdict is Verdict.FULL_ORDER)
 
-    def entry(self, n: int) -> ScanEntry:
-        if not self.n_lo <= n <= self.n_hi:
-            raise DomainError(
-                f"n={n} not in scan range {self.n_lo}..{self.n_hi}")
-        return self.entries[n - self.n_lo]
-
 
 def singer_scan(family: str, q: int, n_lo: int, n_hi: int,
                 budget: int | None = None) -> SingerReport:

@@ -151,14 +151,14 @@ def test_criterion_11_singer_membership():
     # the published table starts at n=2; the 1x1 case over GF(3) is the
     # trivial full-order boundary (order of 2 mod 3 is 2 = 3-1)
     got3 = tuple(n for n in even3.full_order_ns() if n >= 2)
-    boundary3 = even3.entry(1)
+    boundary3 = even3.entries[0]
     ok3 = (got3 == FULL_ORDER_GF3
            and boundary3.verdict is Verdict.FULL_ORDER
            and boundary3.order == 2)
-    ok1_gf2 = even2.entry(1).verdict is Verdict.NOT_INVERTIBLE
+    ok1_gf2 = even2.entries[0].verdict is Verdict.NOT_INVERTIBLE
 
     # starved of factoring budget, a large case must admit ignorance
-    starved = singer_scan("E", 2, 53, 53, budget=0).entry(53)
+    starved = singer_scan("E", 2, 53, 53, budget=0).entries[0]
     honest = starved.verdict is Verdict.UNKNOWN
 
     ok = ok2 and ok3 and ok1_gf2 and honest and elapsed < 600
@@ -175,7 +175,7 @@ def test_criterion_11_singer_membership():
 
 def test_criterion_12_odd_family_powers_of_two():
     report = singer_scan("O", 3, 1, 32)
-    boundary = report.entry(1)
+    boundary = report.entries[0]
     ok = (report.full_order_ns() == (2, 4, 8, 16, 32)
           and boundary.verdict is Verdict.NOT_FULL
           and boundary.order == 1)

@@ -8,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from tablepaths.cli import build_parser, main
 from tablepaths.docs import parse_document, render_document
 from tablepaths.errors import DomainError
 from tablepaths.pathtable import build_table, table_strings
+from tablepaths.singer import singer_scan
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = Path(__file__).parents[1] / "perfbench" / "goldens"
@@ -115,12 +115,6 @@ def test_ceiling_rejected_without_force(capsys):
     assert "ceiling" in err
 
 
-def test_probe_depth_ceiling_rejected_without_force(capsys):
-    code, _, err = run_cli(capsys, "rows", "--m", "1", "--n-probe", "10001")
-    assert code == 2
-    assert "n-probe 10001 exceeds the default ceiling" in err
-
-
 def test_ceiling_bypassed_with_force(capsys):
     code, _, _ = run_cli(capsys, "--force", "table", "--m", "70", "--n", "2")
     assert code == 0
@@ -156,11 +150,6 @@ def test_parse_range(text, want):
 def test_bad_family_and_nonprime_q_rejected(capsys):
     code, _, err = run_cli(capsys, "singer", "--family", "Q", "--q", "2",
                            "--n", "1..3")
-    assert code == 2
-    assert "family" in err
-    # The family is checked before the fixture is read.
-    code, _, err = run_cli(capsys, "singer", "--family", "Q", "--q", "2",
-                           "--n", "1..3", "--fixture", "no/such/fixture")
     assert (code, err) == (2, "error: family must be E or O, got 'Q'\n")
     code, _, _ = run_cli(capsys, "singer", "--family", "E", "--q", "6",
                          "--n", "1..3")
@@ -199,28 +188,14 @@ verify_argv = st.one_of(
     st.tuples(st.integers(0, 3), st.integers(0, 6)),
     st.tuples(st.integers(-1, 1), near(cli.N_CEILING)),
 ).map(lambda mn: ["verify", "--m-max", str(mn[0]), "--n-max", str(mn[1])])
-rows_argv = st.one_of(
-    st.tuples(flag("--m", st.one_of(near(cli.M_CEILING), small)),
-              st.just([])),
-    st.tuples(flag("--m", st.integers(-1, 9)),
-              flag("--n-probe", st.one_of(small, st.integers(4, 12),
-                                          near(cli.N_CEILING)))),
-).map(lambda t: ["rows", *t[0], *t[1]])
+rows_argv = flag("--m", st.one_of(near(cli.M_CEILING), small,
+                                  st.integers(4, 9))).map(
+    lambda a: ["rows", *a])
 singer_sizes = st.one_of(
     st.tuples(st.just("2"), near(cli.SINGER_N_CEILING).flatmap(
         lambda hi: st.sampled_from([str(hi), f"{hi - 2}..{hi}"]))),
     st.tuples(st.sampled_from(["2", "3", "4", "0", "-7", "65521"]),
               st.sampled_from(["1", "3..6", "5..2", "x", "1..8", "0..2"])),
-)
-verdict_lines = st.tuples(
-    st.integers(-1, cli.SINGER_N_CEILING + 2),
-    st.sampled_from(["FULL_ORDER", "NOT_FULL", "UNKNOWN", "WHAT"]),
-).map(lambda t: f"{t[0]},{t[1]}")
-fixture_bytes = st.one_of(
-    st.binary(max_size=24),
-    st.lists(st.one_of(verdict_lines,
-                       st.sampled_from(["", "# note", "1,2,3", "x,NOT_FULL"])),
-             max_size=4).map(lambda lines: "\n".join(lines).encode()),
 )
 singer_argv = st.tuples(
     st.sampled_from(["E", "O", "X"]), singer_sizes,
@@ -232,18 +207,12 @@ singer_argv = st.tuples(
 
 @given(fmt=st.sampled_from(["plain", "json", "csv"]),
        argv=st.one_of(table_argv, recurrence_argv, verify_argv, rows_argv,
-                      singer_argv),
-       fixture=st.one_of(st.none(), fixture_bytes))
+                      singer_argv))
 @settings(max_examples=60, deadline=None)
-def test_generated_command_lines_exit_cleanly(fmt, argv, fixture):
-    with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] == "singer" and fixture is not None:
-            path = Path(tmp, "fixture.txt")
-            path.write_bytes(fixture)
-            argv = [*argv, "--fixture", str(path)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--format", fmt, *argv])
+def test_generated_command_lines_exit_cleanly(fmt, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", fmt, *argv])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -252,9 +221,8 @@ def test_generated_command_lines_exit_cleanly(fmt, argv, fixture):
         assert err.startswith("error: ") and err.count("\n") == 1
         return
     if code == 1:
-        # Only a failed check or a fixture mismatch exits 1.
-        assert (argv[0] in ("verify", "recurrence")
-                or "fixture mismatch: " in err), err
+        # Only a failed check of verify or recurrence exits 1.
+        assert argv[0] in ("verify", "recurrence"), err
         assert "internal inconsistency" not in err
     if fmt == "json":
         assert render_document(parse_document(out)) == out
@@ -264,11 +232,13 @@ def test_generated_command_lines_exit_cleanly(fmt, argv, fixture):
 
 
 def test_committed_fixture_matches(capsys):
-    code, _, err = run_cli(capsys, "singer", "--family", "O", "--q", "3",
-                           "--n", "1..16", "--fixture",
-                           str(DATA / "singer_odd_gf3.txt"))
-    assert code == 0
-    assert "all expectations met" in err
+    # The committed scan is the csv output under one comment line.
+    lines = (DATA / "singer_odd_gf3.txt").read_text().splitlines(True)
+    code, out, err = run_cli(capsys, "--format", "csv", "singer", "--family",
+                             "O", "--q", "3", "--n", "1..16")
+    assert (code, err) == (0, "")
+    assert lines[0].startswith("# ")
+    assert out == "".join(lines[1:])
 
 
 # q = 65521 and 1031 take the q-power map up to n = 16 and 11, and 19 of
@@ -447,93 +417,14 @@ def test_table_rows_are_written_in_blocks(monkeypatch, fmt, n):
             assert text == render_document(build_table(m, n)), (m, n)
 
 
-def test_csv_output_is_fixture_compatible(capsys, tmp_path):
+def test_csv_output_is_fixture_compatible(capsys):
+    # One 'n,verdict' line per size, in order: a saved scan replays by
+    # comparing bytes.
     code, out, _ = run_cli(capsys, "--format", "csv", "singer",
                            "--family", "E", "--q", "2", "--n", "1..8")
     assert code == 0
-    fixture = tmp_path / "roundtrip.txt"
-    fixture.write_text(out)
-    code, _, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "1..8", "--fixture", str(fixture))
-    assert code == 0
-    assert "all expectations met" in err
-
-
-def test_fixture_mismatch_sets_exit_one(capsys, tmp_path):
-    fixture = tmp_path / "wrong.txt"
-    fixture.write_text("2,NOT_FULL\n")
-    code, _, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "1..4", "--fixture", str(fixture))
-    assert code == 1
-    assert "expected NOT_FULL, got FULL_ORDER" in err
-
-
-def test_fixture_outside_range_rejected(capsys, tmp_path):
-    fixture = tmp_path / "outside.txt"
-    fixture.write_text("9,FULL_ORDER\n")
-    code, _, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "1..4", "--fixture", str(fixture))
-    assert code == 2
-    assert "outside" in err
-
-
-def test_fixture_bad_lines_rejected(capsys, tmp_path):
-    fixture = tmp_path / "bad.txt"
-    fixture.write_text("2,WHAT\n")
-    code, _, _ = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                         "--n", "1..4", "--fixture", str(fixture))
-    assert code == 2
-    fixture.write_text("")
-    code, _, _ = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                         "--n", "1..4", "--fixture", str(fixture))
-    assert code == 2
-
-
-def test_missing_fixture_file_rejected(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                           "--n", "1..4", "--fixture",
-                           str(tmp_path / "nope.txt"))
-    assert code == 2
-    assert "cannot read" in err
-
-
-def test_fixture_that_is_not_utf8_rejected(capsys, tmp_path):
-    fixture = tmp_path / "utf16.txt"
-    fixture.write_bytes(b"\xff\xfe2\x00,\x00")
-    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "2",
-                             "--n", "1..4", "--fixture", str(fixture))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot read fixture {fixture}: ")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("content, message", [
-    (None, "cannot read fixture {path}: "),
-    (b"", "fixture {path} contains no expectations"),
-    (b"2,WHAT\n", "{path}:1: unknown verdict 'WHAT'"),
-    (b"# header\nx,FULL_ORDER\n", "{path}:2: bad index 'x'"),
-    (b"1,FULL_ORDER,2\n", "{path}:1: expected 'n,verdict', got '1,FULL_ORDER,2'"),
-    (b"\xff\xfe2\x00,\x00", "cannot read fixture {path}: "),
-    (b"70,FULL_ORDER\n170,FULL_ORDER\n",
-     "fixture index 170 outside scanned range 60..110"),
-    (b"3,NOT_FULL\n3,FULL_ORDER\n", "{path}:2: duplicate index 3"),
-])
-def test_bad_fixture_exits_before_the_scan(capsys, monkeypatch, tmp_path,
-                                           content, message):
-    def no_scan(*args):
-        raise AssertionError("singer_scan ran on a bad fixture")
-
-    monkeypatch.setattr("tablepaths.singer.singer_scan", no_scan)
-    path = tmp_path / "fixture.txt"
-    if content is not None:
-        path.write_bytes(content)
-    code, out, err = run_cli(capsys, "singer", "--family", "E", "--q", "3",
-                             "--n", "60..110", "--fixture", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: " + message.format(path=path))
-    assert err.count("\n") == 1
+    report = singer_scan("E", 2, 1, 8)
+    assert out == "".join(f"{e.n},{e.verdict.value}\n" for e in report.entries)
 
 
 # -- the shared parser -----------------------------------------------------------
@@ -659,6 +550,25 @@ def test_verify_node_budget_is_unknown_argument():
     assert proc.stderr.count("usage:") == 1
     assert proc.stderr.splitlines()[-1] == (
         "tablepaths: error: unrecognized arguments: --node-budget 5")
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["singer", "--family", "O", "--q", "3", "--n", "1..4", "--fixture", "x"],
+     "--fixture x"),
+    (["rows", "--m", "5", "--n-probe", "9"], "--n-probe 9"),
+])
+def test_removed_options_are_usage_errors(argv, unknown):
+    # A saved csv scan replays with cmp, and every probe depth of at least
+    # m + 2 gives the same basis, so neither option is taken.
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablepaths", *argv],
+        capture_output=True, text=True, check=False, env=MODULE_ENV)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("usage:") == 1
+    assert proc.stderr.splitlines()[-1] == (
+        f"tablepaths: error: unrecognized arguments: {unknown}")
 
 
 def test_no_subcommand_is_usage_error():

@@ -578,10 +578,11 @@ def test_scan_takes_a_family_or_its_value_and_nothing_else():
 
 
 def test_scan_entry_lookup():
+    # The entry of size n sits at index n - n_lo.
     report = singer_scan("O", 3, 2, 5)
-    assert report.entry(4).verdict is Verdict.FULL_ORDER
-    with pytest.raises(DomainError):
-        report.entry(9)
+    assert (report.n_lo, report.n_hi) == (2, 5)
+    assert [e.n for e in report.entries] == [2, 3, 4, 5]
+    assert report.entries[4 - report.n_lo].verdict is Verdict.FULL_ORDER
 
 
 # -- layering --------------------------------------------------------------------

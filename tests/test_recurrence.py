@@ -360,9 +360,40 @@ def test_annihilation_and_transfer_sweeps(first_failure):
     assert first_failure(verify_minimality, 8, 0) is None
 
 
-def test_minimality_rejects_a_table_shorter_than_3k():
-    with pytest.raises(DomainError, match="column 9 outside 1..8"):
-        verify_minimality(build_table(5, 8))
+def test_minimality_rejects_a_table_shorter_than_2k_minus_1():
+    # k = 3: the Hankel block reads a(1..5).
+    with pytest.raises(DomainError, match="column 5 outside 1..4"):
+        verify_minimality(build_table(5, 4))
+    assert verify_minimality(build_table(5, 5)) is None
+
+
+def _minimality_by_rank(table):
+    """The reference route: one rank elimination per candidate order below
+    k, each on a shift matrix of the first 3k cells of row 1."""
+    k, first = table.k, table.rows[0]
+    for kp in range(1, k):
+        rows = [first[n:n + kp + 1] for n in range(kp + k + 2)]
+        if len(_gauss_jordan(rows)[1]) != kp + 1:
+            return f"m={table.m}: rank drop at candidate order {kp}"
+    return None
+
+
+def _planted_rows(m, width):
+    """Rows 1 of shorter order than k = ceil(m/2), for m >= 3: row 1 of the
+    (m - 2)-row table (order k - 1), and the constant row (order 1)."""
+    return [build_table(m - 2, width).rows[0], (1,) * width]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_minimality_agrees_with_the_rank_route(m):
+    table = build_table(m, 3 * ((m + 1) // 2))
+    assert verify_minimality(table) is None
+    assert _minimality_by_rank(table) is None
+    for row in _planted_rows(m, table.n_max) if m >= 3 else []:
+        planted = PathTable(m, table.n_max, (row, *table.rows[1:]))
+        assert verify_minimality(planted) == (
+            f"m={m}: Hankel determinant of row 1 is 0")
+        assert _minimality_by_rank(planted) is not None
 
 
 @pytest.mark.parametrize("check, args, message", [
@@ -742,10 +773,11 @@ def test_tables_and_reduced_eliminations_are_computed_once(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     # Every m-indexed check reads the suite's one table per m; m_max = 14
     # runs past constant-combinations' last m, 13.  det_bareiss: per window
-    # table one reduced matrix and 13 windows; the determinant lemma reads
-    # its 48 determinants from one elimination per parity.
+    # table one reduced matrix and 13 windows, and one Hankel block per
+    # minimality table (m <= 10); the determinant lemma reads its 48
+    # determinants from one elimination per parity.
     assert run_suite(14, 20).passed
-    assert calls == {"build_table": 14, "det_bareiss": 10 * 14}
+    assert calls == {"build_table": 14, "det_bareiss": 10 * 14 + 10}
     calls.update(build_table=0, det_bareiss=0)
     recurrence_report(5)
     assert calls["build_table"] == 1
@@ -788,6 +820,16 @@ def test_one_row_table_is_the_degenerate_witness():
     assert report.exists
     assert report.alphas == (1,)
     assert report.lam == 1
+
+
+def test_probe_depth_changes_no_basis():
+    # The column differences d(n) = T^(n-1) d(1) of the m x m transfer T
+    # span their Krylov space within m steps, so every allowed depth from
+    # m + 2 on solves the same system.
+    for m in range(1, 25):
+        bases = {row_constant_combinations(m, p).basis
+                 for p in (m + 2, m + 5, m + 20)}
+        assert len(bases) == 1, m
 
 
 def test_probe_depth_validated():
